@@ -2,21 +2,19 @@
 
 Every run writes one JSON line per experiment invocation, carrying the
 parameters, the master seed, and the metrics.  ``replay`` re-executes each
-record and compares metrics bit-exactly; the worker-pool size changes
-scheduling only, never results.
+record and compares metrics bit-exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfigError, SchemaVersionError
-from .experiments import EXPERIMENTS
+from .experiments import DEFAULT_N, EXPERIMENTS
 
 SCHEMA_VERSION = 1
 
@@ -27,7 +25,6 @@ class ExperimentConfig:
     parameters: dict = field(default_factory=dict)
     master_seed: int = 0
     out_path: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -56,11 +53,11 @@ class ResultRecord:
         }
 
 
-def run(config: ExperimentConfig) -> list[ResultRecord]:
+def run(config: ExperimentConfig) -> ResultRecord:
     """Execute one experiment; append its record to the output file."""
     fn = EXPERIMENTS[config.experiment]
     started = time.perf_counter()
-    metrics, failures = fn(config.parameters, config.master_seed, config.threads)
+    metrics, failures = fn(config.parameters, config.master_seed)
     duration = time.perf_counter() - started
     record = ResultRecord(
         experiment=config.experiment,
@@ -73,7 +70,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     if config.out_path:
         with open(config.out_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record.to_json_dict()) + "\n")
-    return [record]
+    return record
 
 
 def replay(path: str) -> dict:
@@ -95,7 +92,7 @@ def replay(path: str) -> dict:
                 master_seed=int(data["seed"]),
             )
             fresh, _failures = EXPERIMENTS[config.experiment](
-                config.parameters, config.master_seed, config.threads
+                config.parameters, config.master_seed
             )
             reference = data["metrics"]
             # Serialize both the same way so 0.1 compares as 0.1, not repr noise.
@@ -136,10 +133,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, help="trial / circuit / walker count")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--group", type=str, help="builtin group name (s3, d4, q8)")
-    parser.add_argument("--C", dest="c_factor", type=float, help="length factor: t = C n^3")
     parser.add_argument("--out", type=str, help="JSONL output path (append)")
     parser.add_argument("--csv", type=str, help="also dump tabular metrics as CSV")
-    parser.add_argument("--threads", type=int, default=None, help="worker pool size")
     parser.add_argument("--config", type=str, help="JSON file overriding flags")
 
 
@@ -152,6 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         _add_common(p)
+        if name in DEFAULT_N:
+            p.add_argument(
+                "--C", dest="c_factor", type=float, help="circuit length factor: t = C n^3"
+            )
         if name == "dispersion" or name == "oracle":
             p.add_argument("--unitary", choices=["hadamard", "qft", "random"], default="hadamard")
             p.add_argument("--labels", type=int, help="number of labels (oracle)")
@@ -207,12 +206,12 @@ def _collect_params(args: argparse.Namespace) -> dict:
         params["n_list"] = [int(v) for v in args.n_list.split(",")]
     if getattr(args, "t_list", None):
         params["t_list"] = [int(v) for v in args.t_list.split(",")]
-    if getattr(args, "c_factor", None) is not None and "t" not in params:
-        n = int(params.get("n", 6))
-        params["t"] = int(args.c_factor * n**3)
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             params.update(json.load(fh))
+    if getattr(args, "c_factor", None) is not None and "t" not in params:
+        n = int(params.get("n", DEFAULT_N[args.command]))
+        params["t"] = int(args.c_factor * n**3)
     return params
 
 
@@ -223,34 +222,26 @@ def main(argv=None) -> int:
         print(json.dumps(verdict, indent=1))
         return 0 if verdict["all_match"] else 1
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("LAB_THREADS", "1"))
     config = ExperimentConfig(
         experiment=args.command,
         parameters=_collect_params(args),
         master_seed=args.seed,
         out_path=args.out,
-        threads=threads,
     )
-    records = run(config)
-    status = 0
-    for record in records:
-        print(f"== {record.experiment}  seed={record.seed}  {record.duration_s:.2f}s")
-        for key, value in record.metrics.items():
-            print(f"   {key}: {value}")
-        if record.failures:
-            status = 1
-            for failure in record.failures:
-                print(f"   FAILED: {failure}")
-        else:
-            print("   all checks passed")
-        if args.csv:
-            rows = _csv_rows(record.metrics)
-            if rows:
-                write_csv(rows, args.csv)
-                print(f"   csv -> {args.csv}")
-    return status
+    record = run(config)
+    print(f"== {record.experiment}  seed={record.seed}  {record.duration_s:.2f}s")
+    for key, value in record.metrics.items():
+        print(f"   {key}: {value}")
+    for failure in record.failures:
+        print(f"   FAILED: {failure}")
+    if not record.failures:
+        print("   all checks passed")
+    if args.csv:
+        rows = _csv_rows(record.metrics)
+        if rows:
+            write_csv(rows, args.csv)
+            print(f"   csv -> {args.csv}")
+    return 1 if record.failures else 0
 
 
 if __name__ == "__main__":

@@ -3,19 +3,17 @@
 Every experiment is a pure function of ``(parameters, master_seed)``: all
 randomness flows through child streams keyed by the seed and a task index,
 and aggregation folds results in task order, so metrics are bit-identical
-across runs and across worker-pool sizes.  Each experiment returns a metrics
+across runs for a given numpy/BLAS build.  Each experiment returns a metrics
 dict plus a list of failed assertions (empty on pass).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import paulichain
 from .dispersion import certify_dispersing, pseudo_search
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, SizeError
 from .oracle import build_oracle, identify
 from .rfs import (
     bound_trend_table,
@@ -28,25 +26,17 @@ from .rfs import (
 )
 from .signs import best_phase_signs, brute_force_signs
 from .simcore import (
-    CircuitUnitary,
-    MatrixUnitary,
-    action_matrix,
+    MAX_DENSE_QUBITS,
     child,
+    densify,
     hadamard_all,
     qft_cyclic,
     run_random_circuit,
 )
 
 TWO_OVER_PI = 2.0 / np.pi
-
-
-def ordered_parallel_map(fn, n_tasks: int, threads: int) -> list:
-    """Map ``fn(task_index)`` over a range, folding results in index order."""
-    if threads <= 1 or n_tasks <= 1:
-        return [fn(k) for k in range(n_tasks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, k) for k in range(n_tasks)]
-        return [f.result() for f in futures]
+# Qubit counts used when ``n`` is absent, for the experiments that run circuits of length ``t``.
+DEFAULT_N = {"dispersion": 8, "oracle": 8, "qt": 6}
 
 
 def _build_unitary(params: dict, seed: int):
@@ -54,13 +44,14 @@ def _build_unitary(params: dict, seed: int):
     n = int(params["n"])
     if kind == "hadamard":
         return hadamard_all(n)
+    if kind not in ("qft", "random"):
+        raise InvalidConfigError(f"unknown unitary kind {kind!r}")
+    if n > MAX_DENSE_QUBITS:
+        raise SizeError(f"dense {kind} unitaries capped at n={MAX_DENSE_QUBITS}")
     if kind == "qft":
         return qft_cyclic(2**n).as_action()
-    if kind == "random":
-        t = int(params.get("t", 4 * n**3))
-        circ = run_random_circuit(n, t, seed)
-        return MatrixUnitary(action_matrix(CircuitUnitary(circ)))
-    raise InvalidConfigError(f"unknown unitary kind {kind!r}")
+    t = int(params.get("t", 4 * n**3))
+    return densify(run_random_circuit(n, t, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +59,8 @@ def _build_unitary(params: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def run_dispersion(params: dict, seed: int, threads: int = 1):
-    n = int(params.get("n", 8))
+def run_dispersion(params: dict, seed: int):
+    n = int(params.get("n", DEFAULT_N["dispersion"]))
     beta = float(params.get("beta", 1.0))
     action = _build_unitary({**params, "n": n}, seed)
     report = certify_dispersing(action, beta)
@@ -112,7 +103,7 @@ def run_dispersion(params: dict, seed: int, threads: int = 1):
     return metrics, failures
 
 
-def run_signs(params: dict, seed: int, threads: int = 1):
+def run_signs(params: dict, seed: int):
     trials = int(params.get("trials", 10000))
     d_min = int(params.get("d_min", 1))
     d_max = int(params.get("d_max", 16))
@@ -144,8 +135,8 @@ def run_signs(params: dict, seed: int, threads: int = 1):
     return metrics, failures
 
 
-def run_oracle(params: dict, seed: int, threads: int = 1):
-    n = int(params.get("n", 8))
+def run_oracle(params: dict, seed: int):
+    n = int(params.get("n", DEFAULT_N["oracle"]))
     action = _build_unitary({**params, "n": n}, seed)
     labels = range(int(params.get("labels", 2**n)))
     oracle = build_oracle(action, labels, seed=seed)
@@ -168,7 +159,7 @@ def run_oracle(params: dict, seed: int, threads: int = 1):
     return metrics, failures
 
 
-def run_rfs(params: dict, seed: int, threads: int = 1):
+def run_rfs(params: dict, seed: int):
     mode = params.get("mode", "simulate")
     if mode == "replay-log":
         spec = load_rfs_spec(params["spec_file"])
@@ -252,7 +243,7 @@ def run_rfs(params: dict, seed: int, threads: int = 1):
             and trace.p4_leaf_increment_ok,
         }
 
-    results = ordered_parallel_map(one_trial, trials, threads)
+    results = [one_trial(trial) for trial in range(trials)]
     metrics = {
         "l": depth,
         "n": n,
@@ -283,7 +274,7 @@ def run_rfs(params: dict, seed: int, threads: int = 1):
     return metrics, failures
 
 
-def run_markov(params: dict, seed: int, threads: int = 1):
+def run_markov(params: dict, seed: int):
     mode = params.get("mode", "gap")
     failures: list[str] = []
     if mode == "gap":
@@ -357,15 +348,12 @@ def run_markov(params: dict, seed: int, threads: int = 1):
 AD2_CHUNK = 1000
 
 
-def run_ad2(params: dict, seed: int, threads: int = 1):
+def run_ad2(params: dict, seed: int):
     samples = int(params.get("samples", 20000))
     n_chunks = (samples + AD2_CHUNK - 1) // AD2_CHUNK
     sizes = [min(AD2_CHUNK, samples - k * AD2_CHUNK) for k in range(n_chunks)]
 
-    def one_chunk(k: int):
-        return paulichain.two_copy_chunk(sizes[k], child(seed, k))
-
-    chunks = ordered_parallel_map(one_chunk, n_chunks, threads)
+    chunks = [paulichain.two_copy_chunk(sizes[k], child(seed, k)) for k in range(n_chunks)]
     metrics = paulichain.two_copy_finalize(chunks)
     failures = []
     if metrics["max_orthogonality_defect"] > 1e-10:
@@ -378,9 +366,9 @@ def run_ad2(params: dict, seed: int, threads: int = 1):
     return metrics, failures
 
 
-def run_qt(params: dict, seed: int, threads: int = 1):
-    n = int(params.get("n", 6))
-    steps = int(params.get("t", 4 * int(params.get("n", 6)) ** 3))
+def run_qt(params: dict, seed: int):
+    n = int(params.get("n", DEFAULT_N["qt"]))
+    steps = int(params.get("t", 4 * n**3))
     circuits = int(params.get("trials", 200))
     beta = float(params.get("beta", 0.25))
 
@@ -390,7 +378,7 @@ def run_qt(params: dict, seed: int, threads: int = 1):
         a = int(rng.integers(2**n))
         return paulichain.circuit_collision_sample(n, steps, rng, a)
 
-    results = ordered_parallel_map(one_circuit, circuits, threads)
+    results = [one_circuit(k) for k in range(circuits)]
     q_values = np.array([r[0] for r in results])
     l1_values = np.array([r[1] for r in results])
     mean_q = float(np.mean(q_values))

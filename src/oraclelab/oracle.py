@@ -134,16 +134,6 @@ class IdentificationOutcome:
             raise ValueError("more hits than shots")
 
 
-def _label_row_vector(unitary, spec: LabelSpec, n_qubits: int) -> np.ndarray:
-    """The compiled row ``c_x = <a| <psi| U |x>`` for one label."""
-    if isinstance(unitary, FourierMatrix):
-        block = unitary.entries[list(spec.rows), :]
-        psi = spec.psi if spec.psi is not None else np.ones(1, dtype=complex)
-        return psi.conj() @ block
-    (row,) = spec.rows
-    return adjoint_rows(unitary, row).conj()
-
-
 def build_oracle(
     unitary,
     labels,
@@ -190,16 +180,18 @@ def build_oracle(
                     f"label {ident} has block dimension {len(rows)}; supply psi"
                 )
             specs.append(LabelSpec(tuple(ident), rows, vec))
+        compiled_rows = (s.psi.conj() @ unitary.entries[list(s.rows), :] for s in specs)
     else:
         n = unitary.n_qubits
         m = n
         specs = [LabelSpec(int(a), (int(a),)) for a in labels]
+        compiled_rows = (adjoint_rows(unitary, s.rows[0]).conj() for s in specs)
 
     dim = 2**n
     f_bits = np.zeros((len(specs), dim), dtype=np.uint8)
     betas = np.zeros(len(specs))
-    for k, spec in enumerate(specs):
-        c = _label_row_vector(unitary, spec, n)
+    # Each label's row c_x = <a| <psi| U |x>, made lazily: one row is held at a time.
+    for k, c in enumerate(compiled_rows):
         sol = best_phase_signs(c)
         theta = np.array(sol.theta)
         f_bits[k] = ((1 - theta) // 2).astype(np.uint8)
@@ -232,11 +224,7 @@ def prepare_phi(oracle: SingleLevelOracle, label_index: int) -> PureState:
 
 def outcome_distribution(unitary, oracle: SingleLevelOracle, label_index: int) -> np.ndarray:
     """Probabilities of every label's measurement block on ``U |phi_a>``."""
-    phi = prepare_phi(oracle, label_index)
-    if isinstance(unitary, FourierMatrix):
-        out = unitary.entries @ phi.amplitudes
-    else:
-        out = unitary.apply(phi.amplitudes)
+    out = unitary.apply(prepare_phi(oracle, label_index).amplitudes)
     probs = np.abs(out) ** 2
     return np.array([float(np.sum(probs[list(spec.rows)])) for spec in oracle.labels])
 
@@ -257,12 +245,8 @@ def identify(
     """
     if not 0 <= label_index < oracle.n_labels:
         raise LabelError(f"label index {label_index} out of range")
-    phi = prepare_phi(oracle, label_index)
+    out = unitary.apply(prepare_phi(oracle, label_index).amplitudes)
     spec = oracle.labels[label_index]
-    if isinstance(unitary, FourierMatrix):
-        out = unitary.entries @ phi.amplitudes
-    else:
-        out = unitary.apply(phi.amplitudes)
     success = float(np.sum(np.abs(out[list(spec.rows)]) ** 2))
     success = min(success, 1.0)
     hits = 0

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidConfigError, SizeError
-from .simcore import PureState, sample_haar_two_qubit
+from .simcore import PureState, basis_vector, run_gates, sample_haar_two_qubit
 
 PAULI_1Q = (
     np.eye(2, dtype=complex),
@@ -320,6 +320,17 @@ def initial_gamma_squared(n: int, a: int = 0) -> np.ndarray:
     return out
 
 
+def _random_gates(n: int, steps: int, rng: np.random.Generator):
+    """Lazy ``(i, j, matrix)`` Haar gates on uniformly random pairs.
+
+    Each step draws its pair index, then its gate, from ``rng``.
+    """
+    pair_list = list(itertools.combinations(range(n), 2))
+    for _step in range(steps):
+        i, j = pair_list[int(rng.integers(len(pair_list)))]
+        yield i, j, sample_haar_two_qubit(rng).entries
+
+
 def moment_compare(
     n: int,
     steps: int,
@@ -339,16 +350,9 @@ def moment_compare(
         raise SizeError(f"moment comparison capped at n={MAX_FULL_CHAIN_N}")
     if steps > 50:
         raise InvalidConfigError("step count capped at 50")
-    from .simcore import apply_matrix_to_qubits, basis_vector
-
-    pair_list = list(itertools.combinations(range(n), 2))
     acc = np.zeros(4**n)
     for _ in range(circuits):
-        vec = basis_vector(n, a)
-        for _step in range(steps):
-            i, j = pair_list[int(rng.integers(len(pair_list)))]
-            gate = sample_haar_two_qubit(rng)
-            vec = apply_matrix_to_qubits(vec, n, gate.entries, (i, j))
+        vec = run_gates(basis_vector(n, a), n, _random_gates(n, steps, rng))
         acc += gamma_squared(PureState(n, vec))
     lhs = acc / circuits
     rhs = GammaDistribution.initial(n, a).stepped(full_transition_matrix(n), steps)
@@ -475,14 +479,7 @@ def circuit_collision_sample(
     """One random circuit applied to ``|a>``: its collision and L1 statistics."""
     if n > 12:
         raise SizeError("collision statistics capped at n=12")
-    from .simcore import apply_matrix_to_qubits, basis_vector
-
-    pair_list = list(itertools.combinations(range(n), 2))
-    vec = basis_vector(n, a)
-    for _step in range(steps):
-        i, j = pair_list[int(rng.integers(len(pair_list)))]
-        gate = sample_haar_two_qubit(rng)
-        vec = apply_matrix_to_qubits(vec, n, gate.entries, (i, j))
+    vec = run_gates(basis_vector(n, a), n, _random_gates(n, steps, rng))
     probs = np.abs(vec) ** 2
     return float(np.sum(probs**2)), float(np.sum(np.sqrt(probs)))
 

@@ -21,14 +21,7 @@ import numpy as np
 
 from ..errors import DepthError, InvalidConfigError, ProtocolError
 from ..oracle import SingleLevelOracle, build_oracle
-from ..simcore import (
-    CircuitUnitary,
-    MatrixUnitary,
-    action_matrix,
-    hadamard_all,
-    mix64,
-    run_random_circuit,
-)
+from ..simcore import densify, hadamard_all, mix64, run_random_circuit
 
 FAIL = "FAIL"
 
@@ -210,8 +203,7 @@ def make_rfs_spec(
     elif kind == "random-circuit":
         if circuit_length is None or circuit_seed is None:
             raise InvalidConfigError("random-circuit kind needs circuit_length and circuit_seed")
-        circ = run_random_circuit(n_symbol_bits, circuit_length, circuit_seed)
-        unitary = MatrixUnitary(action_matrix(CircuitUnitary(circ)))
+        unitary = densify(run_random_circuit(n_symbol_bits, circuit_length, circuit_seed))
         descriptor = {
             "kind": "random-circuit",
             "n": n_symbol_bits,
@@ -239,8 +231,7 @@ def unitary_for_spec(spec: RecursiveOracleSpec):
     if kind == "hadamard":
         return hadamard_all(spec.n_symbol_bits)
     if kind == "random-circuit":
-        circ = run_random_circuit(spec.n_symbol_bits, desc["t"], desc["circuit_seed"])
-        return MatrixUnitary(action_matrix(CircuitUnitary(circ)))
+        return densify(run_random_circuit(spec.n_symbol_bits, desc["t"], desc["circuit_seed"]))
     raise InvalidConfigError(f"descriptor carries no rebuildable unitary: {desc!r}")
 
 

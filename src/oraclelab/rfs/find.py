@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import CertificationError, InvalidConfigError, SizeError
 from ..oracle import identify, prepare_phi
-from ..simcore import FourierMatrix, action_matrix, apply_matrix_to_qubits
+from ..simcore import action_matrix, apply_matrix_to_qubits
 from .core import RecursiveOracleSpec, secret_at
 
 MAX_MODEL_NODES = 100_000
@@ -124,14 +124,8 @@ def query_count_closed_form(m: int, depth: int) -> int:
     return sum((2 * m) ** j for j in range(1, depth + 1))
 
 
-def _apply_unitary(unitary, vec: np.ndarray) -> np.ndarray:
-    if isinstance(unitary, FourierMatrix):
-        return unitary.entries @ vec
-    return unitary.apply(vec)
-
-
 def _block_success(unitary, vec: np.ndarray, rows) -> float:
-    out = _apply_unitary(unitary, vec)
+    out = unitary.apply(vec)
     return float(np.sum(np.abs(out[list(rows)]) ** 2))
 
 

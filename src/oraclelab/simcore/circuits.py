@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InvalidConfigError
+from ..errors import InvalidConfigError, SizeError
+from .rng import stream
 from .states import (
     PureState,
     TwoQubitGate,
@@ -25,6 +26,8 @@ from .states import (
 )
 
 MAX_QUBITS = 14
+# A dense 2^12 x 2^12 complex matrix takes 256 MiB.
+MAX_DENSE_QUBITS = 12
 
 
 def sample_haar_two_qubit(rng: np.random.Generator) -> TwoQubitGate:
@@ -50,7 +53,9 @@ def sample_haar_two_qubit(rng: np.random.Generator) -> TwoQubitGate:
 class RandomCircuit:
     """A length-``t`` sequence of Haar gates on uniformly random qubit pairs.
 
-    Regeneration from ``(n_qubits, length, seed)`` is bit-identical.
+    It is a unitary action: ``apply`` realizes ``U`` and ``apply_adjoint``
+    realizes ``U^dag``, the forward run.  Regeneration from
+    ``(n_qubits, length, seed)`` is bit-identical.
     """
 
     n_qubits: int
@@ -65,25 +70,35 @@ class RandomCircuit:
             if i == j or not (0 <= i < self.n_qubits) or not (0 <= j < self.n_qubits):
                 raise ValueError(f"invalid placement ({i}, {j})")
 
-    def apply_forward(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the sampled gates in order: the action of ``U^dag``."""
-        out = np.array(vec, dtype=complex)
-        for i, j, gate in self.placements:
-            out = apply_matrix_to_qubits(out, self.n_qubits, gate.entries, (i, j))
-        return out
-
-    def apply_reversed_adjoint(self, vec: np.ndarray) -> np.ndarray:
+    def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the adjoint gates in reverse order: the action of ``U``."""
-        out = np.array(vec, dtype=complex)
-        for i, j, gate in reversed(self.placements):
-            out = apply_matrix_to_qubits(
-                out, self.n_qubits, gate.entries.conj().T, (i, j)
-            )
-        return out
+        return run_gates(
+            vec,
+            self.n_qubits,
+            ((i, j, gate.entries.conj().T) for i, j, gate in reversed(self.placements)),
+        )
+
+    def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
+        """Apply the sampled gates in order: the action of ``U^dag``."""
+        return run_gates(
+            vec, self.n_qubits, ((i, j, gate.entries) for i, j, gate in self.placements)
+        )
 
     def state_from_basis(self, a: int) -> PureState:
         """The forward-run state ``U^dag |a>``."""
-        return PureState(self.n_qubits, self.apply_forward(basis_vector(self.n_qubits, a)))
+        return PureState(self.n_qubits, self.apply_adjoint(basis_vector(self.n_qubits, a)))
+
+
+def run_gates(vec: np.ndarray, n_qubits: int, gates) -> np.ndarray:
+    """Apply ``(i, j, matrix)`` two-qubit gates in order to a copy of ``vec``.
+
+    The one gate-sequence loop of the package.  ``gates`` may be a lazy
+    iterable; each gate is drawn only after the previous one was applied.
+    """
+    out = np.array(vec, dtype=complex)
+    for i, j, matrix in gates:
+        out = apply_matrix_to_qubits(out, n_qubits, matrix, (i, j))
+    return out
 
 
 def basis_vector(n_qubits: int, index: int) -> np.ndarray:
@@ -100,7 +115,7 @@ def run_random_circuit(n_qubits: int, length: int, seed: int) -> RandomCircuit:
         raise InvalidConfigError(f"n_qubits capped at {MAX_QUBITS}")
     if length < 0:
         raise InvalidConfigError("length must be nonnegative")
-    rng = np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), 0]))
+    rng = stream(seed)
     placements = []
     for _ in range(length):
         i = int(rng.integers(n_qubits))
@@ -145,25 +160,8 @@ class MatrixUnitary:
         return self.matrix @ vec
 
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix.conj().T @ vec
-
-
-class CircuitUnitary:
-    """Unitary action of a sampled circuit under the adjoint convention.
-
-    ``apply`` realizes ``U`` (reversed adjoint gates); ``apply_adjoint``
-    realizes ``U^dag`` (the forward run).
-    """
-
-    def __init__(self, circuit: RandomCircuit):
-        self.circuit = circuit
-        self.n_qubits = circuit.n_qubits
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.circuit.apply_reversed_adjoint(vec)
-
-    def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        return self.circuit.apply_forward(vec)
+        # conj(M^T conj(v)) equals M^dag v without copying the matrix.
+        return np.conj(self.matrix.T @ np.conj(vec))
 
 
 def hadamard_all(n_qubits: int) -> HadamardAll:
@@ -174,8 +172,14 @@ def hadamard_all(n_qubits: int) -> HadamardAll:
 def action_matrix(action) -> np.ndarray:
     """Dense matrix of a unitary action (columns ``U|x>``), for small n."""
     dim = 2**action.n_qubits
-    cols = action.apply(np.eye(dim, dtype=complex))
-    return cols
+    return action.apply(np.eye(dim, dtype=complex))
+
+
+def densify(action) -> MatrixUnitary:
+    """The action as an explicit dense matrix; at most ``MAX_DENSE_QUBITS`` qubits."""
+    if action.n_qubits > MAX_DENSE_QUBITS:
+        raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
+    return MatrixUnitary(action_matrix(action))
 
 
 def adjoint_rows(action, a: int) -> np.ndarray:

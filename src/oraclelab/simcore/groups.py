@@ -184,6 +184,9 @@ class FourierMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        return self.entries @ vec
+
     def row_for(self, label: str, i: int, j: int) -> int:
         return self.row_index.index((label, i, j))
 

@@ -33,11 +33,9 @@ from oraclelab.rfs import (
 )
 from oraclelab.signs import best_phase_signs, brute_force_signs
 from oraclelab.simcore import (
-    CircuitUnitary,
-    MatrixUnitary,
-    action_matrix,
     builtin_group,
     child,
+    densify,
     group_fourier,
     hadamard_all,
     qft_cyclic,
@@ -109,7 +107,7 @@ def test_criterion_04_compiled_success_bound():
     worst_margin = np.inf
     for seed in range(20):
         circ = run_random_circuit(n, t, seed=seed)
-        action = MatrixUnitary(action_matrix(CircuitUnitary(circ)))
+        action = densify(circ)
         compiled = build_oracle(action, range(2**n), seed=seed)
         for k in range(compiled.n_labels):
             measured = identify(action, compiled, k).success_prob

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from oraclelab import experiments
 from oraclelab.cli import ExperimentConfig, main, replay, run
-from oraclelab.errors import InvalidConfigError, SchemaVersionError
+from oraclelab.errors import InvalidConfigError, SchemaVersionError, SizeError
 from oraclelab.rfs import classical_solver, make_rfs_spec, save_query_log
 
 
@@ -15,9 +16,9 @@ def test_dispersion_run_and_record(tmp_path):
         master_seed=3,
         out_path=str(out),
     )
-    records = run(config)
-    assert records[0].metrics["alpha_achieved"] == 1.0
-    assert not records[0].failures
+    record = run(config)
+    assert record.metrics["alpha_achieved"] == 1.0
+    assert not record.failures
     data = json.loads(out.read_text().strip())
     assert data["schema_version"] == 1
     assert data["metrics"]["achieving_count"] == 64
@@ -50,25 +51,40 @@ def test_replay_rejects_unknown_schema(tmp_path):
         replay(str(out))
 
 
-def test_thread_count_does_not_change_metrics():
-    params = {"l": 2, "n": 4, "delta": 0.2, "trials": 6}
-    serial, _ = __import__("oraclelab.experiments", fromlist=["run_rfs"]).run_rfs(
-        params, 5, threads=1
-    )
-    pooled, _ = __import__("oraclelab.experiments", fromlist=["run_rfs"]).run_rfs(
-        params, 5, threads=8
-    )
-    assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
-
-
-def test_qt_threads_deterministic():
-    from oraclelab.experiments import run_qt
-
+def test_qt_two_runs_deterministic():
     params = {"n": 3, "t": 30, "trials": 12, "beta": 0.25}
-    a, failures = run_qt(params, 7, threads=1)
-    b, _ = run_qt(params, 7, threads=4)
+    a, failures = experiments.run_qt(params, 7)
+    b, _ = experiments.run_qt(params, 7)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert not failures
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_c_factor_uses_the_experiments_default_n(monkeypatch):
+    built = []
+
+    def record_circuit(n, t, seed):
+        built.append((n, t))
+        raise _Stop
+
+    monkeypatch.setattr(experiments, "run_random_circuit", record_circuit)
+    with pytest.raises(_Stop):
+        main(["oracle", "--unitary", "random", "--C", "1"])
+    assert built == [(8, 512)]
+
+
+@pytest.mark.parametrize("kind", ["random", "qft"])
+def test_dense_unitary_above_cap_fails_before_building(monkeypatch, kind):
+    def refuse(*args):
+        raise AssertionError("built a unitary above the dense cap")
+
+    monkeypatch.setattr(experiments, "run_random_circuit", refuse)
+    monkeypatch.setattr(experiments, "qft_cyclic", refuse)
+    with pytest.raises(SizeError):
+        experiments.run_dispersion({"unitary": kind, "n": 14}, 0)
 
 
 def test_unknown_experiment_rejected():

@@ -11,7 +11,6 @@ from oraclelab.dispersion import (
 from oraclelab.errors import DegenerateInputError, InvalidConfigError
 from oraclelab.simcore import (
     SWAP_2Q,
-    CircuitUnitary,
     MatrixUnitary,
     PureState,
     TwoQubitGate,
@@ -42,14 +41,13 @@ def test_l1_hadamard_is_2_to_half_n():
 def test_l1_random_circuit_against_dense_recomputation():
     n, t = 6, 4 * 6**3
     circ = run_random_circuit(n, t, seed=77)
-    action = CircuitUnitary(circ)
     ref = np.eye(2**n, dtype=complex)
     for i, j, gate in circ.placements:
         ref = dense_two_qubit_matrix(gate.entries, n, i, j) @ ref
     beta = 0.25
     hits = 0
     for a in range(2**n):
-        value = l1_row(action, a)
+        value = l1_row(circ, a)
         independent = float(np.sum(np.abs(ref[:, a])))
         assert abs(value - independent) <= 1e-9
         assert 1.0 - 1e-9 <= value <= 2 ** (n / 2) + 1e-9

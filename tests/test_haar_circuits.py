@@ -3,7 +3,6 @@ import pytest
 
 from oraclelab.errors import InvalidConfigError
 from oraclelab.simcore import (
-    CircuitUnitary,
     action_matrix,
     basis_vector,
     hadamard_all,
@@ -75,8 +74,7 @@ def test_invalid_configs_raise():
 
 
 def test_circuit_action_adjoint_pair():
-    circ = run_random_circuit(4, 25, seed=21)
-    action = CircuitUnitary(circ)
+    action = run_random_circuit(4, 25, seed=21)
     rng = stream(22)
     vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     vec /= np.linalg.norm(vec)
@@ -95,7 +93,7 @@ def test_circuit_matrix_against_kron_reference():
     for i, j, gate in circ.placements:
         ref = dense_two_qubit_matrix(gate.entries, 3, i, j) @ ref
     # ref is the forward product: the adjoint action of the circuit unitary.
-    mat_u = action_matrix(CircuitUnitary(circ))
+    mat_u = action_matrix(circ)
     np.testing.assert_allclose(mat_u.conj().T, ref, atol=1e-11)
     for a in range(dim):
         np.testing.assert_allclose(

@@ -13,10 +13,9 @@ from oraclelab.oracle import (
     simulate_bisection_strategy,
 )
 from oraclelab.simcore import (
-    CircuitUnitary,
     MatrixUnitary,
-    action_matrix,
     builtin_group,
+    densify,
     fwht_normalized,
     group_fourier,
     hadamard_all,
@@ -106,7 +105,7 @@ def test_outcome_distribution_sums_to_one():
 def test_random_circuit_predicted_vs_measured():
     for seed in range(10):
         circ = run_random_circuit(4, 150, seed=seed)
-        action = MatrixUnitary(action_matrix(CircuitUnitary(circ)))
+        action = densify(circ)
         oracle = build_oracle(action, range(16), seed=seed)
         for k in range(16):
             measured = identify(action, oracle, k).success_prob
