@@ -1,8 +1,8 @@
 """Command-line laboratory: seeded experiments with replayable JSONL records.
 
 Every run writes one JSON line per experiment invocation, carrying the
-parameters, the master seed, and the metrics.  ``replay`` re-executes each
-record and compares metrics bit-exactly.
+parameters, the master seed, the numerics version and the metrics.
+``replay`` re-executes each record and compares metrics bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from .errors import InvalidConfigError, SchemaVersionError
 from .experiments import DEFAULT_N, EXPERIMENTS
 
 SCHEMA_VERSION = 1
+# Bumped when a change moves metrics by rounding or by the random-draw layout;
+# replay is bit-exact only within one version.  2: sign compilation by one sweep.
+NUMERICS_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -39,11 +42,13 @@ class ResultRecord:
     seed: int
     duration_s: float
     schema_version: int = SCHEMA_VERSION
+    numerics_version: int = NUMERICS_VERSION
     failures: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
             "schema_version": self.schema_version,
+            "numerics_version": self.numerics_version,
             "experiment": self.experiment,
             "parameters": self.parameters,
             "metrics": self.metrics,
@@ -74,7 +79,11 @@ def run(config: ExperimentConfig) -> ResultRecord:
 
 
 def replay(path: str) -> dict:
-    """Re-run every record in a JSONL file; metrics must match bit-exactly."""
+    """Re-run every record in a JSONL file; metrics must match bit-exactly.
+
+    A mismatch lists the metric ``keys`` that differ and is ``cross_version``
+    when the record's numerics version (1 if absent) is not the running one.
+    """
     verdicts = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -94,12 +103,19 @@ def replay(path: str) -> dict:
             fresh, _failures = EXPERIMENTS[config.experiment](
                 config.parameters, config.master_seed
             )
-            reference = data["metrics"]
             # Serialize both the same way so 0.1 compares as 0.1, not repr noise.
-            match = json.dumps(fresh, sort_keys=True) == json.dumps(
-                reference, sort_keys=True
+            fresh = {k: json.dumps(v, sort_keys=True) for k, v in fresh.items()}
+            reference = {k: json.dumps(v, sort_keys=True) for k, v in data["metrics"].items()}
+            keys = sorted({key for key, _ in fresh.items() ^ reference.items()})
+            verdicts.append(
+                {
+                    "line": line_no,
+                    "experiment": data["experiment"],
+                    "match": not keys,
+                    "keys": keys,
+                    "cross_version": data.get("numerics_version", 1) != NUMERICS_VERSION,
+                }
             )
-            verdicts.append({"line": line_no, "experiment": data["experiment"], "match": match})
     return {
         "records": len(verdicts),
         "all_match": all(v["match"] for v in verdicts),

@@ -24,7 +24,7 @@ from .rfs import (
     make_rfs_spec,
     z_referee,
 )
-from .signs import best_phase_signs, brute_force_signs
+from .signs import TWO_OVER_PI, best_phase_signs, brute_force_signs
 from .simcore import (
     MAX_DENSE_QUBITS,
     child,
@@ -34,7 +34,6 @@ from .simcore import (
     run_random_circuit,
 )
 
-TWO_OVER_PI = 2.0 / np.pi
 # Qubit counts used when ``n`` is absent, for the experiments that run circuits of length ``t``.
 DEFAULT_N = {"dispersion": 8, "oracle": 8, "qt": 6}
 

@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError, LabelError
-from .signs import best_phase_signs
+from .signs import TWO_OVER_PI, best_phase_signs
 from .simcore import FourierMatrix, PureState, adjoint_rows
-
-TWO_OVER_PI = 2.0 / np.pi
 
 
 @dataclass(frozen=True)

@@ -372,15 +372,20 @@ def moment_compare(
 # ---------------------------------------------------------------------------
 
 
+def _transfer_complex(gate: np.ndarray) -> np.ndarray:
+    """``tr(sigma_p W sigma_q W^dag)/4`` on two sites, before dropping the imaginary part."""
+    sigmas = sigma_stack(2)
+    conjugated = np.einsum("ij,qjk,lk->qil", gate, sigmas, gate.conj())
+    return np.einsum("pij,qji->pq", sigmas, conjugated) / 4.0
+
+
 def pauli_transfer(gate: np.ndarray) -> np.ndarray:
     """16x16 conjugation matrix ``tr(sigma_p W sigma_q W^dag)/4`` on two sites.
 
     Real for any unitary gate (conjugation preserves Hermiticity in the
     Hermitian Pauli basis); the residual imaginary part is asserted small.
     """
-    sigmas = sigma_stack(2)
-    conjugated = np.einsum("ij,qjk,lk->qil", gate, sigmas, gate.conj())
-    ad = np.einsum("pij,qji->pq", sigmas, conjugated) / 4.0
+    ad = _transfer_complex(gate)
     imag = float(np.abs(ad.imag).max())
     if imag > 1e-12:
         raise InvalidConfigError(f"transfer matrix not real: residual {imag:.2e}")
@@ -429,12 +434,9 @@ def two_copy_chunk(samples: int, rng: np.random.Generator) -> dict:
     max_orth = 0.0
     max_imag = 0.0
     max_corner = 0.0
-    sigmas = sigma_stack(2)
     eye16 = np.eye(16)
     for _ in range(samples):
-        w = sample_haar_two_qubit(rng).entries
-        conjugated = np.einsum("ij,qjk,lk->qil", w, sigmas, w.conj())
-        ad_complex = np.einsum("pij,qji->pq", sigmas, conjugated) / 4.0
+        ad_complex = _transfer_complex(sample_haar_two_qubit(rng).entries)
         max_imag = max(max_imag, float(np.abs(ad_complex.imag).max()))
         ad = ad_complex.real
         max_orth = max(max_orth, float(np.abs(ad.T @ ad - eye16).max()))

@@ -1,15 +1,15 @@
 """Compile a complex vector into a +-1 sign pattern that keeps most of its L1 mass.
 
 For any nonzero ``x in C^d`` there is a sign vector ``theta in {+-1}^d`` with
-``|sum_k theta_k x_k| >= (2/pi) * sum_k |x_k|``.  The witness is obtained by
-maximizing ``g(phi) = sum_k |Re(exp(i phi) x_k)|`` exactly: ``g`` is piecewise
-sinusoidal in ``phi`` with period pi, its breakpoints sit where some term's
-real part vanishes, and on each open interval between breakpoints all the
-term signs are constant, so ``g(phi) = A cos(phi) + B sin(phi)`` there with
-interval-specific ``A, B``.  Evaluating the interior critical point of every
-interval plus every breakpoint yields the global maximum with no grid or
-tolerance knob.  The average of ``g`` over ``phi`` is ``(2/pi) sum|x_k|``,
-so the maximum can never fall below that.
+``|sum_k theta_k x_k| >= (2/pi) * sum_k |x_k|``: the witness maximizes
+``g(phi) = sum_k |Re(exp(i phi) x_k)|``, whose average over ``phi`` is
+``(2/pi) sum|x_k|``.  Since ``max_phi g = max_theta |sum_k theta_k x_k|``, one
+sorted sweep finds it exactly, in O(d log d) with no grid or tolerance knob.
+Term ``k`` changes sign at its breakpoint ``mod(pi/2 - arg x_k, pi)``, so
+crossing the breakpoints in sorted order flips one sign at a time, and one
+cumulative sum gives the partial sum ``z`` of every interval's signs.  The
+largest ``|z|`` is the maximum; duplicate phases need no merging, and ties go
+to the first interval in sweep order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DegenerateInputError, SizeError
 
 BRUTE_FORCE_MAX_D = 20
-BREAKPOINT_DEDUP_TOL = 1e-15
 TWO_OVER_PI = 2.0 / np.pi
 
 
@@ -54,10 +53,6 @@ def _signs_at(x: np.ndarray, phi: float) -> np.ndarray:
     return theta
 
 
-def _g(x: np.ndarray, phi: float) -> float:
-    return float(np.sum(np.abs(np.real(np.exp(1j * phi) * x))))
-
-
 def best_phase_signs(x) -> SignSolution:
     """Exactly maximize ``g(phi) = sum |Re(exp(i phi) x_k)|`` and read off signs.
 
@@ -74,39 +69,21 @@ def best_phase_signs(x) -> SignSolution:
 
     nonzero = xv[xv != 0]
     breaks = np.mod(np.pi / 2 - np.angle(nonzero), np.pi)
-    breaks = np.unique(breaks)
-    if breaks.size > 1:
-        keep = np.concatenate(([True], np.diff(breaks) > BREAKPOINT_DEDUP_TOL))
-        # The circle wraps: a breakpoint within tolerance of the first + pi
-        # duplicates it as well.
-        if breaks[keep][-1] > np.pi - BREAKPOINT_DEDUP_TOL and breaks[keep][0] < BREAKPOINT_DEDUP_TOL:
-            keep_idx = np.nonzero(keep)[0]
-            keep[keep_idx[-1]] = False
-        breaks = breaks[keep]
-
-    candidates = list(breaks)
-    k = breaks.size
-    for idx in range(k):
-        lo = breaks[idx]
-        hi = breaks[(idx + 1) % k] if k > 1 else lo + np.pi
-        if hi <= lo:
-            hi += np.pi
-        mid = 0.5 * (lo + hi)
-        theta_mid = _signs_at(xv, mid)
-        z = complex(np.sum(theta_mid * xv))
-        # On this interval g(phi) = Re(z) cos(phi) - Im(z) sin(phi); the
-        # unconstrained maximum sits at atan2(-Im z, Re z) where g = |z|.
-        crit = float(np.arctan2(-z.imag, z.real))
-        for shift in (-np.pi, 0.0, np.pi, 2 * np.pi):
-            phi_c = crit + shift
-            if lo < phi_c < hi:
-                candidates.append(np.mod(phi_c, np.pi))
-                break
-
-    best_phi = max(candidates, key=lambda phi: _g(xv, phi))
-    theta = _signs_at(xv, best_phi)
+    order = np.argsort(breaks, kind="stable")
+    swept = nonzero[order]
+    # Signs on the interval that wraps from the last breakpoint to the first.
+    # Each term keeps its sign there from a quarter turn before its own
+    # breakpoint, where it is farthest from zero, so no rounding can flip it.
+    terms = _signs_at(swept, breaks[order] - np.pi / 2) * swept
+    z0 = np.sum(terms)
+    z = np.concatenate(([z0], z0 - 2.0 * np.cumsum(terms)))
+    best = z[np.argmax(np.abs(z))]
+    phi_star = float(np.mod(-np.angle(best), np.pi))
+    if phi_star >= np.pi:  # a critical phase just below 0 rounds up to pi
+        phi_star = 0.0
+    theta = _signs_at(xv, phi_star)
     value = float(np.abs(np.sum(theta * xv)))
-    return SignSolution(float(best_phi), tuple(int(t) for t in theta), value, l1)
+    return SignSolution(phi_star, tuple(theta.tolist()), value, l1)
 
 
 def brute_force_signs(x) -> tuple[tuple[int, ...], float]:

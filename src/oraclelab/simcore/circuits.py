@@ -132,6 +132,8 @@ class HadamardAll:
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise InvalidConfigError("need at least one qubit")
+        if n_qubits > MAX_QUBITS:
+            raise SizeError(f"Hadamard actions capped at {MAX_QUBITS} qubits")
         self.n_qubits = n_qubits
 
     def apply(self, vec: np.ndarray) -> np.ndarray:

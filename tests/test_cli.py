@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import pytest
 
 from oraclelab import experiments
-from oraclelab.cli import ExperimentConfig, main, replay, run
+from oraclelab.cli import NUMERICS_VERSION, ExperimentConfig, main, replay, run
 from oraclelab.errors import InvalidConfigError, SchemaVersionError, SizeError
 from oraclelab.rfs import classical_solver, make_rfs_spec, save_query_log
+from oraclelab.simcore import MAX_QUBITS, hadamard_all
 
 
 def test_dispersion_run_and_record(tmp_path):
@@ -42,6 +44,34 @@ def test_replay_matches_and_detects_tampering(tmp_path):
     verdict = replay(str(out))
     assert not verdict["all_match"]
     assert verdict["mismatches"][0]["line"] == 1
+
+
+def test_replay_names_differing_keys_and_flags_cross_version(tmp_path):
+    out = tmp_path / "records.jsonl"
+    run(
+        ExperimentConfig(
+            experiment="signs",
+            parameters={"trials": 30, "d_max": 6},
+            master_seed=5,
+            out_path=str(out),
+        )
+    )
+    record = json.loads(out.read_text())
+    assert record["numerics_version"] == NUMERICS_VERSION
+
+    record["metrics"]["min_ratio"] = 0.5
+    record["metrics"]["violations"] = 7
+    out.write_text(json.dumps(record) + "\n")
+    (mismatch,) = replay(str(out))["mismatches"]
+    assert mismatch["keys"] == ["min_ratio", "violations"]
+    assert mismatch["cross_version"] is False
+
+    # A hand-edited record from before the field existed reads as version 1.
+    del record["numerics_version"]
+    out.write_text(json.dumps(record) + "\n")
+    (mismatch,) = replay(str(out))["mismatches"]
+    assert mismatch["keys"] == ["min_ratio", "violations"]
+    assert mismatch["cross_version"] is True
 
 
 def test_replay_rejects_unknown_schema(tmp_path):
@@ -85,6 +115,23 @@ def test_dense_unitary_above_cap_fails_before_building(monkeypatch, kind):
     monkeypatch.setattr(experiments, "qft_cyclic", refuse)
     with pytest.raises(SizeError):
         experiments.run_dispersion({"unitary": kind, "n": 14}, 0)
+
+
+def test_hadamard_above_qubit_cap_fails_before_allocating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("certified a Hadamard action above the qubit cap")
+
+    monkeypatch.setattr(experiments, "certify_dispersing", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError):
+            hadamard_all(MAX_QUBITS + 1)
+        with pytest.raises(SizeError):
+            main(["dispersion", "--n", "15"])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**15 * 16  # less than one 15-qubit state vector
 
 
 def test_unknown_experiment_rejected():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oraclelab.errors import DegenerateInputError, SizeError
 from oraclelab.signs import best_phase_signs, brute_force_signs
-from oraclelab.simcore import stream
+from oraclelab.simcore import qft_cyclic, stream
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -88,6 +88,43 @@ def test_tie_rule_zero_entries_get_plus_one():
     # The second coordinate is orthogonal to the winning phase.
     sol = best_phase_signs([5.0, 1e-30j])
     assert sol.theta[1] == 1
+
+
+def _sweep_corpus():
+    rng = stream(43)
+    rows = [("qft", row) for d in (4, 8, 16) for row in qft_cyclic(d).entries]
+    rows += [("real", rng.standard_normal(d)) for d in (1, 2, 5, 12)]
+    rows += [("complex", rng.standard_normal(d) + 1j * rng.standard_normal(d)) for d in range(1, 9)]
+    rows.append(("real", np.array([1.0, -1.0, 1.0, 1.0, -1.0])))
+    zeros = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    zeros[[1, 4, 5, 9]] = 0.0
+    rows.append(("zeros", zeros))
+    rows.append(("zeros", np.array([0.0, 1j, 0.0, -2.0 + 1j])))
+    phases = rng.uniform(-np.pi, np.pi, 4)
+    rows.append(("duplicate", np.exp(1j * phases[[0, 1, 0, 2, 1, 0, 3]]) * np.arange(1, 8)))
+    rows.append(("duplicate", np.array([1 + 1j, 2 + 2j, -3 - 3j, 1j])))
+    close = 0.7 + 1e-16 * np.arange(-4, 5)
+    rows.append(("1e-16 apart", rng.uniform(0.5, 2.0, close.size) * np.exp(1j * close)))
+    # Breakpoints mod(pi/2 - arg x, pi) on both sides of 0 == pi.
+    near = np.pi / 2 + 1.1e-16 * np.array([-3, -1, 0, 1, 3])
+    wrap = np.concatenate([np.exp(1j * near), -np.exp(1j * near), [0.3 + 0.2j]])
+    rows.append(("near 0 and pi", wrap * rng.uniform(0.5, 2.0, wrap.size)))
+    rows.append(("near 0 and pi", np.array([1j, -3e-16 + 1j, -1j, 3e-16 - 1j, 0.5 + 0.5j])))
+    for d in (5, 7, 8, 10):  # purely imaginary terms sit exactly on the breakpoint 0
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        x[::2] = 1j * rng.standard_normal(x[::2].size)
+        rows.append(("exactly 0 and pi", x))
+    return rows
+
+
+@pytest.mark.parametrize("kind,x", _sweep_corpus())
+def test_sweep_reaches_the_brute_force_maximum(kind, x):
+    sol = best_phase_signs(x)
+    _theta, best = brute_force_signs(x)
+    assert abs(sol.value - best) <= 1e-12 * sol.l1, kind
+    assert 0.0 <= sol.phi_star < np.pi
+    assert abs(abs(np.sum(np.array(sol.theta) * x)) - sol.value) <= 1e-12 * sol.l1
+    assert all(t == 1 for t, v in zip(sol.theta, x) if v == 0)
 
 
 @st.composite
