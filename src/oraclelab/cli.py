@@ -19,7 +19,8 @@ from .experiments import DEFAULT_N, EXPERIMENTS
 SCHEMA_VERSION = 1
 # Bumped when a change moves metrics by rounding or by the random-draw layout;
 # replay is bit-exact only within one version.  2: sign compilation by one sweep.
-NUMERICS_VERSION = 2
+# 3: the two-copy average sums by GEMM and takes norms without BLAS.
+NUMERICS_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -371,15 +371,10 @@ def run_qt(params: dict, seed: int):
     circuits = int(params.get("trials", 200))
     beta = float(params.get("beta", 0.25))
 
-    def one_circuit(k: int):
-        # Each trial is an independent (circuit, input label) pair.
-        rng = child(seed, k)
-        a = int(rng.integers(2**n))
-        return paulichain.circuit_collision_sample(n, steps, rng, a)
-
-    results = [one_circuit(k) for k in range(circuits)]
-    q_values = np.array([r[0] for r in results])
-    l1_values = np.array([r[1] for r in results])
+    # Each trial is an independent (circuit, input label) pair on its own stream.
+    rngs = [child(seed, k) for k in range(circuits)]
+    inputs = [int(rng.integers(2**n)) for rng in rngs]
+    q_values, l1_values = paulichain.collision_statistics(n, steps, rngs, inputs)
     mean_q = float(np.mean(q_values))
     stderr_q = float(np.std(q_values, ddof=1) / np.sqrt(circuits))
     tail_cut = 2.0**-n / beta**2

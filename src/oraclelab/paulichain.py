@@ -22,7 +22,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidConfigError, SizeError
-from .simcore import PureState, basis_vector, run_gates, sample_haar_two_qubit
+from .simcore import (
+    PureState,
+    basis_vector,
+    run_gates,
+    run_pair_circuits,
+    sample_haar_stack,
+    sample_haar_two_qubit,
+    unitarity_defect,
+)
 
 PAULI_1Q = (
     np.eye(2, dtype=complex),
@@ -372,11 +380,23 @@ def moment_compare(
 # ---------------------------------------------------------------------------
 
 
-def _transfer_complex(gate: np.ndarray) -> np.ndarray:
-    """``tr(sigma_p W sigma_q W^dag)/4`` on two sites, before dropping the imaginary part."""
+def _transfer_complex(gates: np.ndarray) -> np.ndarray:
+    """``tr(sigma_p W sigma_q W^dag)/4`` on two sites, before dropping the imaginary part.
+
+    ``gates`` is one 4x4 gate or a stack of them; the result has the same
+    leading axes.  In row-major vectorisation ``W X W^dag`` is
+    ``kron(W, conj W) vec(X)`` and ``tr(sigma_p Y)`` is
+    ``vec(sigma_p^T) . vec(Y)``, so the matrix is ``T kron(W, conj W) S / 4``
+    with rows ``vec(sigma_p^T)`` in ``T`` and columns ``vec(sigma_q)`` in ``S``.
+    """
     sigmas = sigma_stack(2)
-    conjugated = np.einsum("ij,qjk,lk->qil", gate, sigmas, gate.conj())
-    return np.einsum("pij,qji->pq", sigmas, conjugated) / 4.0
+    rows = sigmas.transpose(0, 2, 1).reshape(16, 16)  # T
+    cols = sigmas.reshape(16, 16).T  # S
+    doubled = np.einsum("...ij,...kl->...ikjl", gates, gates.conj()).reshape(-1, 16)
+    # Two GEMMs over the whole stack rather than one small product per gate.
+    right = (doubled @ cols).reshape(-1, 16, 16)
+    left = np.tensordot(rows, right, (1, 1))  # axes (p, gate, q)
+    return np.moveaxis(left, 0, 1).reshape(gates.shape[:-2] + (16, 16)) / 4.0
 
 
 def pauli_transfer(gate: np.ndarray) -> np.ndarray:
@@ -428,23 +448,38 @@ def verify_mean_ad2(samples: int, rng: np.random.Generator) -> dict:
     return two_copy_finalize([chunk])
 
 
+# Haar draws per batched step of ``two_copy_chunk``; its transient arrays
+# then take about 1 MiB.
+TWO_COPY_BLOCK = 50
+
+
 def two_copy_chunk(samples: int, rng: np.random.Generator) -> dict:
-    """Partial sums for the two-copy average over ``samples`` Haar draws."""
+    """Partial sums for the two-copy average over ``samples`` Haar draws.
+
+    The draws are made in blocks of ``TWO_COPY_BLOCK``, in the order of one
+    gate at a time.  Per block, ``sum kron(ad, ad)`` is one GEMM of the
+    flattened transfer matrices: entry ``[(p, q), (r, s)]`` of
+    ``flat.T @ flat`` is ``sum ad[p, q] ad[r, s]``, which is kron entry
+    ``[(p, r), (q, s)]``.
+    """
     acc = np.zeros((256, 256))
+    # A view of acc with axes (p, q, r, s), the layout of flat.T @ flat.
+    acc_pqrs = acc.reshape(16, 16, 16, 16).transpose(0, 2, 1, 3)
     max_orth = 0.0
     max_imag = 0.0
     max_corner = 0.0
-    eye16 = np.eye(16)
-    for _ in range(samples):
-        ad_complex = _transfer_complex(sample_haar_two_qubit(rng).entries)
+    e0 = np.eye(16)[0]
+    for start in range(0, samples, TWO_COPY_BLOCK):
+        gates = sample_haar_stack(rng, min(TWO_COPY_BLOCK, samples - start))
+        ad_complex = _transfer_complex(gates)
         max_imag = max(max_imag, float(np.abs(ad_complex.imag).max()))
         ad = ad_complex.real
-        max_orth = max(max_orth, float(np.abs(ad.T @ ad - eye16).max()))
-        corner = max(
-            float(np.abs(ad[0] - eye16[0]).max()), float(np.abs(ad[:, 0] - eye16[0]).max())
+        max_orth = max(max_orth, unitarity_defect(ad))
+        max_corner = max(
+            max_corner, float(np.abs(ad[:, 0] - e0).max()), float(np.abs(ad[:, :, 0] - e0).max())
         )
-        max_corner = max(max_corner, corner)
-        acc += np.kron(ad, ad)
+        flat = ad.reshape(len(ad), 256)
+        acc_pqrs += (flat.T @ flat).reshape(16, 16, 16, 16)
     return {
         "samples": samples,
         "acc": acc,
@@ -465,56 +500,37 @@ def two_copy_finalize(chunks) -> dict:
     doubled = [p * 16 + p for p in range(16)]
     return {
         "samples": total,
-        "frobenius_distance_full": float(np.linalg.norm(mean - target)),
-        "frobenius_distance_moment_rows": float(
-            np.linalg.norm(mean[doubled, :] - target[doubled, :])
-        ),
+        "frobenius_distance_full": _frobenius(mean - target),
+        "frobenius_distance_moment_rows": _frobenius(mean[doubled, :] - target[doubled, :]),
         "max_orthogonality_defect": max(c["max_orth"] for c in chunks),
         "max_imag_part": max(c["max_imag"] for c in chunks),
         "max_corner_defect": max(c["max_corner"] for c in chunks),
     }
 
 
+def _frobenius(diff: np.ndarray) -> float:
+    # Not np.linalg.norm: its BLAS dot rounds differently with the BLAS thread count.
+    return float(np.sqrt(np.sum(np.square(diff))))
+
+
+def collision_statistics(n: int, steps: int, rngs, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """Collision probability and L1 norm of random-circuit states, one circuit per stream.
+
+    Circuit ``c`` starts from ``|inputs[c]>`` and draws its ``steps`` pairs
+    and gates from ``rngs[c]``; all circuits step together.  Returns the
+    arrays ``sum_x |amp(x)|^4`` and ``sum_x |amp(x)|``.
+    """
+    if n > 12:
+        raise SizeError("collision statistics capped at n=12")
+    states = np.zeros((len(inputs), 2**n), dtype=complex)
+    states[np.arange(len(inputs)), inputs] = 1.0
+    probs = np.abs(run_pair_circuits(states, n, steps, rngs)) ** 2
+    return np.sum(probs**2, axis=1), np.sum(np.sqrt(probs), axis=1)
+
+
 def circuit_collision_sample(
     n: int, steps: int, rng: np.random.Generator, a: int = 0
 ) -> tuple[float, float]:
     """One random circuit applied to ``|a>``: its collision and L1 statistics."""
-    if n > 12:
-        raise SizeError("collision statistics capped at n=12")
-    vec = run_gates(basis_vector(n, a), n, _random_gates(n, steps, rng))
-    probs = np.abs(vec) ** 2
-    return float(np.sum(probs**2)), float(np.sum(np.sqrt(probs)))
-
-
-def q_t_statistics(
-    n: int,
-    steps: int,
-    circuits: int,
-    rng: np.random.Generator,
-    a: int = 0,
-    collect_l1: bool = False,
-) -> dict:
-    """Collision probability of random-circuit states: mean and tail data.
-
-    Applies ``circuits`` independent length-``steps`` gate sequences to
-    ``|a>`` and records ``sum_x |amp(x)|^4`` for each; optionally also the
-    L1 norms for tail cross-checks.
-    """
-    q_values = np.zeros(circuits)
-    l1_values = np.zeros(circuits) if collect_l1 else None
-    for k in range(circuits):
-        q, l1 = circuit_collision_sample(n, steps, rng, a)
-        q_values[k] = q
-        if collect_l1:
-            l1_values[k] = l1
-    out = {
-        "n": n,
-        "t": steps,
-        "circuits": circuits,
-        "mean_q": float(np.mean(q_values)),
-        "stderr_q": float(np.std(q_values, ddof=1) / np.sqrt(circuits)) if circuits > 1 else 0.0,
-        "q_values": q_values,
-    }
-    if collect_l1:
-        out["l1_values"] = l1_values
-    return out
+    q, l1 = collision_statistics(n, steps, [rng], [a])
+    return float(q[0]), float(l1[0])

@@ -11,6 +11,7 @@ on a basis state" and "a row of U" the same data.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from ..errors import InvalidConfigError, SizeError
 from .rng import stream
 from .states import (
+    UNITARY_TOL,
     PureState,
     TwoQubitGate,
     apply_matrix_to_qubits,
@@ -30,23 +32,42 @@ MAX_QUBITS = 14
 MAX_DENSE_QUBITS = 12
 
 
-def sample_haar_two_qubit(rng: np.random.Generator) -> TwoQubitGate:
-    """Draw a Haar-distributed 4x4 unitary.
+def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """Haar-distributed 4x4 unitaries from a ``(k, 2, 4, 4)`` stack of standard normals.
 
-    Fills a matrix with i.i.d. standard complex Gaussians, QR-factorizes,
-    and multiplies each column of Q by the unit phase that makes the
-    corresponding diagonal entry of R real-positive.  Without the phase fix
-    the QR convention would bias the distribution away from Haar.
+    Gate ``g`` is made from the complex Gaussian matrix
+    ``normals[g, 0] + 1j * normals[g, 1]``.  One QR factorizes the whole
+    stack; each column of Q is then multiplied by the unit phase that makes
+    the corresponding diagonal entry of R real-positive (Mezzadri's fix,
+    arXiv:math-ph/0609050).  Without the phase fix the QR convention would
+    bias the distribution away from Haar.  One unitarity check covers the
+    stack; a degenerate R (probability zero) fails it through its NaN phases.
     """
-    while True:
-        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r)
-        if np.any(np.abs(diag) < 1e-12):  # pragma: no cover - probability zero
-            continue
-        q = q * (diag / np.abs(diag))
-        if unitarity_defect(q) <= 1e-12:
-            return TwoQubitGate(q)
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    defect = unitarity_defect(q)
+    if not defect <= UNITARY_TOL:  # pragma: no cover - probability zero
+        raise ValueError(f"Haar draw is not unitary: defect {defect:.3e}")
+    return q
+
+
+def sample_haar_stack(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Draw ``k`` Haar 4x4 unitaries as a ``(k, 4, 4)`` stack.
+
+    Each gate takes 32 normals from ``rng``: its 16 real parts, then its 16
+    imaginary parts.  Gate ``g`` is therefore the ``g``-th of ``k`` successive
+    :func:`sample_haar_two_qubit` draws, bit for bit.
+    """
+    normals = np.empty((k, 2, 4, 4))
+    for gate in normals:
+        rng.standard_normal(out=gate)
+    return _haar_unitaries(normals)
+
+
+def sample_haar_two_qubit(rng: np.random.Generator) -> TwoQubitGate:
+    """Draw one Haar-distributed 4x4 unitary."""
+    return TwoQubitGate(sample_haar_stack(rng, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -116,14 +137,62 @@ def run_random_circuit(n_qubits: int, length: int, seed: int) -> RandomCircuit:
     if length < 0:
         raise InvalidConfigError("length must be nonnegative")
     rng = stream(seed)
-    placements = []
-    for _ in range(length):
+    pairs = []
+    normals = np.empty((length, 2, 4, 4))
+    for gate in normals:
         i = int(rng.integers(n_qubits))
         j = int(rng.integers(n_qubits - 1))
         if j >= i:
             j += 1
-        placements.append((i, j, sample_haar_two_qubit(rng)))
-    return RandomCircuit(n_qubits, length, seed, tuple(placements))
+        pairs.append((i, j))
+        rng.standard_normal(out=gate)
+    gates = _haar_unitaries(normals)
+    placements = tuple((i, j, TwoQubitGate(g)) for (i, j), g in zip(pairs, gates))
+    return RandomCircuit(n_qubits, length, seed, placements)
+
+
+def _pair_word_index(n_qubits: int) -> np.ndarray:
+    """Basis indices grouped by qubit pair and local word, shape ``(pairs, 4, 2^n / 4)``.
+
+    Pairs ``(i, j)`` come in ``itertools.combinations(range(n_qubits), 2)``
+    order.  Entry ``[p, w, m]`` is the ``m``-th smallest basis index whose
+    bits ``i`` and ``j`` form the local word ``w = 2*b_i + b_j``, so
+    ``gate @ vec[index[p]]`` applies ``gate`` to qubits ``(i, j)``.
+    """
+    x = np.arange(2**n_qubits)
+    word = np.arange(4)[:, None]
+    index = []
+    for i, j in itertools.combinations(range(n_qubits), 2):
+        free = x[(((x >> i) | (x >> j)) & 1) == 0]
+        index.append(free | ((word >> 1) << i) | ((word & 1) << j))
+    return np.array(index)
+
+
+def run_pair_circuits(states: np.ndarray, n_qubits: int, steps: int, rngs) -> np.ndarray:
+    """Run one random circuit on each row of ``states``, all circuits stepping together.
+
+    At every step, circuit ``c`` draws from its own ``rngs[c]`` a pair index
+    uniform over ``itertools.combinations(range(n_qubits), 2)``, then a Haar
+    gate, which acts with the pair's smaller qubit as the most-significant
+    local bit.  So each row sees exactly the draws of a lone circuit on its
+    stream.  The step's gates come from one stacked QR and act through one
+    gather, matmul and scatter; no gate outlives its step, so memory stays
+    O(circuits * 2^n).  Returns the final states, one per row.
+    """
+    out = np.array(states, dtype=complex)
+    if out.ndim != 2 or out.shape[1] != 2**n_qubits or len(rngs) != len(out):
+        raise ValueError("need one stream per row of 2^n amplitudes")
+    index = _pair_word_index(n_qubits)
+    rows = np.arange(len(out))[:, None, None]
+    picks = np.empty(len(out), dtype=np.intp)
+    normals = np.empty((len(out), 2, 4, 4))
+    for _step in range(steps):
+        for c, rng in enumerate(rngs):
+            picks[c] = rng.integers(len(index))
+            rng.standard_normal(out=normals[c])
+        where = (rows, index[picks])
+        out[where] = _haar_unitaries(normals) @ out[where]
+    return out
 
 
 class HadamardAll:
@@ -147,6 +216,8 @@ class MatrixUnitary:
     """Unitary action backed by an explicit dense matrix."""
 
     def __init__(self, matrix: np.ndarray):
+        if np.shape(matrix)[0] > 2**MAX_DENSE_QUBITS:
+            raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
         mat = np.asarray(matrix, dtype=complex)
         dim = mat.shape[0]
         n = int(round(np.log2(dim)))

@@ -29,9 +29,10 @@ SWAP_2Q = np.array(
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-entry deviation of ``M^dag M`` from the identity."""
+    """Max-entry deviation of ``M^dag M`` from the identity, over a stack of matrices too."""
     m = np.asarray(matrix)
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    gram = np.swapaxes(m.conj(), -1, -2) @ m
+    return float(np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0))
 
 
 @dataclass(frozen=True)

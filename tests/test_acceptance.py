@@ -11,13 +11,13 @@ import time
 import numpy as np
 
 from oraclelab.dispersion import l1_row, pseudo_search
+from oraclelab.experiments import run_qt
 from oraclelab.oracle import build_oracle, identify
 from oraclelab.paulichain import (
     exact_gap,
     gap_table,
     lumped_matrix,
     moment_compare,
-    q_t_statistics,
     verify_mean_ad2,
     walk_ensemble,
 )
@@ -139,18 +139,14 @@ def test_criterion_05_block_search_statistics():
 
 
 def test_criterion_06_collision_pipeline():
-    n, t = 6, 4 * 6**3
-    stats = q_t_statistics(n, t, circuits=200, rng=stream(606), collect_l1=True)
+    metrics, _failures = run_qt({"n": 6, "t": 4 * 6**3, "trials": 200, "beta": 0.25}, 606)
     mean_cap = 2.2 * 2.0**-6
-    beta = 0.25
-    tail_cut = 2.0**-n / beta**2
-    tail_fraction = float(np.mean(stats["q_values"] >= tail_cut))
-    ok = stats["mean_q"] <= mean_cap and tail_fraction <= 0.125 + 0.05
+    ok = metrics["mean_q"] <= mean_cap and metrics["tail_fraction"] <= 0.125 + 0.05
     check(
         6,
         ok,
-        f"mean Q = {stats['mean_q']:.5f} <= {mean_cap:.5f}; "
-        f"tail fraction {tail_fraction:.3f} <= 0.175",
+        f"mean Q = {metrics['mean_q']:.5f} <= {mean_cap:.5f}; "
+        f"tail fraction {metrics['tail_fraction']:.3f} <= 0.175",
     )
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,27 @@ def test_qt_two_runs_deterministic():
     b, _ = experiments.run_qt(params, 7)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert not failures
+
+
+_METRICS_SCRIPT = """
+import json
+from oraclelab import experiments
+print(json.dumps([experiments.run_ad2({"samples": 1500}, 17)[0],
+                  experiments.run_qt({"n": 4, "t": 64, "trials": 8}, 5)[0]], sort_keys=True))
+"""
+
+
+def test_metrics_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _METRICS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class _Stop(Exception):

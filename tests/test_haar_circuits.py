@@ -1,12 +1,18 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oraclelab.errors import InvalidConfigError
+from oraclelab.errors import InvalidConfigError, SizeError
 from oraclelab.simcore import (
+    MAX_DENSE_QUBITS,
+    MatrixUnitary,
     action_matrix,
     basis_vector,
     hadamard_all,
     run_random_circuit,
+    sample_haar_stack,
     sample_haar_two_qubit,
     stream,
     unitarity_defect,
@@ -107,3 +113,42 @@ def test_hadamard_action_twice_is_identity():
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     vec /= np.linalg.norm(vec)
     np.testing.assert_allclose(action.apply(action.apply(vec)), vec, atol=1e-12)
+
+
+def test_stacked_draw_equals_repeated_single_draws():
+    stack = sample_haar_stack(stream(41), 300)
+    rng = stream(41)
+    singles = np.array([sample_haar_two_qubit(rng).entries for _ in range(300)])
+    np.testing.assert_array_equal(stack, singles)
+    assert unitarity_defect(stack) <= 1e-12
+
+
+# Pairs and the SHA-256 of the gate bytes of run_random_circuit(5, 40, 3), taken
+# before the gates were drawn as one stack; they pin the draw order.  The hash
+# is bit-exact for a given numpy/LAPACK build, like replay.
+PINNED_PAIRS = [4, 3, 0, 4, 2, 1, 3, 4, 2, 4, 3, 0, 1, 2, 1, 2, 4, 0, 2, 4, 3, 1, 4, 0, 2, 3,
+                1, 0, 3, 0, 2, 0, 4, 3, 3, 0, 1, 0, 3, 2, 0, 3, 3, 4, 0, 3, 0, 4, 2, 0, 2, 4,
+                3, 0, 2, 1, 3, 0, 2, 0, 4, 0, 3, 4, 1, 3, 2, 1, 3, 1, 0, 2, 2, 3, 0, 2, 0, 2,
+                4, 0]
+PINNED_GATES_SHA256 = "9856b3cab03190c0d0704794682dad63a526cdfe01c6171dc01e7594d7ff4bb3"
+
+
+def test_random_circuit_draws_are_pinned():
+    circ = run_random_circuit(5, 40, 3)
+    assert [q for i, j, _g in circ.placements for q in (i, j)] == PINNED_PAIRS
+    gates = np.array([g.entries for _i, _j, g in circ.placements])
+    assert hashlib.sha256(gates.tobytes()).hexdigest() == PINNED_GATES_SHA256
+
+
+def test_matrix_above_dense_cap_fails_before_allocating():
+    dim = 2 ** (MAX_DENSE_QUBITS + 1)
+    # A zero-stride view: the shape of a 13-qubit matrix without its memory.
+    huge = np.broadcast_to(np.zeros(1, dtype=complex), (dim, dim))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError):
+            MatrixUnitary(huge)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * 16  # less than one 13-qubit state vector

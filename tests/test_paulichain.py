@@ -7,6 +7,8 @@ import pytest
 from oraclelab.errors import InvalidConfigError, SizeError
 from oraclelab.paulichain import (
     NONZERO_PAIRS,
+    TWO_COPY_BLOCK,
+    _random_gates,
     PauliString,
     chain_step,
     circuit_collision_sample,
@@ -19,11 +21,21 @@ from oraclelab.paulichain import (
     lumped_matrix_rational,
     moment_compare,
     pauli_transfer,
+    two_copy_chunk,
     two_copy_target,
     verify_mean_ad2,
     walk_ensemble,
 )
-from oraclelab.simcore import PureState, sample_haar_two_qubit, stream
+from oraclelab.experiments import run_qt
+from oraclelab.simcore import (
+    PureState,
+    basis_vector,
+    child,
+    run_gates,
+    run_pair_circuits,
+    sample_haar_two_qubit,
+    stream,
+)
 
 
 def test_zero_string_is_absorbing():
@@ -244,3 +256,35 @@ def test_empirical_markov_tail_bound():
 def test_chain_step_needs_two_sites():
     with pytest.raises(InvalidConfigError):
         chain_step(PauliString((1,)), stream(13))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_batched_circuits_match_per_circuit_runs(n):
+    circuits, steps = 5, 30
+    starts = [(3 * c) % 2**n for c in range(circuits)]
+    states = np.array([basis_vector(n, a) for a in starts])
+    batched = run_pair_circuits(states, n, steps, [child(60 + n, c) for c in range(circuits)])
+    for c, a in enumerate(starts):
+        # The same stream gives the same pairs and gates to the one-gate-at-a-time runner.
+        single = run_gates(basis_vector(n, a), n, _random_gates(n, steps, child(60 + n, c)))
+        np.testing.assert_allclose(batched[c], single, rtol=0, atol=1e-12)
+
+
+def test_two_copy_gemm_matches_kron_sum():
+    samples = TWO_COPY_BLOCK + 30  # one full block and one partial block
+    chunk = two_copy_chunk(samples, stream(15))
+    rng = stream(15)
+    acc = np.zeros((256, 256))
+    for _ in range(samples):
+        ad = pauli_transfer(sample_haar_two_qubit(rng).entries)
+        acc += np.kron(ad, ad)
+    np.testing.assert_allclose(chunk["acc"], acc, rtol=0, atol=1e-11)
+
+
+def test_qt_metrics_are_pinned():
+    # Values taken before the circuits were batched; they pin every circuit's draws.
+    metrics, failures = run_qt({"n": 4, "t": 64, "trials": 8}, 5)
+    assert not failures
+    assert metrics["mean_q"] == pytest.approx(0.1321609027816559, rel=1e-12)
+    assert metrics["stderr_q"] == pytest.approx(0.008978544604115114, rel=1e-12)
+    assert metrics["tail_fraction"] == 0.0 and metrics["bad_l1_fraction"] == 0.0
