@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InvalidConfigError, SizeError
+from ..errors import InvalidConfigError, InvalidPlacementError, SizeError
 from .rng import stream
 from .states import (
     UNITARY_TOL,
     PureState,
     TwoQubitGate,
-    apply_matrix_to_qubits,
     fwht_normalized,
     unitarity_defect,
 )
@@ -115,10 +114,31 @@ def run_gates(vec: np.ndarray, n_qubits: int, gates) -> np.ndarray:
 
     The one gate-sequence loop of the package.  ``gates`` may be a lazy
     iterable; each gate is drawn only after the previous one was applied.
+    ``vec`` has leading dimension ``2**n_qubits``; trailing dimensions are a
+    batch.  Besides the copy, the loop allocates two state-sized buffers
+    once and nothing per gate: each gate gathers its ``(b_i, b_j, rest)``
+    view of the state into one buffer, multiplies it into the other and
+    scatters the product back, the same 4x4-by-``(4, N)`` product as
+    :func:`apply_matrix_to_qubits`.
     """
-    out = np.array(vec, dtype=complex)
+    # C order, so that every view below is a view of ``out`` and not a copy.
+    out = np.array(vec, dtype=complex, order="C")
+    dim = 2**n_qubits
+    if out.shape[:1] != (dim,):
+        raise ValueError(f"expected leading dimension {dim}, got shape {out.shape}")
+    batch = out.size // dim
+    gathered, product = np.empty((2, 4, out.size // 4), dtype=complex)
     for i, j, matrix in gates:
-        out = apply_matrix_to_qubits(out, n_qubits, matrix, (i, j))
+        if i == j or not (0 <= i < n_qubits and 0 <= j < n_qubits):
+            raise InvalidPlacementError(f"invalid qubit pair ({i}, {j}) for n={n_qubits}")
+        hi, lo = max(i, j), min(i, j)
+        # Axes (a, b_hi, m, b_lo, r) of the index x in mixed radix, most significant
+        # first; the batch index rides with r.
+        view = out.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, batch << lo)
+        view = view.transpose((1, 3, 0, 2, 4) if i > j else (3, 1, 0, 2, 4))
+        np.copyto(gathered.reshape(view.shape), view)
+        np.matmul(matrix, gathered, out=product)
+        np.copyto(view, product.reshape(view.shape))
     return out
 
 

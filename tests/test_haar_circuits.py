@@ -1,16 +1,19 @@
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oraclelab.errors import InvalidConfigError, SizeError
+from oraclelab.errors import InvalidConfigError, InvalidPlacementError, SizeError
 from oraclelab.simcore import (
     MAX_DENSE_QUBITS,
     MatrixUnitary,
     action_matrix,
+    apply_matrix_to_qubits,
     basis_vector,
     hadamard_all,
+    run_gates,
     run_random_circuit,
     sample_haar_stack,
     sample_haar_two_qubit,
@@ -152,3 +155,76 @@ def test_matrix_above_dense_cap_fails_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < dim * 16  # less than one 13-qubit state vector
+
+
+def _dense_reference(vec, n, gates):
+    out = np.array(vec, dtype=complex)
+    for i, j, matrix in gates:
+        out = apply_matrix_to_qubits(out, n, matrix, (i, j))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_run_gates_equals_the_dense_reference_bitwise(n):
+    # Every ordered pair, adjacent or not, once with a C-ordered gate and once
+    # with the transposed view that RandomCircuit.apply passes.
+    pairs = list(itertools.permutations(range(n), 2))
+    stack = sample_haar_stack(stream(70 + n), 2 * len(pairs))
+    gates = [(i, j, g) for (i, j), g in zip(pairs, stack[: len(pairs)])]
+    gates += [(i, j, g.conj().T) for (i, j), g in zip(pairs, stack[len(pairs):])]
+    assert not gates[-1][2].flags.c_contiguous
+    rng = stream(80 + n)
+    dim = 2**n
+    vectors = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+               for shape in ((dim,), (dim, 3), (dim, 3))]
+    vectors[2] = np.asfortranarray(vectors[2])
+    for vec in vectors:
+        before = vec.copy()
+        np.testing.assert_array_equal(run_gates(vec, n, gates), _dense_reference(vec, n, gates))
+        np.testing.assert_array_equal(vec, before)
+    eye = np.eye(dim, dtype=complex)
+    np.testing.assert_array_equal(run_gates(eye, n, gates), _dense_reference(eye, n, gates))
+    np.testing.assert_array_equal(eye, np.eye(dim))
+
+
+def test_run_gates_rejects_bad_states_and_pairs():
+    gate = sample_haar_two_qubit(stream(90)).entries
+    # A 2^(n+1) vector is not a batch of two n-qubit states.
+    with pytest.raises(ValueError):
+        run_gates(np.ones(2**4, dtype=complex), 3, [(0, 1, gate)])
+    with pytest.raises(ValueError):
+        run_gates(np.ones((2**4, 2), dtype=complex), 3, [])
+    for i, j in ((1, 1), (0, 3), (3, 0), (-1, 2), (2, -1)):
+        with pytest.raises(InvalidPlacementError):
+            run_gates(basis_vector(3, 0), 3, [(i, j, gate)])
+
+
+# SHA-256 of circuit outputs, taken before run_gates applied gates in place.
+# Bit-exact for a given numpy/BLAS build, like replay.
+PINNED_ACTION_SHA256 = "5bb24a941be0f84f03784aa3d2a2f83857f894085474e9bb9242e71525cf4b7f"
+PINNED_APPLY_SHA256 = "c78d88be58078c779eb78ce6aa824da1388cf7fcb9e9f7f22a8a281f8502bdf6"
+
+
+def test_circuit_outputs_are_pinned():
+    matrix = action_matrix(run_random_circuit(6, 200, 3))
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == PINNED_ACTION_SHA256
+    vec = run_random_circuit(5, 40, 3).apply(basis_vector(5, 7))
+    assert hashlib.sha256(vec.tobytes()).hexdigest() == PINNED_APPLY_SHA256
+
+
+def test_action_matrix_memory_does_not_grow_with_circuit_length():
+    # The identity, its copy and the runner's two buffers, whatever t is.
+    n = 8
+    bound = 4 * 4**n * 16 + 64 * 1024
+    peaks = []
+    for length in (8, 512):
+        circ = run_random_circuit(n, length, 100 + length)
+        tracemalloc.start()
+        try:
+            action_matrix(circ)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert max(peaks) <= bound, peaks
+    assert abs(peaks[1] - peaks[0]) <= 16 * 1024, peaks
