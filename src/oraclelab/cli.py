@@ -20,7 +20,8 @@ SCHEMA_VERSION = 1
 # Bumped when a change moves metrics by rounding or by the random-draw layout;
 # replay is bit-exact only within one version.  2: sign compilation by one sweep.
 # 3: the two-copy average sums by GEMM and takes norms without BLAS.
-NUMERICS_VERSION = 3
+# 4: the Walsh-Hadamard transform sums by two Sylvester GEMMs.
+NUMERICS_VERSION = 4
 
 
 @dataclass(frozen=True)

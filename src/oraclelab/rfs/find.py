@@ -177,6 +177,7 @@ def find_simulate(
 
     oracle = spec.oracle
     exact_cache: dict[int, float] = {}
+    sign_cache: dict[int, np.ndarray] = {}
 
     def exact_success(label: int, path) -> float:
         if label not in exact_cache:
@@ -195,8 +196,9 @@ def find_simulate(
     }
 
     def overlap_from_children(label: int, child_eps: np.ndarray) -> float:
-        signs = 1.0 - 2.0 * oracle.f_bits[label].astype(float)
-        return float(np.mean((1.0 - child_eps) + signs * child_eps))
+        if label not in sign_cache:
+            sign_cache[label] = 1.0 - 2.0 * oracle.f_bits[label].astype(float)
+        return float(np.mean((1.0 - child_eps) + sign_cache[label] * child_eps))
 
     def node_bound(path: tuple[int, ...]) -> float:
         k = len(path)

@@ -226,10 +226,12 @@ class HadamardAll:
         self.n_qubits = n_qubits
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
+        dim = 2**self.n_qubits
+        if np.shape(vec)[:1] != (dim,):
+            raise ValueError(f"expected leading dimension {dim}, got shape {np.shape(vec)}")
         return fwht_normalized(vec)
 
-    def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        return fwht_normalized(vec)
+    apply_adjoint = apply
 
 
 class MatrixUnitary:

@@ -10,6 +10,7 @@ qubit ``j``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,21 +125,39 @@ def apply_gate(state: PureState, gate: TwoQubitGate, i: int, j: int) -> PureStat
     return PureState(n, out)
 
 
+@functools.cache
+def _sylvester(k: int) -> np.ndarray:
+    """The unnormalised ``2^k x 2^k`` Walsh-Hadamard matrix ``(-1)^{popcount(y & x)}``."""
+    out = np.ones((1, 1))
+    if k:
+        s = _sylvester(k - 1)
+        out = np.block([[s, s], [s, -s]])
+    out.setflags(write=False)
+    return out
+
+
 def fwht_normalized(vec: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the first axis, normalized.
 
     Equals applying the single-qubit Hadamard to every qubit; self-inverse.
-    Trailing dimensions are treated as a batch.
+    Trailing dimensions are treated as a batch.  With ``dim = 2^(a+b)``,
+    ``a = n // 2``, the transform is ``H_{2^a} (x) H_{2^b}``: two real GEMMs
+    with the +-1 Sylvester matrices over the float view of a C-ordered copy
+    (real and imaginary parts ride along as columns), then one division by
+    ``sqrt(dim)``.  Every product is an exact ``+-x``, so integer-valued
+    inputs give exact sums.
     """
-    out = np.array(vec, dtype=complex)
-    dim = out.shape[0]
-    work = out.reshape(dim, -1)
-    h = 1
-    while h < dim:
-        work = work.reshape(dim // (2 * h), 2, h, -1)
-        a = work[:, 0].copy()
-        work[:, 0] = a + work[:, 1]
-        work[:, 1] = a - work[:, 1]
-        work = work.reshape(dim, -1)
-        h *= 2
-    return (work / np.sqrt(dim)).reshape(out.shape)
+    out = np.array(vec, dtype=complex, order="C")
+    dim = out.shape[0] if out.ndim else 0
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError(f"leading dimension must be a power of two, got shape {out.shape}")
+    n = dim.bit_length() - 1
+    a, b = n // 2, n - n // 2
+    cols = 2 * (out.size // dim)
+    x = out.view(np.float64).reshape(1 << a, (1 << b) * cols)
+    y = _sylvester(a) @ x
+    np.matmul(_sylvester(b), y.reshape(1 << a, 1 << b, cols), out=x.reshape(1 << a, 1 << b, cols))
+    # On the complex array: numpy scales a complex by a real through the complex
+    # quotient, which rounds differently from dividing the float view.
+    out /= np.sqrt(dim)
+    return out

@@ -97,7 +97,9 @@ _METRICS_SCRIPT = """
 import json
 from oraclelab import experiments
 print(json.dumps([experiments.run_ad2({"samples": 1500}, 17)[0],
-                  experiments.run_qt({"n": 4, "t": 64, "trials": 8}, 5)[0]], sort_keys=True))
+                  experiments.run_qt({"n": 4, "t": 64, "trials": 8}, 5)[0],
+                  experiments.run_oracle({"unitary": "hadamard", "n": 9}, 0)[0],
+                  experiments.run_rfs({"l": 2, "n": 5, "trials": 2}, 0)[0]], sort_keys=True))
 """
 
 

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from oraclelab.dispersion import pseudo_search
+from oraclelab.dispersion import certify_dispersing, pseudo_search
 from oraclelab.errors import InvalidConfigError, LabelError
 from oraclelab.oracle import (
     build_oracle,
@@ -37,6 +39,20 @@ def test_hadamard_oracle_bits_are_parities_up_to_complement():
         row = oracle.f_bits[a]
         expected = np.array([parity(a, x) for x in range(2**n)], dtype=np.uint8)
         assert np.array_equal(row, expected) or np.array_equal(row, 1 - expected)
+
+
+# SHA-256 of the Hadamard certificate's row L1s at n = 12 and of the compiled bits
+# at n = 9.  Both come from integer-valued sums, so a Walsh-Hadamard kernel that
+# only reorders additions must keep them bit-identical.
+PINNED_HADAMARD_L1_SHA256 = "47f63e8deb3487f09969ffdcd38f273ba882d560bffd3593ae0a0c2da1b21caf"
+PINNED_HADAMARD_F_BITS_SHA256 = "d22e4c31059badbb2b93b8735d988c337208633817efa3666421db2413c4445a"
+
+
+def test_hadamard_certificate_and_compiled_bits_are_pinned():
+    l1 = certify_dispersing(hadamard_all(12), 1.0).per_label_l1
+    assert hashlib.sha256(l1.tobytes()).hexdigest() == PINNED_HADAMARD_L1_SHA256
+    f_bits = build_oracle(hadamard_all(9), range(512)).f_bits
+    assert hashlib.sha256(f_bits.tobytes()).hexdigest() == PINNED_HADAMARD_F_BITS_SHA256
 
 
 def test_identity_oracle_prediction():

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from oraclelab.errors import InvalidPlacementError
 from oraclelab.simcore import (
     HADAMARD_1Q,
+    HadamardAll,
     IDENTITY_2Q,
     SWAP_2Q,
     PureState,
@@ -123,6 +126,62 @@ def test_fwht_self_inverse_and_sign_pattern():
             [(-1) ** bin(a & x).count("1") for x in range(2**n)], dtype=complex
         ) / 2 ** (n / 2)
         np.testing.assert_allclose(row, expected, atol=1e-12)
+
+
+def _butterfly_reference(vec: np.ndarray) -> np.ndarray:
+    """The stage-by-stage Walsh-Hadamard butterfly, normalized."""
+    out = np.array(vec, dtype=complex)
+    dim = out.shape[0]
+    work = out.reshape(dim, -1)
+    h = 1
+    while h < dim:
+        work = work.reshape(dim // (2 * h), 2, h, -1)
+        a = work[:, 0].copy()
+        work[:, 0] = a + work[:, 1]
+        work[:, 1] = a - work[:, 1]
+        work = work.reshape(dim, -1)
+        h *= 2
+    return (work / np.sqrt(dim)).reshape(out.shape)
+
+
+def test_fwht_equals_the_butterfly_bitwise_on_exact_inputs():
+    rng = stream(31)
+    for n in range(1, 11):
+        eye = np.eye(2**n, dtype=complex)
+        assert np.array_equal(fwht_normalized(eye), _butterfly_reference(eye)), n
+    for n in range(2, 15, 2):
+        signs = (1.0 - 2.0 * rng.integers(0, 2, 2**n)) / 2 ** (n / 2)
+        assert np.array_equal(fwht_normalized(signs), _butterfly_reference(signs)), n
+
+
+def test_fwht_matches_the_butterfly_on_random_batches():
+    rng = stream(32)
+    for n in range(1, 10):
+        dim = 2**n
+        batches = []
+        for shape in [(dim,), (dim, 3), (dim, 2, 2)]:
+            batches.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        batches.append(np.asfortranarray(batches[1]))
+        for vec in batches:
+            before = vec.copy()
+            out = fwht_normalized(vec)
+            assert out.shape == vec.shape
+            np.testing.assert_allclose(out, _butterfly_reference(vec), rtol=0, atol=1e-12)
+            assert np.array_equal(vec, before)
+    vec = rng.standard_normal(2**14) + 1j * rng.standard_normal(2**14)
+    np.testing.assert_allclose(fwht_normalized(vec), _butterfly_reference(vec), rtol=0, atol=1e-12)
+
+
+def test_fwht_and_hadamard_all_reject_wrong_leading_dimensions():
+    for shape in [(6,), (6, 2), (0,), ()]:
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            fwht_normalized(np.ones(shape))
+    action = HadamardAll(3)
+    for vec in (np.eye(16)[0], np.ones((4, 2)), np.ones(())):
+        with pytest.raises(ValueError):
+            action.apply(vec)
+        with pytest.raises(ValueError):
+            action.apply_adjoint(vec)
 
 
 def test_pure_state_validation():
