@@ -21,7 +21,8 @@ SCHEMA_VERSION = 1
 # replay is bit-exact only within one version.  2: sign compilation by one sweep.
 # 3: the two-copy average sums by GEMM and takes norms without BLAS.
 # 4: the Walsh-Hadamard transform sums by two Sylvester GEMMs.
-NUMERICS_VERSION = 4
+# 5: moment_compare steps its circuits together, drawing step by step.
+NUMERICS_VERSION = 5
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ dict plus a list of failed assertions (empty on pass).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import paulichain
@@ -22,6 +24,7 @@ from .rfs import (
     load_query_log,
     load_rfs_spec,
     make_rfs_spec,
+    unitary_for_spec,
     z_referee,
 )
 from .signs import TWO_OVER_PI, best_phase_signs, brute_force_signs
@@ -189,26 +192,28 @@ def run_rfs(params: dict, seed: int):
     n = int(params.get("n", 4))
     delta = float(params.get("delta", 0.2))
     trials = int(params.get("trials", 1))
+    if trials < 1:
+        raise InvalidConfigError("rfs needs at least one trial")
     alpha_n = params.get("alpha_n")
     alpha_n = int(alpha_n) if alpha_n is not None else None
 
+    def trial_specs(n_k: int):
+        """One compiled family per size; trial ``k`` reseeds it to ``seed + k``."""
+        base = make_rfs_spec(depth, n_k, seed, alpha_n=alpha_n)
+        specs = [replace(base, master_seed=seed + trial) for trial in range(trials)]
+        return specs, unitary_for_spec(base)
+
     if mode == "separation":
-        n_list = params.get("n_list", [4, 6, 8])
         rows = []
-        for n_k in n_list:
-            spec0 = make_rfs_spec(depth, int(n_k), master_seed=seed, alpha_n=alpha_n)
-            unitary = hadamard_all(int(n_k))
-            find = find_simulate(spec0, unitary, delta)
-            counts = []
-            for trial in range(max(trials, 1)):
-                spec_t = make_rfs_spec(
-                    depth, int(n_k), master_seed=seed + trial, alpha_n=alpha_n
-                )
-                counts.append(classical_solver(spec_t).queries)
+        for n_k in params.get("n_list", [4, 6, 8]):
+            specs, unitary = trial_specs(int(n_k))
+            find = find_simulate(specs[0], unitary, delta)
             rows.append(
                 {
                     "n": int(n_k),
-                    "classical_queries_mean": float(np.mean(counts)),
+                    "classical_queries_mean": float(
+                        np.mean([classical_solver(spec).queries for spec in specs])
+                    ),
                     "find_q0": find.queries_total,
                 }
             )
@@ -221,9 +226,9 @@ def run_rfs(params: dict, seed: int):
             failures.append("quantum query count varies with n")
         return metrics, failures
 
-    def one_trial(trial: int):
-        spec = make_rfs_spec(depth, n, master_seed=seed + trial, alpha_n=alpha_n)
-        unitary = hadamard_all(n)
+    specs, unitary = trial_specs(n)
+
+    def one_trial(spec):
         find = find_simulate(spec, unitary, delta)
         classical = classical_solver(spec)
         trace = z_referee(spec, classical.log)
@@ -242,7 +247,7 @@ def run_rfs(params: dict, seed: int):
             and trace.p4_leaf_increment_ok,
         }
 
-    results = [one_trial(trial) for trial in range(trials)]
+    results = [one_trial(spec) for spec in specs]
     metrics = {
         "l": depth,
         "n": n,

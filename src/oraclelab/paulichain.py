@@ -25,10 +25,8 @@ from .errors import InvalidConfigError, SizeError
 from .simcore import (
     PureState,
     basis_vector,
-    run_gates,
     run_pair_circuits,
     sample_haar_stack,
-    sample_haar_two_qubit,
     unitarity_defect,
 )
 
@@ -141,10 +139,6 @@ class GammaDistribution:
         return float(self.masses[index])
 
     @classmethod
-    def from_state(cls, state: PureState, t: int) -> "GammaDistribution":
-        return cls(state.n_qubits, t, gamma_squared(state))
-
-    @classmethod
     def initial(cls, n: int, a: int = 0) -> "GammaDistribution":
         return cls(n, 0, initial_gamma_squared(n, a))
 
@@ -171,29 +165,34 @@ class WeightChain:
         return {str(w): float(p) for w, p in zip(self.states(), self.stationary)}
 
 
+def _lumped_rows(n: int, num) -> list:
+    """Rows of the weight chain, with every entry computed in the number type ``num``."""
+    pairs = num(n * (n - 1)) / 2
+    rows = []
+    for w in range(1, n + 1):
+        row = [num(0)] * n
+        both_zero = num((n - w) * (n - w - 1)) / 2 / pairs
+        one_nonzero = num(w * (n - w)) / pairs
+        both_nonzero = num(w * (w - 1)) / 2 / pairs
+        row[w - 1] += both_zero
+        # v nonzero sites among the pair are replaced by a new pair of
+        # weight u: 6 of 15 outcomes have u = 1, 9 of 15 have u = 2.
+        for v, pick in ((1, one_nonzero), (2, both_nonzero)):
+            for u, count in ((1, num(6) / 15), (2, num(9) / 15)):
+                w_new = w - v + u
+                if 1 <= w_new <= n:
+                    row[w_new - 1] += pick * count
+        rows.append(row)
+    return rows
+
+
 def lumped_matrix_rational(n: int) -> list[list[Fraction]]:
     """Exact rational assembly of the weight chain (small ``n`` only)."""
     if n < 2:
         raise InvalidConfigError("need n >= 2")
     if n > RATIONAL_ASSEMBLY_MAX_N:
         raise SizeError(f"rational assembly capped at n={RATIONAL_ASSEMBLY_MAX_N}")
-    pairs = Fraction(n * (n - 1), 2)
-    rows = []
-    for w in range(1, n + 1):
-        row = [Fraction(0)] * n
-        both_zero = Fraction((n - w) * (n - w - 1), 2) / pairs
-        one_nonzero = Fraction(w * (n - w)) / pairs
-        both_nonzero = Fraction(w * (w - 1), 2) / pairs
-        row[w - 1] += both_zero
-        # v nonzero sites among the pair are replaced by a new pair of
-        # weight u: 6 of 15 outcomes have u = 1, 9 of 15 have u = 2.
-        for v, pick in ((1, one_nonzero), (2, both_nonzero)):
-            for u, count in ((1, Fraction(6, 15)), (2, Fraction(9, 15))):
-                w_new = w - v + u
-                if 1 <= w_new <= n:
-                    row[w_new - 1] += pick * count
-        rows.append(row)
-    return rows
+    return _lumped_rows(n, Fraction)
 
 
 def lumped_matrix(n: int) -> WeightChain:
@@ -202,23 +201,8 @@ def lumped_matrix(n: int) -> WeightChain:
         raise InvalidConfigError("need n >= 2")
     if n > MAX_WEIGHT_CHAIN_N:
         raise SizeError(f"weight chain capped at n={MAX_WEIGHT_CHAIN_N}")
-    if n <= RATIONAL_ASSEMBLY_MAX_N:
-        trans = np.array(
-            [[float(q) for q in row] for row in lumped_matrix_rational(n)]
-        )
-    else:
-        pairs = n * (n - 1) / 2.0
-        trans = np.zeros((n, n))
-        for w in range(1, n + 1):
-            both_zero = (n - w) * (n - w - 1) / 2.0 / pairs
-            one_nonzero = w * (n - w) / pairs
-            both_nonzero = w * (w - 1) / 2.0 / pairs
-            trans[w - 1, w - 1] += both_zero
-            for v, pick in ((1, one_nonzero), (2, both_nonzero)):
-                for u, frac in ((1, 6.0 / 15.0), (2, 9.0 / 15.0)):
-                    w_new = w - v + u
-                    if 1 <= w_new <= n:
-                        trans[w - 1, w_new - 1] += pick * frac
+    num = Fraction if n <= RATIONAL_ASSEMBLY_MAX_N else float
+    trans = np.array([[float(q) for q in row] for row in _lumped_rows(n, num)])
     weights = np.arange(1, n + 1)
     log_pi = (
         np.array([_log_binomial(n, int(w)) for w in weights]) + weights * np.log(3.0)
@@ -328,17 +312,6 @@ def initial_gamma_squared(n: int, a: int = 0) -> np.ndarray:
     return out
 
 
-def _random_gates(n: int, steps: int, rng: np.random.Generator):
-    """Lazy ``(i, j, matrix)`` Haar gates on uniformly random pairs.
-
-    Each step draws its pair index, then its gate, from ``rng``.
-    """
-    pair_list = list(itertools.combinations(range(n), 2))
-    for _step in range(steps):
-        i, j = pair_list[int(rng.integers(len(pair_list)))]
-        yield i, j, sample_haar_two_qubit(rng).entries
-
-
 def moment_compare(
     n: int,
     steps: int,
@@ -358,9 +331,11 @@ def moment_compare(
         raise SizeError(f"moment comparison capped at n={MAX_FULL_CHAIN_N}")
     if steps > 50:
         raise InvalidConfigError("step count capped at 50")
+    # Every circuit draws from the one stream: at each step, circuit by circuit.
+    starts = np.tile(basis_vector(n, a), (circuits, 1))
+    states = run_pair_circuits(starts, n, steps, [rng] * circuits)
     acc = np.zeros(4**n)
-    for _ in range(circuits):
-        vec = run_gates(basis_vector(n, a), n, _random_gates(n, steps, rng))
+    for vec in states:
         acc += gamma_squared(PureState(n, vec))
     lhs = acc / circuits
     rhs = GammaDistribution.initial(n, a).stepped(full_transition_matrix(n), steps)

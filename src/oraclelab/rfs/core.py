@@ -80,16 +80,18 @@ class RecursiveOracleSpec:
     n_symbol_bits: int
     oracle: SingleLevelOracle = field(repr=False)
     master_seed: int
-    b_root: int
     descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.depth < 1:
             raise InvalidConfigError("depth must be at least 1")
-        if self.b_root not in (0, 1):
-            raise InvalidConfigError("answer bit must be 0 or 1")
         if self.oracle.n_qubits != self.n_symbol_bits:
             raise InvalidConfigError("oracle symbol width mismatch")
+
+    @property
+    def b_root(self) -> int:
+        """The instance's answer bit, derived from the seed like every secret."""
+        return derive_answer_bit(self.master_seed)
 
     @property
     def n_labels(self) -> int:
@@ -196,43 +198,33 @@ def make_rfs_spec(
         alpha_n = (n_symbol_bits + 1) // 2
     if not 1 <= alpha_n <= n_symbol_bits:
         raise InvalidConfigError("alpha_n must lie in [1, n]")
-    labels = range(2**alpha_n)
-    if kind == "hadamard":
-        unitary = hadamard_all(n_symbol_bits)
-        descriptor = {"kind": "hadamard", "n": n_symbol_bits, "alpha_n": alpha_n}
-    elif kind == "random-circuit":
+    descriptor = {"kind": kind, "n": n_symbol_bits, "alpha_n": alpha_n}
+    if kind == "random-circuit":
         if circuit_length is None or circuit_seed is None:
             raise InvalidConfigError("random-circuit kind needs circuit_length and circuit_seed")
-        unitary = densify(run_random_circuit(n_symbol_bits, circuit_length, circuit_seed))
-        descriptor = {
-            "kind": "random-circuit",
-            "n": n_symbol_bits,
-            "alpha_n": alpha_n,
-            "t": circuit_length,
-            "circuit_seed": circuit_seed,
-        }
-    else:
-        raise InvalidConfigError(f"unknown oracle kind {kind!r}")
-    oracle = build_oracle(unitary, labels)
+        descriptor.update(t=circuit_length, circuit_seed=circuit_seed)
+    oracle = build_oracle(_descriptor_unitary(n_symbol_bits, descriptor), range(2**alpha_n))
     return RecursiveOracleSpec(
         depth=depth,
         n_symbol_bits=n_symbol_bits,
         oracle=oracle,
         master_seed=master_seed,
-        b_root=derive_answer_bit(master_seed),
         descriptor=descriptor,
     )
 
 
-def unitary_for_spec(spec: RecursiveOracleSpec):
-    """Rebuild the identification unitary recorded in the spec descriptor."""
-    desc = spec.descriptor
+def _descriptor_unitary(n_symbol_bits: int, desc: dict):
     kind = desc.get("kind")
     if kind == "hadamard":
-        return hadamard_all(spec.n_symbol_bits)
+        return hadamard_all(n_symbol_bits)
     if kind == "random-circuit":
-        return densify(run_random_circuit(spec.n_symbol_bits, desc["t"], desc["circuit_seed"]))
+        return densify(run_random_circuit(n_symbol_bits, desc["t"], desc["circuit_seed"]))
     raise InvalidConfigError(f"descriptor carries no rebuildable unitary: {desc!r}")
+
+
+def unitary_for_spec(spec: RecursiveOracleSpec):
+    """Rebuild the identification unitary recorded in the spec descriptor."""
+    return _descriptor_unitary(spec.n_symbol_bits, spec.descriptor)
 
 
 def load_rfs_spec(path) -> RecursiveOracleSpec:

@@ -195,24 +195,26 @@ def find_simulate(
         for k in range(depth)
     }
 
-    def overlap_from_children(label: int, child_eps: np.ndarray) -> float:
-        if label not in sign_cache:
-            sign_cache[label] = 1.0 - 2.0 * oracle.f_bits[label].astype(float)
-        return float(np.mean((1.0 - child_eps) + sign_cache[label] * child_eps))
+    def walk(path: tuple[int, ...], node_out) -> float:
+        """Children first, then ``node_out(path, label, eps_unc)`` for the node.
 
-    def node_bound(path: tuple[int, ...]) -> float:
-        k = len(path)
+        ``eps_unc`` is the uncompute error left by the children's failure weights.
+        """
         label = secret_at(spec, path)
-        if k + 1 < depth:
-            child_eps = np.array([node_bound(path + (x,)) for x in range(dim)])
+        if len(path) + 1 < depth:
+            child_eps = np.array([walk(path + (x,), node_out) for x in range(dim)])
         else:
             child_eps = np.zeros(dim)
-        c = overlap_from_children(label, child_eps)
-        eps_unc = max(0.0, (1.0 - c * c) / 4.0)
+        if label not in sign_cache:
+            sign_cache[label] = 1.0 - 2.0 * oracle.f_bits[label].astype(float)
+        c = float(np.mean((1.0 - child_eps) + sign_cache[label] * child_eps))
+        return node_out(path, label, max(0.0, (1.0 - c * c) / 4.0))
+
+    def bound_out(path: tuple[int, ...], label: int, eps_unc: float) -> float:
         p = exact_success(label, path)
         s_floor = max(0.0, p - 4.0 * math.sqrt(eps_unc))
         eps_out = min(1.0, (1.0 - s_floor) ** m + inject.get(path, 0.0))
-        st = stats[k]
+        st = stats[len(path)]
         st["nodes"] += 1
         st["eps_unc"] = max(st["eps_unc"], eps_unc)
         st["eps_out"] = max(st["eps_out"], eps_out)
@@ -220,7 +222,7 @@ def find_simulate(
         st["p_min"] = min(st["p_min"], p)
         return eps_out
 
-    root_eps = node_bound(())
+    root_eps = walk((), bound_out)
     levels = tuple(
         LevelStats(
             depth=k,
@@ -246,15 +248,7 @@ def find_simulate(
         if n_nodes * m * junk_draws > 5_000_000:
             raise SizeError("sampled junk mode too large; shrink the tree or draws")
 
-        def node_sampled(path: tuple[int, ...]) -> float:
-            k = len(path)
-            label = secret_at(spec, path)
-            if k + 1 < depth:
-                child_eps = np.array([node_sampled(path + (x,)) for x in range(dim)])
-            else:
-                child_eps = np.zeros(dim)
-            c = overlap_from_children(label, child_eps)
-            eps_unc = max(0.0, (1.0 - c * c) / 4.0)
+        def sampled_out(path: tuple[int, ...], label: int, eps_unc: float) -> float:
             phi = prepare_phi(oracle, label).amplitudes
             rows = oracle.labels[label].rows
             fail = 1.0
@@ -266,7 +260,7 @@ def find_simulate(
                 fail *= max(0.0, 1.0 - _block_success(unitary, tilde, rows))
             return min(1.0, fail + inject.get(path, 0.0))
 
-        draws = np.array([1.0 - node_sampled(()) for _ in range(junk_draws)])
+        draws = np.array([1.0 - walk((), sampled_out) for _ in range(junk_draws)])
         sampled_stats = {
             "draws": junk_draws,
             "success_mean": float(np.mean(draws)),

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import IntegrityError
-from .core import FAIL, QueryRecord, RecursiveOracleSpec, secret_at
+from ..errors import IntegrityError, ProtocolError
+from .core import FAIL, QueryRecord, RecursiveOracleSpec, oracle_query
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,10 @@ def _recompute_z(hits: set, n_labels: int) -> float:
 def z_referee(spec: RecursiveOracleSpec, log) -> ZTrace:
     """Replay a query log, tracking the potential and checking its laws.
 
-    The log must come from the same instance: results are re-derived and
-    compared, so a log referencing unknown paths or carrying altered results
-    raises :class:`IntegrityError`.
+    The log must come from the same instance: each record is asked of
+    :func:`oracle_query` again and its result compared, so a record the
+    oracle could not have produced (a malformed path or guess) or an altered
+    result raises :class:`IntegrityError`.
     """
     n_labels = spec.n_labels
     leaf_w = z_weight(n_labels, spec.depth)
@@ -96,23 +97,12 @@ def z_referee(spec: RecursiveOracleSpec, log) -> ZTrace:
             raise IntegrityError("log entries must be query records")
         path = rec.path
         k = len(path)
-        if k > spec.depth:
-            raise IntegrityError(f"log references unknown path {path}")
         is_leaf = k == spec.depth
-        if is_leaf:
-            expected = spec.oracle.f(secret_at(spec, path[:-1]), path[-1])
-            hit = True
-        else:
-            if rec.guess is None:
-                raise IntegrityError(f"guess missing for non-leaf query {path}")
-            secret = secret_at(spec, path)
-            hit = rec.guess == secret
-            if hit:
-                expected = (
-                    spec.b_root if k == 0 else spec.oracle.f(secret_at(spec, path[:-1]), path[-1])
-                )
-            else:
-                expected = FAIL
+        try:
+            expected = oracle_query(spec, path, rec.guess)
+        except ProtocolError as err:
+            raise IntegrityError(f"log entry {pos} ({path}, guess {rec.guess}): {err}") from err
+        hit = expected != FAIL
         if rec.result != expected:
             raise IntegrityError(
                 f"log result {rec.result!r} contradicts the instance at {path}"

@@ -191,13 +191,15 @@ def _pair_word_index(n_qubits: int) -> np.ndarray:
 def run_pair_circuits(states: np.ndarray, n_qubits: int, steps: int, rngs) -> np.ndarray:
     """Run one random circuit on each row of ``states``, all circuits stepping together.
 
-    At every step, circuit ``c`` draws from its own ``rngs[c]`` a pair index
-    uniform over ``itertools.combinations(range(n_qubits), 2)``, then a Haar
-    gate, which acts with the pair's smaller qubit as the most-significant
-    local bit.  So each row sees exactly the draws of a lone circuit on its
-    stream.  The step's gates come from one stacked QR and act through one
-    gather, matmul and scatter; no gate outlives its step, so memory stays
-    O(circuits * 2^n).  Returns the final states, one per row.
+    At every step, circuit ``c`` draws from ``rngs[c]`` a pair index uniform
+    over ``itertools.combinations(range(n_qubits), 2)``, then a Haar gate,
+    which acts with the pair's smaller qubit as the most-significant local
+    bit; circuits draw in row order.  A stream may serve several rows, which
+    then interleave their draws step by step; a row with a stream of its own
+    sees exactly the draws of a lone circuit on that stream.  The step's
+    gates come from one stacked QR and act through one gather, matmul and
+    scatter; no gate outlives its step, so memory stays O(circuits * 2^n).
+    Returns the final states, one per row.
     """
     out = np.array(states, dtype=complex)
     if out.ndim != 2 or out.shape[1] != 2**n_qubits or len(rngs) != len(out):

@@ -187,9 +187,6 @@ class FourierMatrix:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.entries @ vec
 
-    def row_for(self, label: str, i: int, j: int) -> int:
-        return self.row_index.index((label, i, j))
-
     def rows_for_block(self, label: str, i: int) -> list[int]:
         """Rows ``(label, i, *)``: the measurement block of output label ``(label, i)``."""
         return [r for r, (lab, ii, _jj) in enumerate(self.row_index) if lab == label and ii == i]

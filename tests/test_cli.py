@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -234,3 +235,59 @@ def test_records_append_not_truncate(tmp_path):
     assert len(lines) == 2
     assert json.loads(lines[0])["seed"] == 1
     assert json.loads(lines[1])["seed"] == 2
+
+
+def _sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "params, digest",
+    [
+        ({"l": 2, "n": 5, "trials": 3},
+         "7b8c5c168b8749a15d0fae5460ab81a68658116b484462dca0f2c5702806b59e"),
+        ({"l": 3, "n": 3, "trials": 4},
+         "663f1b7bdd1439ace457035c47f4301c9e774c41fb642121af937ffb7806f29c"),
+        ({"mode": "separation", "n_list": [4, 6], "trials": 3},
+         "691a5a277619cd7902ace6434dfed4fc1d6a01bda6f07574f997a5131f82dc17"),
+    ],
+)
+def test_rfs_metrics_are_pinned(params, digest):
+    # Taken while every trial still compiled its own single-level family.
+    assert _sha256_json(experiments.run_rfs(params, 0)) == digest
+
+
+@pytest.mark.parametrize(
+    "params, builds",
+    [
+        ({"l": 2, "n": 4, "trials": 5}, 1),
+        ({"mode": "separation", "n_list": [4, 6], "trials": 3}, 2),
+    ],
+)
+def test_rfs_compiles_one_family_per_size(monkeypatch, params, builds):
+    from oraclelab.rfs import core
+
+    calls = []
+    original = core.build_oracle
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(core, "build_oracle", counting)
+    _metrics, failures = experiments.run_rfs(params, 0)
+    assert not failures
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("mode", ["simulate", "separation"])
+def test_rfs_rejects_fewer_than_one_trial(monkeypatch, mode):
+    from oraclelab.rfs import core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a family before checking the trial count")
+
+    monkeypatch.setattr(core, "build_oracle", refuse)
+    for trials in (0, -1):
+        with pytest.raises(InvalidConfigError):
+            experiments.run_rfs({"mode": mode, "trials": trials}, 0)

@@ -66,7 +66,6 @@ def test_certification_error_names_the_label():
         n_symbol_bits=n,
         oracle=oracle,
         master_seed=0,
-        b_root=1,
         descriptor={"kind": "custom"},
     )
     with pytest.raises(CertificationError) as err:

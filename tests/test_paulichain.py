@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from oraclelab.errors import InvalidConfigError, SizeError
 from oraclelab.paulichain import (
     NONZERO_PAIRS,
     TWO_COPY_BLOCK,
-    _random_gates,
     PauliString,
     chain_step,
     circuit_collision_sample,
@@ -256,6 +256,17 @@ def test_empirical_markov_tail_bound():
 def test_chain_step_needs_two_sites():
     with pytest.raises(InvalidConfigError):
         chain_step(PauliString((1,)), stream(13))
+
+
+def _random_gates(n: int, steps: int, rng: np.random.Generator):
+    """Lazy ``(i, j, matrix)`` Haar gates on uniformly random pairs.
+
+    Each step draws its pair index, then its gate, from ``rng``.
+    """
+    pair_list = list(itertools.combinations(range(n), 2))
+    for _step in range(steps):
+        i, j = pair_list[int(rng.integers(len(pair_list)))]
+        yield i, j, sample_haar_two_qubit(rng).entries
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -1,9 +1,15 @@
+import hashlib
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from oraclelab.errors import IntegrityError
 from oraclelab.rfs import (
+    FAIL,
     QueryRecord,
+    classical_solver,
     lower_bound,
     make_rfs_spec,
     oracle_query,
@@ -146,3 +152,26 @@ def test_bound_trend_table_falls_to_half():
     assert abs(bounds[-1] - 0.5) <= 1e-7  # quasi-polynomial budgets buy nothing
     # Label bits and depth follow the scaling regime.
     assert rows[-1]["log2_card_a"] == 128.0 and rows[-1]["l"] == 8
+
+
+def test_referee_rejects_records_the_oracle_cannot_produce():
+    spec = make_rfs_spec(depth=2, n_symbol_bits=4, master_seed=6, alpha_n=4)
+    valid = []
+    oracle_query(spec, (1, 1), log=valid)
+    wrapped = spec.oracle.f(secret_at(spec, (0,)), 2**spec.n_symbol_bits - 1)
+    bad_records = [
+        QueryRecord((0, -1), None, wrapped, 1),  # -1 must not wrap to the last column
+        QueryRecord((1, 2), 0, spec.oracle.f(secret_at(spec, (1,)), 2), 1),  # leaf with a guess
+        QueryRecord((3,), 999, FAIL, 1),  # guess beyond the 16 labels
+    ]
+    for bad in bad_records:
+        with pytest.raises(IntegrityError, match="log entry 1"):
+            z_referee(spec, valid + [bad])
+
+
+def test_referee_trace_is_pinned():
+    # Taken while the referee restated the oracle's semantics itself.
+    spec = make_rfs_spec(depth=2, n_symbol_bits=4, master_seed=21, alpha_n=3)
+    trace = z_referee(spec, classical_solver(spec).log)
+    digest = hashlib.sha256(json.dumps(asdict(trace), sort_keys=True).encode()).hexdigest()
+    assert digest == "90b882f02e49949c7a5936d8d4197bee8c7051497fd95e93ce95e1f9e67c6f36"

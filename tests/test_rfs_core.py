@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +8,7 @@ from scipy import stats
 from oraclelab.errors import DepthError, InvalidConfigError, ProtocolError
 from oraclelab.rfs import (
     FAIL,
+    derive_answer_bit,
     load_query_log,
     load_rfs_spec,
     make_rfs_spec,
@@ -135,3 +139,24 @@ def test_random_circuit_spec_round_trip(tmp_path):
 def test_bad_spec_kind():
     with pytest.raises(InvalidConfigError):
         make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=0, kind="nope")
+
+
+def test_reseeded_spec_answer_bit_follows_the_seed():
+    base = make_rfs_spec(depth=2, n_symbol_bits=3, master_seed=0, alpha_n=2)
+    bits = set()
+    for seed in range(1, 40):
+        spec = replace(base, master_seed=seed)
+        assert spec.b_root == derive_answer_bit(seed)
+        bits.add(spec.b_root)
+    assert bits == {0, 1}
+
+
+def test_spec_file_with_contradicting_answer_bit_rejected(tmp_path):
+    spec = make_rfs_spec(depth=2, n_symbol_bits=3, master_seed=5, alpha_n=2)
+    data = spec.to_json_dict()
+    assert data["b_root"] == derive_answer_bit(5)
+    data["b_root"] = 1 - data["b_root"]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidConfigError):
+        load_rfs_spec(path)
