@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfigError, SchemaVersionError
-from .experiments import DEFAULT_N, EXPERIMENTS
+from .experiments import DEFAULT_N, EXPERIMENTS, MODES, PARAMETERS, UNITARIES
 
 SCHEMA_VERSION = 1
 # Bumped when a change moves metrics by rounding or by the random-draw layout;
@@ -142,19 +142,29 @@ def write_csv(rows: list[dict], path: str) -> None:
         writer.writerows(rows)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, help="qubit / symbol-bit count")
-    parser.add_argument("--t", type=int, help="circuit length or chain steps")
-    parser.add_argument("--l", type=int, help="recursion depth")
-    parser.add_argument("--delta", type=float, help="per-level success floor")
-    parser.add_argument("--beta", type=float, help="dispersion threshold")
-    parser.add_argument("--samples", type=int, help="sample count")
-    parser.add_argument("--trials", type=int, help="trial / circuit / walker count")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--group", type=str, help="builtin group name (s3, d4, q8)")
-    parser.add_argument("--out", type=str, help="JSONL output path (append)")
-    parser.add_argument("--csv", type=str, help="also dump tabular metrics as CSV")
-    parser.add_argument("--config", type=str, help="JSON file overriding flags")
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+# The flag behind each parameter key; keys absent here are set only through --config.
+_FLAGS = {
+    "n": {"type": int, "help": "qubit / symbol-bit count"},
+    "t": {"type": int, "help": "circuit length or chain steps"},
+    "l": {"type": int, "help": "recursion depth"},
+    "delta": {"type": float, "help": "per-level success floor"},
+    "beta": {"type": float, "help": "dispersion threshold"},
+    "samples": {"type": int, "help": "sample count"},
+    "trials": {"type": int, "help": "trial / circuit / walker count"},
+    "group": {"type": str, "help": "builtin group name (s3, d4, q8)"},
+    "unitary": {"choices": UNITARIES, "help": "unitary to certify or compile"},
+    "labels": {"type": int, "help": "number of labels"},
+    "mode": {"help": "what the experiment runs"},
+    "alpha_n": {"type": int, "help": "label bits"},
+    "spec_file": {"type": str, "help": "recursive oracle spec (JSON)"},
+    "log_file": {"type": str, "help": "classical query log (JSONL)"},
+    "n_list": {"type": _int_list, "help": "comma list of n values"},
+    "t_list": {"type": _int_list, "help": "comma list of t values"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,70 +174,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common(p)
+        # No prefix matching: a dropped flag such as ``signs --t`` must not become ``--trials``.
+        p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
+        for key in PARAMETERS[name]:
+            if key in _FLAGS:
+                choices = {"choices": MODES[name]} if key == "mode" else {}
+                flag = "--" + key.replace("_", "-")
+                p.add_argument(flag, dest=key, **_FLAGS[key], **choices)
         if name in DEFAULT_N:
             p.add_argument(
                 "--C", dest="c_factor", type=float, help="circuit length factor: t = C n^3"
             )
-        if name == "dispersion" or name == "oracle":
-            p.add_argument("--unitary", choices=["hadamard", "qft", "random"], default="hadamard")
-            p.add_argument("--labels", type=int, help="number of labels (oracle)")
-        if name == "rfs":
-            p.add_argument("--unitary", choices=["hadamard"], default="hadamard")
-            p.add_argument(
-                "--mode",
-                choices=["simulate", "separation", "replay-log", "bound-table"],
-                default="simulate",
-            )
-            p.add_argument("--alpha-n", dest="alpha_n", type=int, help="label bits")
-            p.add_argument("--n-list", dest="n_list", type=str, help="comma list of n values")
-            p.add_argument("--spec-file", dest="spec_file", type=str)
-            p.add_argument("--log-file", dest="log_file", type=str)
-        if name == "markov":
-            p.add_argument(
-                "--mode",
-                choices=["gap", "stationary", "lumped-vs-full", "moments"],
-                default="gap",
-            )
-            p.add_argument("--n-list", dest="n_list", type=str, help="comma list of n values")
-            p.add_argument("--t-list", dest="t_list", type=str, help="comma list of t values")
+        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--out", type=str, help="JSONL output path (append)")
+        p.add_argument("--csv", type=str, help="also dump tabular metrics as CSV")
+        p.add_argument("--config", type=str, help="JSON file overriding flags")
     rp = sub.add_parser("replay", help="re-run a JSONL record file and compare")
     rp.add_argument("records", type=str, help="path to the JSONL file")
     return parser
 
 
-_PARAM_KEYS = (
-    "n",
-    "t",
-    "l",
-    "delta",
-    "beta",
-    "samples",
-    "trials",
-    "group",
-    "unitary",
-    "labels",
-    "mode",
-    "alpha_n",
-    "spec_file",
-    "log_file",
-)
-
-
 def _collect_params(args: argparse.Namespace) -> dict:
-    params: dict = {}
-    for key in _PARAM_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if getattr(args, "n_list", None):
-        params["n_list"] = [int(v) for v in args.n_list.split(",")]
-    if getattr(args, "t_list", None):
-        params["t_list"] = [int(v) for v in args.t_list.split(",")]
-    if getattr(args, "config", None):
+    params = {key: value for key in _FLAGS if (value := getattr(args, key, None)) is not None}
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            params.update(json.load(fh))
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise InvalidConfigError("--config must hold one JSON object")
+        for key in overrides:
+            if key not in PARAMETERS[args.command]:
+                raise InvalidConfigError(f"{args.command} reads no parameter {key!r}")
+        params.update(overrides)
     if getattr(args, "c_factor", None) is not None and "t" not in params:
         n = int(params.get("n", DEFAULT_N[args.command]))
         params["t"] = int(args.c_factor * n**3)

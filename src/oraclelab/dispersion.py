@@ -31,15 +31,6 @@ class DispersionReport:
     achieving_set: tuple[int, ...]
     alpha_achieved: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "beta": self.beta,
-            "per_label_l1": [float(v) for v in self.per_label_l1],
-            "achieving_set_size": len(self.achieving_set),
-            "alpha_achieved": self.alpha_achieved,
-        }
-
 
 @dataclass(frozen=True)
 class PseudoDispersionReport:
@@ -47,7 +38,6 @@ class PseudoDispersionReport:
 
     group_name: str
     label: tuple[str, int]
-    m_bits: int
     samples: int
     l1_values: np.ndarray = field(repr=False)
     best_psi: np.ndarray = field(repr=False)
@@ -65,17 +55,6 @@ class PseudoDispersionReport:
         if self.samples < 2:
             return 0.0
         return float(np.std(self.l1_values, ddof=1) / np.sqrt(self.samples))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.group_name,
-            "label": list(self.label),
-            "m_bits": self.m_bits,
-            "samples": self.samples,
-            "mean": self.mean_value,
-            "best": self.best_value,
-            "bound": self.bound,
-        }
 
 
 def l1_row(action, a: int) -> float:
@@ -133,11 +112,9 @@ def pseudo_search(
     vectors = coeff @ block  # (samples, |G|)
     l1_values = np.sum(np.abs(vectors), axis=1)
     best = int(np.argmax(l1_values))
-    m_bits = max(1, int(np.ceil(np.log2(len(fourier.block_labels())))))
     return PseudoDispersionReport(
         group_name=fourier.group.name,
         label=label,
-        m_bits=m_bits,
         samples=samples,
         l1_values=l1_values,
         best_psi=coeff[best].copy(),

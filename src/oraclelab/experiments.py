@@ -39,15 +39,43 @@ from .simcore import (
 
 # Qubit counts used when ``n`` is absent, for the experiments that run circuits of length ``t``.
 DEFAULT_N = {"dispersion": 8, "oracle": 8, "qt": 6}
+UNITARIES = ("hadamard", "qft", "random")
+# Each experiment's modes; the first is its default.
+MODES = {
+    "rfs": ("simulate", "separation", "replay-log", "bound-table"),
+    "markov": ("gap", "stationary", "lumped-vs-full", "moments"),
+}
 
 
-def _build_unitary(params: dict, seed: int):
+def _mode(params: dict, experiment: str) -> str:
+    mode = params.get("mode", MODES[experiment][0])
+    if mode not in MODES[experiment]:
+        raise InvalidConfigError(f"unknown {experiment} mode {mode!r}")
+    return mode
+
+
+def _count(params: dict, key: str, default: int, least: int = 1) -> int:
+    """A trial or sample count, refused before any work when too small to estimate from."""
+    value = int(params.get(key, default))
+    if value < least:
+        raise InvalidConfigError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
+def _sizes(params: dict, default: list[int]) -> list[int]:
+    """The ``n_list`` of a table experiment, refused when empty."""
+    n_list = params.get("n_list", default)
+    if not n_list:
+        raise InvalidConfigError("n_list needs at least one n")
+    return n_list
+
+
+def _build_unitary(params: dict, n: int, seed: int):
     kind = params.get("unitary", "hadamard")
-    n = int(params["n"])
+    if kind not in UNITARIES:
+        raise InvalidConfigError(f"unknown unitary kind {kind!r}")
     if kind == "hadamard":
         return hadamard_all(n)
-    if kind not in ("qft", "random"):
-        raise InvalidConfigError(f"unknown unitary kind {kind!r}")
     if n > MAX_DENSE_QUBITS:
         raise SizeError(f"dense {kind} unitaries capped at n={MAX_DENSE_QUBITS}")
     if kind == "qft":
@@ -64,7 +92,7 @@ def _build_unitary(params: dict, seed: int):
 def run_dispersion(params: dict, seed: int):
     n = int(params.get("n", DEFAULT_N["dispersion"]))
     beta = float(params.get("beta", 1.0))
-    action = _build_unitary({**params, "n": n}, seed)
+    action = _build_unitary(params, n, seed)
     report = certify_dispersing(action, beta)
     metrics = {
         "n": n,
@@ -106,7 +134,7 @@ def run_dispersion(params: dict, seed: int):
 
 
 def run_signs(params: dict, seed: int):
-    trials = int(params.get("trials", 10000))
+    trials = _count(params, "trials", 10000)
     d_min = int(params.get("d_min", 1))
     d_max = int(params.get("d_max", 16))
     brute_max = int(params.get("brute_max", 12))
@@ -139,7 +167,7 @@ def run_signs(params: dict, seed: int):
 
 def run_oracle(params: dict, seed: int):
     n = int(params.get("n", DEFAULT_N["oracle"]))
-    action = _build_unitary({**params, "n": n}, seed)
+    action = _build_unitary(params, n, seed)
     labels = range(int(params.get("labels", 2**n)))
     oracle = build_oracle(action, labels, seed=seed)
     successes = np.array(
@@ -162,7 +190,7 @@ def run_oracle(params: dict, seed: int):
 
 
 def run_rfs(params: dict, seed: int):
-    mode = params.get("mode", "simulate")
+    mode = _mode(params, "rfs")
     if mode == "replay-log":
         spec = load_rfs_spec(params["spec_file"])
         log = load_query_log(params["log_file"])
@@ -179,8 +207,7 @@ def run_rfs(params: dict, seed: int):
         return metrics, [f"{p} violated" for p in failed]
 
     if mode == "bound-table":
-        n_list = params.get("n_list", [16, 64, 256])
-        rows = bound_trend_table(n_list)
+        rows = bound_trend_table(_sizes(params, [16, 64, 256]))
         metrics = {"table": rows}
         failures = []
         bounds = [r["bound"] for r in rows]
@@ -191,9 +218,7 @@ def run_rfs(params: dict, seed: int):
     depth = int(params.get("l", 2))
     n = int(params.get("n", 4))
     delta = float(params.get("delta", 0.2))
-    trials = int(params.get("trials", 1))
-    if trials < 1:
-        raise InvalidConfigError("rfs needs at least one trial")
+    trials = _count(params, "trials", 1)
     alpha_n = params.get("alpha_n")
     alpha_n = int(alpha_n) if alpha_n is not None else None
 
@@ -205,7 +230,7 @@ def run_rfs(params: dict, seed: int):
 
     if mode == "separation":
         rows = []
-        for n_k in params.get("n_list", [4, 6, 8]):
+        for n_k in _sizes(params, [4, 6, 8]):
             specs, unitary = trial_specs(int(n_k))
             find = find_simulate(specs[0], unitary, delta)
             rows.append(
@@ -279,7 +304,7 @@ def run_rfs(params: dict, seed: int):
 
 
 def run_markov(params: dict, seed: int):
-    mode = params.get("mode", "gap")
+    mode = _mode(params, "markov")
     failures: list[str] = []
     if mode == "gap":
         ns = params.get("n_list") or [int(params.get("n", 16))]
@@ -300,7 +325,7 @@ def run_markov(params: dict, seed: int):
     if mode == "stationary":
         n = int(params.get("n", 3))
         steps = int(params.get("t", 150))
-        walkers = int(params.get("trials", 100000))
+        walkers = _count(params, "trials", 100000)
         codes = paulichain.walk_ensemble(n, steps, walkers, child(seed, 0))
         values = np.zeros(walkers, dtype=np.int64)
         for site in range(n):
@@ -319,7 +344,7 @@ def run_markov(params: dict, seed: int):
     if mode == "lumped-vs-full":
         n = int(params.get("n", 3))
         steps = int(params.get("t", 20))
-        walkers = int(params.get("trials", 100000))
+        walkers = _count(params, "trials", 100000)
         codes = paulichain.walk_ensemble(n, steps, walkers, child(seed, 0))
         weights = (codes != 0).sum(axis=1)
         emp = np.bincount(weights, minlength=n + 1)[1:].astype(float)
@@ -334,26 +359,25 @@ def run_markov(params: dict, seed: int):
         if tv > float(params.get("tv_cap", 0.02)):
             failures.append("lumped and full chains disagree")
         return metrics, failures
-    if mode == "moments":
-        n = int(params.get("n", 2))
-        circuits = int(params.get("trials", 2000))
-        t_list = params.get("t_list") or [int(params.get("t", 5))]
-        tvs = {}
-        for idx, t in enumerate(t_list):
-            res = paulichain.moment_compare(n, int(t), circuits, child(seed, idx))
-            tvs[f"tv_t{t}"] = res["tv_distance"]
-            if res["tv_distance"] > float(params.get("tv_cap", 0.03)):
-                failures.append(f"moment mismatch at t={t}")
-        metrics = {"n": n, "circuits": circuits, **tvs}
-        return metrics, failures
-    raise InvalidConfigError(f"unknown markov mode {mode!r}")
+    # mode == "moments"
+    n = int(params.get("n", 2))
+    circuits = _count(params, "trials", 2000)
+    t_list = params.get("t_list") or [int(params.get("t", 5))]
+    tvs = {}
+    for idx, t in enumerate(t_list):
+        res = paulichain.moment_compare(n, int(t), circuits, child(seed, idx))
+        tvs[f"tv_t{t}"] = res["tv_distance"]
+        if res["tv_distance"] > float(params.get("tv_cap", 0.03)):
+            failures.append(f"moment mismatch at t={t}")
+    metrics = {"n": n, "circuits": circuits, **tvs}
+    return metrics, failures
 
 
 AD2_CHUNK = 1000
 
 
 def run_ad2(params: dict, seed: int):
-    samples = int(params.get("samples", 20000))
+    samples = _count(params, "samples", 20000)
     n_chunks = (samples + AD2_CHUNK - 1) // AD2_CHUNK
     sizes = [min(AD2_CHUNK, samples - k * AD2_CHUNK) for k in range(n_chunks)]
 
@@ -373,7 +397,8 @@ def run_ad2(params: dict, seed: int):
 def run_qt(params: dict, seed: int):
     n = int(params.get("n", DEFAULT_N["qt"]))
     steps = int(params.get("t", 4 * n**3))
-    circuits = int(params.get("trials", 200))
+    # The standard error of the collision mean needs two circuits.
+    circuits = _count(params, "trials", 200, least=2)
     beta = float(params.get("beta", 0.25))
 
     # Each trial is an independent (circuit, input label) pair on its own stream.
@@ -416,4 +441,15 @@ EXPERIMENTS = {
     "markov": run_markov,
     "ad2": run_ad2,
     "qt": run_qt,
+}
+
+# The parameters each experiment reads; ``--config`` may set exactly these.
+PARAMETERS = {
+    "dispersion": ("n", "t", "beta", "samples", "group", "unitary"),
+    "signs": ("trials", "d_min", "d_max", "brute_max"),
+    "oracle": ("n", "t", "unitary", "labels"),
+    "rfs": ("n", "l", "delta", "trials", "mode", "alpha_n", "n_list", "spec_file", "log_file"),
+    "markov": ("n", "t", "trials", "mode", "n_list", "t_list", "tv_cap"),
+    "ad2": ("samples", "cap"),
+    "qt": ("n", "t", "beta", "trials", "mean_cap"),
 }

@@ -34,9 +34,8 @@ class LabelSpec:
 class SingleLevelOracle:
     """Compiled oracle family: one bit-vector of ``f(a, x)`` per label.
 
-    ``hidden_index`` marks the instance's secret label (an index into
-    ``labels``).  ``betas[k]`` is the achieved L1 over ``2^(n/2)`` for label
-    ``k`` and ``predicted_success[k] = (2 betas[k] / pi)^2``.
+    ``betas[k]`` is the achieved L1 over ``2^(n/2)`` for label ``k`` and
+    ``predicted_success[k] = (2 betas[k] / pi)^2``.
     """
 
     n_qubits: int
@@ -45,7 +44,6 @@ class SingleLevelOracle:
     f_bits: np.ndarray = field(repr=False)  # (len(labels), 2^n) uint8
     betas: np.ndarray = field(repr=False)
     predicted_success: np.ndarray = field(repr=False)
-    hidden_index: int = 0
     seed: int | None = None
 
     def __post_init__(self):
@@ -53,8 +51,6 @@ class SingleLevelOracle:
             raise InvalidConfigError("oracle needs at least one label")
         if self.f_bits.shape != (len(self.labels), 2**self.n_qubits):
             raise InvalidConfigError("f_bits shape mismatch")
-        if not 0 <= self.hidden_index < len(self.labels):
-            raise LabelError(f"hidden index {self.hidden_index} out of range")
         if np.any(self.predicted_success <= 0) or np.any(self.predicted_success > 1):
             raise InvalidConfigError("predicted success must lie in (0, 1]")
 
@@ -136,7 +132,6 @@ def build_oracle(
     unitary,
     labels,
     psi: dict | None = None,
-    hidden_index: int = 0,
     seed: int | None = None,
 ) -> SingleLevelOracle:
     """Compile an oracle family from a unitary and a list of labels.
@@ -202,7 +197,6 @@ def build_oracle(
         f_bits=f_bits,
         betas=betas,
         predicted_success=predicted,
-        hidden_index=hidden_index,
         seed=seed,
     )
 

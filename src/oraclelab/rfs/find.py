@@ -76,36 +76,6 @@ class FindReport:
     queries_order_estimate: float
     sampled: dict | None = None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "m": self.m,
-            "l": self.depth,
-            "junk_mode": self.junk_mode,
-            "final_failure_sq": self.final_failure_sq,
-            "bounds_hold": self.bounds_hold,
-            "answer": self.answer,
-            "success_prob": self.success_prob,
-            "queries_total": self.queries_total,
-            "queries_closed_form": self.queries_closed_form,
-            "queries_order_estimate": self.queries_order_estimate,
-            "levels": [
-                {
-                    "depth": lv.depth,
-                    "nodes": lv.nodes,
-                    "eps_uncompute_max": lv.eps_uncompute_max,
-                    "eps_out_max": lv.eps_out_max,
-                    "copy_success_min": lv.copy_success_min,
-                    "exact_success_min": lv.exact_success_min,
-                }
-                for lv in self.levels
-            ],
-        }
-        if self.sampled is not None:
-            out["sampled"] = self.sampled
-        return out
-
 
 def repetition_count(delta: float) -> int:
     """Copies per node: ``ceil((4/delta) ln(8/delta))``."""

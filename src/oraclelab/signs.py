@@ -37,14 +37,6 @@ class SignSolution:
     def ratio(self) -> float:
         return self.value / self.l1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "phi_star": self.phi_star,
-            "theta": list(self.theta),
-            "value": self.value,
-            "l1": self.l1,
-        }
-
 
 def _signs_at(x: np.ndarray, phi: float) -> np.ndarray:
     """Signs of Re(exp(i phi) x_k); exact zeros resolve to +1 for determinism."""

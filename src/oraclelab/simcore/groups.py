@@ -111,11 +111,6 @@ class GroupSpec:
                         f"{self.name}/{rep.label}: not a homomorphism (defect {hom_defect:.2e})"
                     )
 
-    @property
-    def identity(self) -> int:
-        idx = np.arange(self.order)
-        return int(np.nonzero((self.mult_table == idx[None, :]).all(axis=1))[0][0])
-
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
@@ -257,12 +252,6 @@ def xor_group(n_bits: int) -> GroupSpec:
 def qft_cyclic(n: int) -> FourierMatrix:
     """Fourier matrix over Z_n: entry(j, g) = omega^(j g) / sqrt(n)."""
     return group_fourier(cyclic_group(n))
-
-
-def load_group_json(path) -> GroupSpec:
-    """Load a group from the documented JSON layout."""
-    with open(path, encoding="utf-8") as fh:
-        return GroupSpec.from_json_dict(json.load(fh))
 
 
 def builtin_group(name: str) -> GroupSpec:

@@ -52,9 +52,6 @@ class TwoQubitGate:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    def adjoint(self) -> "TwoQubitGate":
-        return TwoQubitGate(self.entries.conj().T)
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -90,10 +87,6 @@ class PureState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "PureState") -> complex:
-        """``<self|other>``."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def apply_matrix_to_qubits(

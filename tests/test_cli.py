@@ -291,3 +291,44 @@ def test_rfs_rejects_fewer_than_one_trial(monkeypatch, mode):
     for trials in (0, -1):
         with pytest.raises(InvalidConfigError):
             experiments.run_rfs({"mode": mode, "trials": trials}, 0)
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("markov", {"mode": "moments", "trials": 0}),
+        ("markov", {"mode": "lumped-vs-full", "trials": 0}),
+        ("markov", {"mode": "stationary", "trials": 0}),
+        ("markov", {"mode": "stationary", "trials": -5}),
+        ("signs", {"trials": 0}),
+        ("qt", {"trials": 0}),
+        ("qt", {"trials": 1}),
+        ("ad2", {"samples": 0}),
+        ("ad2", {"samples": -1}),
+        ("rfs", {"mode": "separation", "n_list": []}),
+        ("rfs", {"mode": "bound-table", "n_list": []}),
+    ],
+)
+def test_too_few_samples_rejected_before_any_work(monkeypatch, experiment, params):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started work before checking the sample count")
+
+    monkeypatch.setattr(experiments, "child", refuse)
+    monkeypatch.setattr(experiments, "make_rfs_spec", refuse)
+    monkeypatch.setattr(experiments, "bound_trend_table", refuse)
+    with pytest.raises(InvalidConfigError):
+        experiments.EXPERIMENTS[experiment](params, 0)
+
+
+@pytest.mark.parametrize(
+    "experiment, parameters",
+    [
+        ("rfs", {"unitary": "hadamard", "mode": "simulate", "l": 2, "n": 3, "trials": 2}),
+        ("dispersion", {"unitary": "hadamard", "n": 5}),
+    ],
+)
+def test_records_carrying_old_cli_defaults_still_replay(tmp_path, experiment, parameters):
+    # The CLI used to write these defaults into every record; rfs never read its unitary.
+    out = tmp_path / "old.jsonl"
+    run(ExperimentConfig(experiment, parameters, master_seed=4, out_path=str(out)))
+    assert replay(str(out))["all_match"]

@@ -1,0 +1,172 @@
+"""``experiments.PARAMETERS`` names exactly the keys each experiment reads,
+and the CLI accepts exactly those: as flags, or through ``--config``."""
+
+import json
+
+import pytest
+
+from oraclelab import experiments
+from oraclelab.cli import build_parser, main
+from oraclelab.errors import InvalidConfigError
+from oraclelab.rfs import classical_solver, make_rfs_spec, save_query_log
+
+CONFIG_ONLY = {"d_min", "d_max", "brute_max", "tv_cap", "cap", "mean_cap"}
+
+
+class _Reads(dict):
+    """A parameter mapping that notes every key an experiment looks up."""
+
+    def __init__(self, params, seen):
+        super().__init__(params)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+
+def _tiny_runs(tmp_path):
+    spec = make_rfs_spec(depth=1, n_symbol_bits=3, master_seed=3, alpha_n=2)
+    spec.save(tmp_path / "spec.json")
+    save_query_log(classical_solver(spec).log, tmp_path / "log.jsonl")
+    return {
+        "dispersion": [
+            {"n": 3},
+            {"unitary": "qft", "n": 3},
+            {"unitary": "random", "n": 3, "t": 10},
+            {"n": 2, "group": "q8", "samples": 20},
+        ],
+        "signs": [{"trials": 5}],
+        "oracle": [{"n": 3}, {"unitary": "random", "n": 3, "t": 10, "labels": 4}],
+        "rfs": [
+            {"l": 1, "n": 3, "alpha_n": 2, "trials": 1},
+            {"mode": "separation", "l": 1, "n_list": [2, 3]},
+            {"mode": "bound-table", "n_list": [16]},
+            {
+                "mode": "replay-log",
+                "spec_file": str(tmp_path / "spec.json"),
+                "log_file": str(tmp_path / "log.jsonl"),
+            },
+        ],
+        "markov": [
+            {"n": 4},
+            {"n_list": [4, 6]},
+            {"mode": "stationary", "n": 2, "t": 5, "trials": 100},
+            {"mode": "lumped-vs-full", "n": 2, "t": 3, "trials": 100},
+            {"mode": "moments", "n": 2, "t": 1, "trials": 10},
+            {"mode": "moments", "n": 2, "t_list": [1, 2], "trials": 10},
+        ],
+        "ad2": [{"samples": 50}],
+        "qt": [{"n": 2, "t": 8, "trials": 4}],
+    }
+
+
+def test_parameters_name_exactly_the_keys_each_experiment_reads(tmp_path):
+    runs = _tiny_runs(tmp_path)
+    assert runs.keys() == experiments.EXPERIMENTS.keys() == experiments.PARAMETERS.keys()
+    for name, param_sets in runs.items():
+        seen: set = set()
+        for params in param_sets:
+            experiments.EXPERIMENTS[name](_Reads(params, seen), 0)
+        assert seen == set(experiments.PARAMETERS[name]), name
+
+
+def _subcommand_flags() -> dict:
+    (subparsers,) = build_parser()._subparsers._group_actions
+    return {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+        if name != "replay"
+    }
+
+
+def test_each_subcommand_offers_a_flag_for_each_flagged_parameter():
+    flags = _subcommand_flags()
+    for name, keys in experiments.PARAMETERS.items():
+        expected = {"--" + key.replace("_", "-") for key in keys if key not in CONFIG_ONLY}
+        expected |= {"--seed", "--out", "--csv", "--config"}
+        if name in experiments.DEFAULT_N:
+            expected.add("--C")
+        assert flags[name] == expected, name
+    assert sum(map(len, flags.values())) == 62
+
+
+# Flags every subcommand used to accept although its experiment never read them.
+UNREAD_FLAGS = [
+    ("dispersion", ["--l", "--delta", "--trials", "--labels"]),
+    ("signs", ["--n", "--t", "--l", "--delta", "--beta", "--samples", "--group"]),
+    ("oracle", ["--l", "--delta", "--beta", "--samples", "--trials", "--group"]),
+    ("rfs", ["--t", "--beta", "--samples", "--group", "--unitary"]),
+    ("markov", ["--l", "--delta", "--beta", "--samples", "--group"]),
+    ("ad2", ["--n", "--t", "--l", "--delta", "--beta", "--trials", "--group"]),
+    ("qt", ["--l", "--delta", "--samples", "--group"]),
+]
+
+
+def _refuse_every_run(monkeypatch):
+    def refuse(params, seed):
+        raise AssertionError("ran an experiment")
+
+    for name in experiments.EXPERIMENTS:
+        monkeypatch.setitem(experiments.EXPERIMENTS, name, refuse)
+
+
+@pytest.mark.parametrize("command, flags", UNREAD_FLAGS, ids=[c for c, _ in UNREAD_FLAGS])
+def test_flags_no_experiment_reads_are_refused(monkeypatch, command, flags):
+    _refuse_every_run(monkeypatch)
+    values = {"--unitary": "hadamard", "--group": "q8"}
+    for flag in flags:
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, values.get(flag, "1")])
+        assert exc.value.code == 2, (command, flag)
+    assert sum(len(f) for _, f in UNREAD_FLAGS) == 38
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(name, "betta") for name in experiments.EXPERIMENTS]
+    + [("rfs", "unitary"), ("signs", "n"), ("ad2", "trials"), ("qt", "samples")],
+)
+def test_config_key_no_experiment_reads_is_refused(tmp_path, monkeypatch, command, key):
+    _refuse_every_run(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    with pytest.raises(InvalidConfigError, match=repr(key)):
+        main([command, "--config", str(cfg)])
+    cfg.write_text(json.dumps([key]))
+    with pytest.raises(InvalidConfigError):
+        main([command, "--config", str(cfg)])
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("rfs", "mode"), ("markov", "mode"), ("dispersion", "unitary"), ("oracle", "unitary")],
+)
+def test_unknown_mode_or_unitary_fails_as_flag_and_through_config(
+    tmp_path, monkeypatch, command, key
+):
+    from oraclelab.rfs import core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started work before checking the value")
+
+    for name in ("child", "hadamard_all", "qft_cyclic", "run_random_circuit"):
+        monkeypatch.setattr(experiments, name, refuse)
+    monkeypatch.setattr(experiments.paulichain, "gap_table", refuse)
+    monkeypatch.setattr(core, "build_oracle", refuse)
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--" + key, "separaton"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "separaton"}))
+    with pytest.raises(InvalidConfigError, match="separaton"):
+        main([command, "--config", str(cfg)])
