@@ -30,8 +30,10 @@ from .rfs import (
 from .signs import TWO_OVER_PI, best_phase_signs, brute_force_signs
 from .simcore import (
     MAX_DENSE_QUBITS,
+    builtin_group,
     child,
     densify,
+    group_fourier,
     hadamard_all,
     qft_cyclic,
     run_random_circuit,
@@ -92,6 +94,10 @@ def _build_unitary(params: dict, n: int, seed: int):
 def run_dispersion(params: dict, seed: int):
     n = int(params.get("n", DEFAULT_N["dispersion"]))
     beta = float(params.get("beta", 1.0))
+    group = params.get("group")
+    if group:
+        fourier = group_fourier(builtin_group(group))
+        samples = _count(params, "samples", 2000)
     action = _build_unitary(params, n, seed)
     report = certify_dispersing(action, beta)
     metrics = {
@@ -109,12 +115,7 @@ def run_dispersion(params: dict, seed: int):
     if params.get("unitary", "hadamard") in ("hadamard", "qft") and beta == 1.0:
         if len(report.achieving_set) != 2**n:
             failures.append("flat-spectrum unitary did not disperse every label")
-    group = params.get("group")
     if group:
-        from .simcore import builtin_group, group_fourier
-
-        fourier = group_fourier(builtin_group(group))
-        samples = int(params.get("samples", 2000))
         rows = {}
         for idx, label in enumerate(fourier.block_labels()):
             rep = pseudo_search(fourier, label, samples, child(seed, 1000 + idx))
@@ -167,9 +168,11 @@ def run_signs(params: dict, seed: int):
 
 def run_oracle(params: dict, seed: int):
     n = int(params.get("n", DEFAULT_N["oracle"]))
+    labels = _count(params, "labels", 2**n)
+    if labels > 2**n:
+        raise InvalidConfigError(f"labels must be at most 2^n = {2**n}, got {labels}")
     action = _build_unitary(params, n, seed)
-    labels = range(int(params.get("labels", 2**n)))
-    oracle = build_oracle(action, labels, seed=seed)
+    oracle = build_oracle(action, range(labels), seed=seed)
     successes = np.array(
         [identify(action, oracle, k).success_prob for k in range(oracle.n_labels)]
     )

@@ -58,10 +58,7 @@ def sample_haar_stack(rng: np.random.Generator, k: int) -> np.ndarray:
     imaginary parts.  Gate ``g`` is therefore the ``g``-th of ``k`` successive
     :func:`sample_haar_two_qubit` draws, bit for bit.
     """
-    normals = np.empty((k, 2, 4, 4))
-    for gate in normals:
-        rng.standard_normal(out=gate)
-    return _haar_unitaries(normals)
+    return _haar_unitaries(rng.standard_normal((k, 2, 4, 4)))
 
 
 def sample_haar_two_qubit(rng: np.random.Generator) -> TwoQubitGate:
@@ -73,64 +70,71 @@ def sample_haar_two_qubit(rng: np.random.Generator) -> TwoQubitGate:
 class RandomCircuit:
     """A length-``t`` sequence of Haar gates on uniformly random qubit pairs.
 
-    It is a unitary action: ``apply`` realizes ``U`` and ``apply_adjoint``
-    realizes ``U^dag``, the forward run.  Regeneration from
-    ``(n_qubits, length, seed)`` is bit-identical.
+    Gate ``k`` is ``gates[k]`` on qubits ``pairs[k]``; both arrays are
+    read-only.  It is a unitary action: ``apply`` realizes ``U`` and
+    ``apply_adjoint`` realizes ``U^dag``, the forward run.  Regeneration
+    from ``(n_qubits, length, seed)`` is bit-identical.
     """
 
     n_qubits: int
     length: int
     seed: int
-    placements: tuple[tuple[int, int, TwoQubitGate], ...] = field(repr=False)
+    pairs: np.ndarray = field(repr=False)
+    gates: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.placements) != self.length:
-            raise ValueError("placement count does not match length")
-        for i, j, _gate in self.placements:
-            if i == j or not (0 <= i < self.n_qubits) or not (0 <= j < self.n_qubits):
-                raise ValueError(f"invalid placement ({i}, {j})")
+        pairs, gates = np.array(self.pairs, dtype=np.intp), np.array(self.gates, dtype=complex)
+        if pairs.shape != (self.length, 2) or gates.shape != (self.length, 4, 4):
+            raise ValueError(f"need (t, 2) pairs and (t, 4, 4) gates for t={self.length}")
+        for name, array in (("pairs", pairs), ("gates", gates)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @property
+    def placements(self) -> tuple[tuple[int, int, TwoQubitGate], ...]:
+        """The gates as ``(i, j, TwoQubitGate)`` triples, built on each call."""
+        return tuple((i, j, TwoQubitGate(g)) for (i, j), g in zip(self.pairs.tolist(), self.gates))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the adjoint gates in reverse order: the action of ``U``."""
-        return run_gates(
-            vec,
-            self.n_qubits,
-            ((i, j, gate.entries.conj().T) for i, j, gate in reversed(self.placements)),
-        )
+        adjoints = (g.conj().T for g in self.gates[::-1])
+        return run_gates(vec, self.n_qubits, self.pairs[::-1], adjoints)
 
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """Apply the sampled gates in order: the action of ``U^dag``."""
-        return run_gates(
-            vec, self.n_qubits, ((i, j, gate.entries) for i, j, gate in self.placements)
-        )
+        return run_gates(vec, self.n_qubits, self.pairs, self.gates)
 
     def state_from_basis(self, a: int) -> PureState:
         """The forward-run state ``U^dag |a>``."""
         return PureState(self.n_qubits, self.apply_adjoint(basis_vector(self.n_qubits, a)))
 
 
-def run_gates(vec: np.ndarray, n_qubits: int, gates) -> np.ndarray:
-    """Apply ``(i, j, matrix)`` two-qubit gates in order to a copy of ``vec``.
+def run_gates(vec: np.ndarray, n_qubits: int, pairs, gates) -> np.ndarray:
+    """Apply two-qubit gates in order to a copy of ``vec``: ``gates[k]`` acts on ``pairs[k]``.
 
-    The one gate-sequence loop of the package.  ``gates`` may be a lazy
-    iterable; each gate is drawn only after the previous one was applied.
-    ``vec`` has leading dimension ``2**n_qubits``; trailing dimensions are a
-    batch.  Besides the copy, the loop allocates two state-sized buffers
-    once and nothing per gate: each gate gathers its ``(b_i, b_j, rest)``
-    view of the state into one buffer, multiplies it into the other and
-    scatters the product back, the same 4x4-by-``(4, N)`` product as
-    :func:`apply_matrix_to_qubits`.
+    The one gate-sequence loop of the package.  All ``t`` rows of ``pairs``
+    are checked before anything is copied or allocated.  ``gates`` yields
+    ``t`` 4x4 matrices and may be lazy; each is drawn only after the
+    previous one was applied.  ``vec`` has leading dimension ``2**n_qubits``;
+    trailing dimensions are a batch.  Besides the copy, the loop allocates
+    two state-sized buffers once and nothing per gate: each gate gathers its
+    ``(b_i, b_j, rest)`` view of the state into one buffer, multiplies it
+    into the other and scatters the product back.
     """
+    dim = 2**n_qubits
+    if np.shape(vec)[:1] != (dim,):
+        raise ValueError(f"expected leading dimension {dim}, got shape {np.shape(vec)}")
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    bad = (pairs[:, 0] == pairs[:, 1]) | (pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= n_qubits)
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = pairs[k]
+        raise InvalidPlacementError(f"invalid qubit pair ({i}, {j}) at gate {k} for n={n_qubits}")
     # C order, so that every view below is a view of ``out`` and not a copy.
     out = np.array(vec, dtype=complex, order="C")
-    dim = 2**n_qubits
-    if out.shape[:1] != (dim,):
-        raise ValueError(f"expected leading dimension {dim}, got shape {out.shape}")
     batch = out.size // dim
     gathered, product = np.empty((2, 4, out.size // 4), dtype=complex)
-    for i, j, matrix in gates:
-        if i == j or not (0 <= i < n_qubits and 0 <= j < n_qubits):
-            raise InvalidPlacementError(f"invalid qubit pair ({i}, {j}) for n={n_qubits}")
+    for (i, j), matrix in zip(pairs, gates, strict=True):
         hi, lo = max(i, j), min(i, j)
         # Axes (a, b_hi, m, b_lo, r) of the index x in mixed radix, most significant
         # first; the batch index rides with r.
@@ -157,18 +161,14 @@ def run_random_circuit(n_qubits: int, length: int, seed: int) -> RandomCircuit:
     if length < 0:
         raise InvalidConfigError("length must be nonnegative")
     rng = stream(seed)
-    pairs = []
+    pairs = np.empty((length, 2), dtype=np.intp)
     normals = np.empty((length, 2, 4, 4))
-    for gate in normals:
+    for pair, gate in zip(pairs, normals):
         i = int(rng.integers(n_qubits))
         j = int(rng.integers(n_qubits - 1))
-        if j >= i:
-            j += 1
-        pairs.append((i, j))
+        pair[:] = i, j + (j >= i)
         rng.standard_normal(out=gate)
-    gates = _haar_unitaries(normals)
-    placements = tuple((i, j, TwoQubitGate(g)) for (i, j), g in zip(pairs, gates))
-    return RandomCircuit(n_qubits, length, seed, placements)
+    return RandomCircuit(n_qubits, length, seed, pairs, _haar_unitaries(normals))
 
 
 def _pair_word_index(n_qubits: int) -> np.ndarray:

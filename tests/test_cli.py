@@ -320,6 +320,29 @@ def test_too_few_samples_rejected_before_any_work(monkeypatch, experiment, param
         experiments.EXPERIMENTS[experiment](params, 0)
 
 
+@pytest.mark.parametrize("labels", [0, -1, 9, 20])
+def test_oracle_label_count_outside_the_basis_is_rejected_at_entry(monkeypatch, labels):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the unitary before checking the label count")
+
+    monkeypatch.setattr(experiments, "_build_unitary", refuse)
+    with pytest.raises(InvalidConfigError, match="labels"):
+        experiments.run_oracle({"n": 3, "labels": labels}, 0)
+
+
+@pytest.mark.parametrize(
+    "params", [{"n": 12, "group": "q9"}, {"n": 12, "group": "q8", "samples": 0}]
+)
+def test_dispersion_group_input_is_checked_before_certifying(monkeypatch, params):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or certified the unitary before checking the group input")
+
+    monkeypatch.setattr(experiments, "_build_unitary", refuse)
+    monkeypatch.setattr(experiments, "certify_dispersing", refuse)
+    with pytest.raises(InvalidConfigError):
+        experiments.run_dispersion(params, 0)
+
+
 @pytest.mark.parametrize(
     "experiment, parameters",
     [

@@ -9,6 +9,8 @@ from oraclelab.errors import InvalidConfigError, InvalidPlacementError, SizeErro
 from oraclelab.simcore import (
     MAX_DENSE_QUBITS,
     MatrixUnitary,
+    RandomCircuit,
+    TwoQubitGate,
     action_matrix,
     apply_matrix_to_qubits,
     basis_vector,
@@ -180,10 +182,16 @@ def test_run_gates_equals_the_dense_reference_bitwise(n):
     vectors[2] = np.asfortranarray(vectors[2])
     for vec in vectors:
         before = vec.copy()
-        np.testing.assert_array_equal(run_gates(vec, n, gates), _dense_reference(vec, n, gates))
+        np.testing.assert_array_equal(
+            run_gates(vec, n, [g[:2] for g in gates], [g[2] for g in gates]),
+            _dense_reference(vec, n, gates),
+        )
         np.testing.assert_array_equal(vec, before)
     eye = np.eye(dim, dtype=complex)
-    np.testing.assert_array_equal(run_gates(eye, n, gates), _dense_reference(eye, n, gates))
+    np.testing.assert_array_equal(
+        run_gates(eye, n, [g[:2] for g in gates], [g[2] for g in gates]),
+        _dense_reference(eye, n, gates),
+    )
     np.testing.assert_array_equal(eye, np.eye(dim))
 
 
@@ -191,12 +199,12 @@ def test_run_gates_rejects_bad_states_and_pairs():
     gate = sample_haar_two_qubit(stream(90)).entries
     # A 2^(n+1) vector is not a batch of two n-qubit states.
     with pytest.raises(ValueError):
-        run_gates(np.ones(2**4, dtype=complex), 3, [(0, 1, gate)])
+        run_gates(np.ones(2**4, dtype=complex), 3, [(0, 1)], [gate])
     with pytest.raises(ValueError):
-        run_gates(np.ones((2**4, 2), dtype=complex), 3, [])
+        run_gates(np.ones((2**4, 2), dtype=complex), 3, [], [])
     for i, j in ((1, 1), (0, 3), (3, 0), (-1, 2), (2, -1)):
         with pytest.raises(InvalidPlacementError):
-            run_gates(basis_vector(3, 0), 3, [(i, j, gate)])
+            run_gates(basis_vector(3, 0), 3, [(i, j)], [gate])
 
 
 # SHA-256 of circuit outputs, taken before run_gates applied gates in place.
@@ -228,3 +236,56 @@ def test_action_matrix_memory_does_not_grow_with_circuit_length():
         peaks.append(peak)
     assert max(peaks) <= bound, peaks
     assert abs(peaks[1] - peaks[0]) <= 16 * 1024, peaks
+
+
+@pytest.mark.parametrize("shape", [(2**12,), (2**12, 8)], ids=["vector", "batch"])
+def test_run_gates_rejects_a_bad_last_pair_before_allocating(shape):
+    n, t = 12, 500
+    pairs = np.array([(k % n, (k + 1) % n) for k in range(t)])
+    pairs[-1] = (5, 5)
+    gates = sample_haar_stack(stream(91), t)
+    vec = np.zeros(shape, dtype=complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidPlacementError, match=r"\(5, 5\) at gate 499"):
+            run_gates(vec, n, pairs, gates)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**n * 16  # less than one state vector
+
+
+def test_circuit_path_builds_no_gate_objects(monkeypatch):
+    built = []
+    check = TwoQubitGate.__post_init__
+
+    def counting_check(gate):
+        built.append(gate)
+        check(gate)
+
+    monkeypatch.setattr(TwoQubitGate, "__post_init__", counting_check)
+    circ = run_random_circuit(4, 30, 5)
+    circ.apply(basis_vector(4, 1))
+    circ.apply_adjoint(basis_vector(4, 1))
+    action_matrix(circ)
+    assert not built
+    assert len(circ.placements) == len(built) == 30  # the counter does see gate objects
+
+
+def test_placements_match_the_read_only_arrays_bitwise():
+    circ = run_random_circuit(5, 40, 3)
+    assert circ.pairs.shape == (40, 2) and circ.gates.shape == (40, 4, 4)
+    for (i, j, gate), pair, matrix in zip(circ.placements, circ.pairs, circ.gates, strict=True):
+        assert (i, j) == tuple(pair.tolist())
+        assert gate.entries.tobytes() == matrix.tobytes()
+    for array in (circ.pairs, circ.gates):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_pair_and_gate_counts_must_agree():
+    circ = run_random_circuit(4, 10, 7)
+    with pytest.raises(ValueError):
+        RandomCircuit(4, 10, 7, circ.pairs, circ.gates[:-1])
+    with pytest.raises(ValueError):
+        run_gates(basis_vector(4, 0), 4, circ.pairs, (g for g in circ.gates[:-1]))

@@ -277,7 +277,8 @@ def test_batched_circuits_match_per_circuit_runs(n):
     batched = run_pair_circuits(states, n, steps, [child(60 + n, c) for c in range(circuits)])
     for c, a in enumerate(starts):
         # The same stream gives the same pairs and gates to the one-gate-at-a-time runner.
-        single = run_gates(basis_vector(n, a), n, _random_gates(n, steps, child(60 + n, c)))
+        gates = list(_random_gates(n, steps, child(60 + n, c)))
+        single = run_gates(basis_vector(n, a), n, [g[:2] for g in gates], [g[2] for g in gates])
         np.testing.assert_allclose(batched[c], single, rtol=0, atol=1e-12)
 
 
