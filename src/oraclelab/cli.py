@@ -22,7 +22,7 @@ SCHEMA_VERSION = 1
 # 3: the two-copy average sums by GEMM and takes norms without BLAS.
 # 4: the Walsh-Hadamard transform sums by two Sylvester GEMMs.
 # 5: moment_compare steps its circuits together, drawing step by step.
-NUMERICS_VERSION = 5
+NUMERICS_VERSION = 6
 
 
 @dataclass(frozen=True)

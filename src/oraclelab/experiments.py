@@ -9,6 +9,7 @@ dict plus a list of failed assertions (empty on pass).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from .rfs import (
     unitary_for_spec,
     z_referee,
 )
+from .rfs.core import label_bits
 from .signs import TWO_OVER_PI, best_phase_signs, brute_force_signs
 from .simcore import (
     MAX_DENSE_QUBITS,
@@ -232,13 +234,22 @@ def run_rfs(params: dict, seed: int):
         return specs, unitary_for_spec(base)
 
     if mode == "separation":
+        n_list = [int(n_k) for n_k in _sizes(params, [4, 6, 8])]
+        # The classical cost must rise strictly along n_list, so the label count must too.
+        bits = [label_bits(n_k, alpha_n) for n_k in n_list]
+        for (n_a, a), (n_b, b) in itertools.pairwise(zip(n_list, bits)):
+            if b <= a:
+                raise InvalidConfigError(
+                    f"n = {n_a} and n = {n_b} give 2^{a} and 2^{b} labels; separation "
+                    "needs the label count to rise along n_list"
+                )
         rows = []
-        for n_k in _sizes(params, [4, 6, 8]):
-            specs, unitary = trial_specs(int(n_k))
+        for n_k in n_list:
+            specs, unitary = trial_specs(n_k)
             find = find_simulate(specs[0], unitary, delta)
             rows.append(
                 {
-                    "n": int(n_k),
+                    "n": n_k,
                     "classical_queries_mean": float(
                         np.mean([classical_solver(spec).queries for spec in specs])
                     ),

@@ -178,6 +178,11 @@ def oracle_query(
     return result
 
 
+def label_bits(n_symbol_bits: int, alpha_n: int | None = None) -> int:
+    """The label bits of an instance on ``n`` symbol bits: ``alpha_n``, by default ``ceil(n/2)``."""
+    return (n_symbol_bits + 1) // 2 if alpha_n is None else alpha_n
+
+
 def make_rfs_spec(
     depth: int,
     n_symbol_bits: int,
@@ -194,8 +199,7 @@ def make_rfs_spec(
     ``random-circuit`` (dense matrix of a seeded circuit).  ``alpha_n``
     defaults to ``ceil(n/2)`` label bits.
     """
-    if alpha_n is None:
-        alpha_n = (n_symbol_bits + 1) // 2
+    alpha_n = label_bits(n_symbol_bits, alpha_n)
     if not 1 <= alpha_n <= n_symbol_bits:
         raise InvalidConfigError("alpha_n must lie in [1, n]")
     descriptor = {"kind": kind, "n": n_symbol_bits, "alpha_n": alpha_n}

@@ -29,6 +29,16 @@ from .states import (
 MAX_QUBITS = 14
 # A dense 2^12 x 2^12 complex matrix takes 256 MiB.
 MAX_DENSE_QUBITS = 12
+# Circuits fuse their gates into blocks of at most FUSED_WIDTH qubits when the state
+# holds at least FUSE_MIN_AMPLITUDES amplitudes; narrower states run gate by gate,
+# because building a block costs about 4^width amplitudes of work per gate.  Both
+# values were measured on 2 vCPUs with OpenBLAS; CHANGES.md records the timings.
+FUSED_WIDTH = 5
+FUSE_MIN_AMPLITUDES = 2**14
+# Blocks are built on leading principal submatrices of this identity, which are
+# identities too, so that building one allocates no identity of its own.
+_EYE = np.eye(1 << FUSED_WIDTH)
+_EYE.setflags(write=False)
 
 
 def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
@@ -86,6 +96,7 @@ class RandomCircuit:
         pairs, gates = np.array(self.pairs, dtype=np.intp), np.array(self.gates, dtype=complex)
         if pairs.shape != (self.length, 2) or gates.shape != (self.length, 4, 4):
             raise ValueError(f"need (t, 2) pairs and (t, 4, 4) gates for t={self.length}")
+        _checked_supports(pairs, self.n_qubits)
         for name, array in (("pairs", pairs), ("gates", gates)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -98,52 +109,136 @@ class RandomCircuit:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the adjoint gates in reverse order: the action of ``U``."""
         adjoints = (g.conj().T for g in self.gates[::-1])
-        return run_gates(vec, self.n_qubits, self.pairs[::-1], adjoints)
+        return _run_fused(vec, self.n_qubits, self.pairs[::-1], adjoints)
 
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """Apply the sampled gates in order: the action of ``U^dag``."""
-        return run_gates(vec, self.n_qubits, self.pairs, self.gates)
+        return _run_fused(vec, self.n_qubits, self.pairs, self.gates)
 
     def state_from_basis(self, a: int) -> PureState:
         """The forward-run state ``U^dag |a>``."""
         return PureState(self.n_qubits, self.apply_adjoint(basis_vector(self.n_qubits, a)))
 
 
-def run_gates(vec: np.ndarray, n_qubits: int, pairs, gates) -> np.ndarray:
-    """Apply two-qubit gates in order to a copy of ``vec``: ``gates[k]`` acts on ``pairs[k]``.
+def _checked_supports(supports, n_qubits: int) -> np.ndarray:
+    """``supports`` as a ``(t, width)`` array, refused if a row repeats a qubit or leaves [0, n)."""
+    supports = np.asarray(supports, dtype=np.intp)
+    if supports.size == 0:  # no gates, whatever their width
+        supports = supports.reshape(0, 2)
+    ordered = np.sort(supports, axis=1)
+    bad = (ordered[:, 0] < 0) | (ordered[:, -1] >= n_qubits)
+    bad |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        qubits = tuple(supports[k].tolist())
+        raise InvalidPlacementError(f"invalid qubits {qubits} at gate {k} for n={n_qubits}")
+    return supports
 
-    The one gate-sequence loop of the package.  All ``t`` rows of ``pairs``
-    are checked before anything is copied or allocated.  ``gates`` yields
-    ``t`` 4x4 matrices and may be lazy; each is drawn only after the
-    previous one was applied.  ``vec`` has leading dimension ``2**n_qubits``;
-    trailing dimensions are a batch.  Besides the copy, the loop allocates
-    two state-sized buffers once and nothing per gate: each gate gathers its
-    ``(b_i, b_j, rest)`` view of the state into one buffer, multiplies it
-    into the other and scatters the product back.
+
+def run_gates(vec: np.ndarray, n_qubits: int, supports, blocks) -> np.ndarray:
+    """Apply ``width``-qubit blocks in order to a copy of ``vec``: ``blocks[k]`` acts on ``supports[k]``.
+
+    The one gate-sequence loop of the package; a two-qubit gate is its
+    ``width = 2`` case.  ``supports`` holds ``t`` rows of ``width`` distinct
+    qubits, the first being the most-significant bit of the block's local
+    index; all rows are checked before anything is copied or allocated.
+    ``blocks`` yields ``t`` matrices of size ``2^width`` and may be lazy; each
+    is drawn only after the previous one was applied.  ``vec`` has leading
+    dimension ``2**n_qubits``; trailing dimensions are a batch.  Besides the
+    copy, the loop allocates two state-sized buffers once and nothing per
+    block: each block gathers its ``(local index, rest)`` view of the state
+    into one buffer, multiplies it into the other and scatters the product back.
     """
     dim = 2**n_qubits
     if np.shape(vec)[:1] != (dim,):
         raise ValueError(f"expected leading dimension {dim}, got shape {np.shape(vec)}")
-    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    bad = (pairs[:, 0] == pairs[:, 1]) | (pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= n_qubits)
-    if bad.any():
-        k = int(np.argmax(bad))
-        i, j = pairs[k]
-        raise InvalidPlacementError(f"invalid qubit pair ({i}, {j}) at gate {k} for n={n_qubits}")
+    supports = _checked_supports(supports, n_qubits)
+    width = supports.shape[1]
     # C order, so that every view below is a view of ``out`` and not a copy.
     out = np.array(vec, dtype=complex, order="C")
     batch = out.size // dim
-    gathered, product = np.empty((2, 4, out.size // 4), dtype=complex)
-    for (i, j), matrix in zip(pairs, gates, strict=True):
-        hi, lo = max(i, j), min(i, j)
-        # Axes (a, b_hi, m, b_lo, r) of the index x in mixed radix, most significant
-        # first; the batch index rides with r.
-        view = out.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, batch << lo)
-        view = view.transpose((1, 3, 0, 2, 4) if i > j else (3, 1, 0, 2, 4))
+    gathered, product = np.empty((2, 1 << width, out.size >> width), dtype=complex)
+    rest = list(range(0, 2 * width + 1, 2))
+    blocks = iter(blocks)
+    for support in supports:
+        matrix = next(blocks, None)
+        if matrix is None:
+            raise ValueError(f"fewer blocks than the {len(supports)} supports")
+        qubits = support.tolist()
+        ordered = sorted(qubits, reverse=True)
+        # Axes (a, b_1, m_1, b_2, ..., b_width, r) of the index x in mixed radix, most
+        # significant first, with b_k the bit of the k-th largest qubit; the batch
+        # index rides with r.
+        shape = [dim >> (ordered[0] + 1)]
+        for hi, lo in zip(ordered, ordered[1:]):
+            shape += (2, 1 << (hi - lo - 1))
+        shape += (2, batch << ordered[-1])
+        bits = [1 + 2 * ordered.index(q) for q in qubits]
+        view = out.reshape(shape).transpose(bits + rest)
         np.copyto(gathered.reshape(view.shape), view)
         np.matmul(matrix, gathered, out=product)
+        # Released before the next block is drawn, so that a block built on demand
+        # is never built while the previous one is still alive.
+        del matrix
         np.copyto(view, product.reshape(view.shape))
+    if next(blocks, None) is not None:
+        raise ValueError(f"more blocks than the {len(supports)} supports")
     return out
+
+
+def _fusion_plan(pairs: np.ndarray, n_qubits: int, width: int) -> tuple[np.ndarray, list[int]]:
+    """Greedy gate fusion: the supports of the blocks and the number of gates in each.
+
+    Consecutive gates join one block while their qubits together number at
+    most ``width``.  Each support is padded with the lowest unused qubits to
+    exactly ``width`` qubits and listed in descending order.
+    """
+    masks, counts = [], []
+    for i, j in pairs:
+        gate = (1 << int(i)) | (1 << int(j))
+        if counts and (masks[-1] | gate).bit_count() <= width:
+            masks[-1] |= gate
+            counts[-1] += 1
+        else:
+            masks.append(gate)
+            counts.append(1)
+    supports = np.empty((len(masks), width), dtype=np.intp)
+    for row, mask in zip(supports, masks):
+        for q in range(n_qubits):
+            if mask.bit_count() == width:
+                break
+            mask |= 1 << q
+        row[:] = [q for q in reversed(range(n_qubits)) if mask >> q & 1]
+    return supports, counts
+
+
+def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates) -> np.ndarray:
+    """Apply two-qubit gates as :func:`run_gates` does, fused into blocks on wide states.
+
+    On a state of at least ``FUSE_MIN_AMPLITUDES`` amplitudes, consecutive
+    gates fuse into blocks of at most ``FUSED_WIDTH`` qubits.  Each block is
+    built when the runner draws it, by running its gates on an identity, so
+    memory does not grow with the circuit length.  Narrower states, and
+    circuits on two qubits, run gate by gate.
+    """
+    width = min(FUSED_WIDTH, n_qubits)
+    if np.size(vec) < FUSE_MIN_AMPLITUDES or width <= 2:
+        return run_gates(vec, n_qubits, pairs, gates)
+    supports, counts = _fusion_plan(pairs, n_qubits, width)
+
+    def blocks():
+        gate_iter = iter(gates)
+        local = np.empty(n_qubits, dtype=np.intp)
+        ranks = np.arange(width - 1, -1, -1)
+        eye = _EYE[: 1 << width, : 1 << width]
+        start = 0
+        for support, count in zip(supports, counts):
+            local[support] = ranks
+            local_pairs = local[pairs[start : start + count]]
+            yield run_gates(eye, width, local_pairs, itertools.islice(gate_iter, count))
+            start += count
+
+    return run_gates(vec, n_qubits, supports, blocks())
 
 
 def basis_vector(n_qubits: int, index: int) -> np.ndarray:

@@ -100,7 +100,8 @@ from oraclelab import experiments
 print(json.dumps([experiments.run_ad2({"samples": 1500}, 17)[0],
                   experiments.run_qt({"n": 4, "t": 64, "trials": 8}, 5)[0],
                   experiments.run_oracle({"unitary": "hadamard", "n": 9}, 0)[0],
-                  experiments.run_rfs({"l": 2, "n": 5, "trials": 2}, 0)[0]], sort_keys=True))
+                  experiments.run_rfs({"l": 2, "n": 5, "trials": 2}, 0)[0],
+                  experiments.run_oracle({"unitary": "random", "n": 7}, 3)[0]], sort_keys=True))
 """
 
 
@@ -291,6 +292,23 @@ def test_rfs_rejects_fewer_than_one_trial(monkeypatch, mode):
     for trials in (0, -1):
         with pytest.raises(InvalidConfigError):
             experiments.run_rfs({"mode": mode, "trials": trials}, 0)
+
+
+@pytest.mark.parametrize(
+    "params, sizes",
+    [
+        ({"l": 1, "n_list": [3, 4, 5]}, "n = 3 and n = 4"),
+        ({"n_list": [4, 6], "alpha_n": 2}, "n = 4 and n = 6"),
+        ({"n_list": [6, 4]}, "n = 6 and n = 4"),
+    ],
+)
+def test_separation_refuses_sizes_whose_label_counts_do_not_rise(monkeypatch, params, sizes):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a family before checking n_list")
+
+    monkeypatch.setattr(experiments, "make_rfs_spec", refuse)
+    with pytest.raises(InvalidConfigError, match=sizes):
+        experiments.run_rfs({"mode": "separation", **params}, 0)
 
 
 @pytest.mark.parametrize(

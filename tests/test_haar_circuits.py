@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oraclelab.errors import InvalidConfigError, InvalidPlacementError, SizeError
+from oraclelab.simcore import circuits
 from oraclelab.simcore import (
     MAX_DENSE_QUBITS,
     MatrixUnitary,
@@ -205,19 +206,30 @@ def test_run_gates_rejects_bad_states_and_pairs():
     for i, j in ((1, 1), (0, 3), (3, 0), (-1, 2), (2, -1)):
         with pytest.raises(InvalidPlacementError):
             run_gates(basis_vector(3, 0), 3, [(i, j)], [gate])
+    block = np.eye(8, dtype=complex)
+    for support in ((0, 2, 0), (2, 1, 3)):
+        with pytest.raises(InvalidPlacementError, match=r"at gate 1 for n=3"):
+            run_gates(basis_vector(3, 0), 3, [(0, 1, 2), support], [block, block])
 
 
-# SHA-256 of circuit outputs, taken before run_gates applied gates in place.
-# Bit-exact for a given numpy/BLAS build, like replay.
+# SHA-256 of circuit outputs, taken before run_gates applied gates in place; the
+# first is the gate-by-gate action matrix.  The fused pin was taken when circuits
+# began to fuse their gates on wide states.  Bit-exact for a given numpy/BLAS
+# build, like replay.
 PINNED_ACTION_SHA256 = "5bb24a941be0f84f03784aa3d2a2f83857f894085474e9bb9242e71525cf4b7f"
 PINNED_APPLY_SHA256 = "c78d88be58078c779eb78ce6aa824da1388cf7fcb9e9f7f22a8a281f8502bdf6"
+PINNED_FUSED_ACTION_SHA256 = "064ab2fb23706bfcd852d34e69ba66a3ab4704b95d31a5ae3719ce3bb740eb9a"
 
 
 def test_circuit_outputs_are_pinned():
-    matrix = action_matrix(run_random_circuit(6, 200, 3))
+    circ = run_random_circuit(6, 200, 3)
+    adjoints = [g.conj().T for g in circ.gates[::-1]]
+    matrix = run_gates(np.eye(2**6, dtype=complex), 6, circ.pairs[::-1], adjoints)
     assert hashlib.sha256(matrix.tobytes()).hexdigest() == PINNED_ACTION_SHA256
     vec = run_random_circuit(5, 40, 3).apply(basis_vector(5, 7))
     assert hashlib.sha256(vec.tobytes()).hexdigest() == PINNED_APPLY_SHA256
+    fused = action_matrix(run_random_circuit(7, 200, 3))
+    assert hashlib.sha256(fused.tobytes()).hexdigest() == PINNED_FUSED_ACTION_SHA256
 
 
 def test_action_matrix_memory_does_not_grow_with_circuit_length():
@@ -289,3 +301,77 @@ def test_pair_and_gate_counts_must_agree():
         RandomCircuit(4, 10, 7, circ.pairs, circ.gates[:-1])
     with pytest.raises(ValueError):
         run_gates(basis_vector(4, 0), 4, circ.pairs, (g for g in circ.gates[:-1]))
+    with pytest.raises(ValueError):
+        run_gates(basis_vector(4, 0), 4, circ.pairs[:-1], circ.gates)
+
+
+def test_circuit_pairs_are_checked_at_construction():
+    gates = sample_haar_stack(stream(92), 3)
+    with pytest.raises(InvalidPlacementError, match=r"\(1, 1\) at gate 0 for n=4"):
+        RandomCircuit(4, 3, 0, [[1, 1], [0, 1], [2, 3]], gates)
+    with pytest.raises(InvalidPlacementError, match=r"\(2, 4\) at gate 2 for n=4"):
+        RandomCircuit(4, 3, 0, [[0, 1], [2, 3], [2, 4]], gates)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_run_gates_applies_wide_blocks_like_the_dense_reference(width):
+    # Supports in every order, not only the descending order fused circuits use.
+    n = 6
+    rng = stream(93 + width)
+    supports = [tuple(rng.permutation(n)[:width].tolist()) for _ in range(20)]
+    blocks = [np.linalg.qr(rng.standard_normal((2**width,) * 2)
+                           + 1j * rng.standard_normal((2**width,) * 2))[0] for _ in supports]
+    vec = rng.standard_normal((2**n, 5)) + 1j * rng.standard_normal((2**n, 5))
+    expected = vec
+    for support, block in zip(supports, blocks):
+        expected = apply_matrix_to_qubits(expected, n, block, support)
+    np.testing.assert_allclose(run_gates(vec, n, supports, blocks), expected, rtol=0, atol=1e-13)
+
+
+def _wide_state(n, seed):
+    """A random batch of at least circuits.FUSE_MIN_AMPLITUDES amplitudes, on which circuits fuse."""
+    rng = stream(seed)
+    shape = (2**n, max(1, circuits.FUSE_MIN_AMPLITUDES >> n))
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2**n)
+
+
+def _assert_fused_matches_the_reference(circ, vec):
+    n = circ.n_qubits
+    forward = list(zip(circ.pairs[:, 0], circ.pairs[:, 1], circ.gates))
+    adjoints = [(i, j, g.conj().T) for i, j, g in reversed(forward)]
+    tol = {"rtol": 0, "atol": 1e-13}
+    np.testing.assert_allclose(circ.apply_adjoint(vec), _dense_reference(vec, n, forward), **tol)
+    np.testing.assert_allclose(circ.apply(vec), _dense_reference(vec, n, adjoints), **tol)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 7, 300])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_fused_circuits_match_the_dense_reference(monkeypatch, n, t):
+    plans = []
+    plan = circuits._fusion_plan
+
+    def recording_plan(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(circuits, "_fusion_plan", recording_plan)
+    _assert_fused_matches_the_reference(run_random_circuit(n, t, 10 * n + t), _wide_state(n, t))
+    # Two qubits run gate by gate; wider circuits fuse in both directions.
+    assert len(plans) == (0 if n == 2 else 2)
+
+
+def test_a_circuit_on_few_qubits_fuses_into_one_block():
+    n, t = 8, 60
+    qubits = np.array([6, 1, 4, 3, 7])
+    source = run_random_circuit(len(qubits), t, 94)
+    circ = RandomCircuit(n, t, 94, qubits[source.pairs], source.gates)
+    supports, counts = circuits._fusion_plan(circ.pairs, n, circuits.FUSED_WIDTH)
+    assert counts == [t] and supports.tolist() == [[7, 6, 4, 3, 1]]
+    _assert_fused_matches_the_reference(circ, _wide_state(n, 95))
+
+
+def test_fused_action_is_unitary():
+    circ = run_random_circuit(8, 300, 96)
+    eye = np.eye(2**8)
+    assert eye.size >= circuits.FUSE_MIN_AMPLITUDES
+    np.testing.assert_allclose(action_matrix(circ) @ circ.apply_adjoint(eye), eye, rtol=0, atol=1e-13)
