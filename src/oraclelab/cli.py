@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfigError, SchemaVersionError
-from .experiments import DEFAULT_N, EXPERIMENTS, MODES, PARAMETERS, UNITARIES
+from .experiments import DEFAULT_N, EXPERIMENTS, MODES, PARAMETERS
+from .oracle import UNITARIES
 
 SCHEMA_VERSION = 1
 # Bumped when a change moves metrics by rounding or by the random-draw layout;

@@ -57,16 +57,10 @@ class PseudoDispersionReport:
         return float(np.std(self.l1_values, ddof=1) / np.sqrt(self.samples))
 
 
-def l1_row(action, a: int) -> float:
-    """L1 norm of ``U^dag |a>``, from one state-vector run of the circuit."""
-    if not 0 <= a < 2**action.n_qubits:
-        raise LabelError(f"label {a} out of range")
-    return float(np.sum(np.abs(adjoint_rows(action, a))))
-
-
 def certify_dispersing(action, beta: float) -> DispersionReport:
     """Enumerate all ``2^n`` labels and certify the dispersion threshold.
 
+    Label ``a``'s L1 norm is that of ``U^dag |a>``, one run of the action each.
     A label achieves when its L1 is at least ``beta * 2^(n/2)`` up to a
     1e-12 boundary slack, so certification is reproducible across platforms.
     """
@@ -74,7 +68,7 @@ def certify_dispersing(action, beta: float) -> DispersionReport:
         raise InvalidConfigError("beta must lie in (0, 1]")
     n = action.n_qubits
     dim = 2**n
-    l1 = np.array([l1_row(action, a) for a in range(dim)])
+    l1 = np.array([np.sum(np.abs(adjoint_rows(action, a))) for a in range(dim)])
     threshold = beta * 2 ** (n / 2)
     achieving = tuple(int(a) for a in np.nonzero(l1 >= threshold - THRESHOLD_SLACK)[0])
     alpha = float(np.log2(len(achieving)) / n) if achieving else 0.0

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import paulichain
 from .dispersion import certify_dispersing, pseudo_search
-from .errors import InvalidConfigError, SizeError
-from .oracle import build_oracle, identify
+from .errors import InvalidConfigError
+from .oracle import build_oracle, build_unitary, identify
 from .rfs import (
     bound_trend_table,
     classical_solver,
@@ -29,21 +29,11 @@ from .rfs import (
     z_referee,
 )
 from .rfs.core import label_bits
-from .signs import TWO_OVER_PI, best_phase_signs, brute_force_signs
-from .simcore import (
-    MAX_DENSE_QUBITS,
-    builtin_group,
-    child,
-    densify,
-    group_fourier,
-    hadamard_all,
-    qft_cyclic,
-    run_random_circuit,
-)
+from .signs import BRUTE_FORCE_MAX_D, TWO_OVER_PI, best_phase_signs, brute_force_signs
+from .simcore import builtin_group, child, group_fourier
 
 # Qubit counts used when ``n`` is absent, for the experiments that run circuits of length ``t``.
 DEFAULT_N = {"dispersion": 8, "oracle": 8, "qt": 6}
-UNITARIES = ("hadamard", "qft", "random")
 # Each experiment's modes; the first is its default.
 MODES = {
     "rfs": ("simulate", "separation", "replay-log", "bound-table"),
@@ -66,26 +56,25 @@ def _count(params: dict, key: str, default: int, least: int = 1) -> int:
     return value
 
 
-def _sizes(params: dict, default: list[int]) -> list[int]:
-    """The ``n_list`` of a table experiment, refused when empty."""
-    n_list = params.get("n_list", default)
-    if not n_list:
-        raise InvalidConfigError("n_list needs at least one n")
-    return n_list
+def _values(params: dict, key: str, default: list) -> list:
+    """The ``n_list`` or ``t_list`` of a table experiment, refused when empty."""
+    values = params.get(key, default)
+    if not values:
+        raise InvalidConfigError(f"{key} needs at least one value")
+    return values
+
+
+def _beta(params: dict, default: float) -> float:
+    """The dispersion threshold, refused outside (0, 1]."""
+    beta = float(params.get("beta", default))
+    if not 0 < beta <= 1:
+        raise InvalidConfigError(f"beta must lie in (0, 1], got {beta}")
+    return beta
 
 
 def _build_unitary(params: dict, n: int, seed: int):
     kind = params.get("unitary", "hadamard")
-    if kind not in UNITARIES:
-        raise InvalidConfigError(f"unknown unitary kind {kind!r}")
-    if kind == "hadamard":
-        return hadamard_all(n)
-    if n > MAX_DENSE_QUBITS:
-        raise SizeError(f"dense {kind} unitaries capped at n={MAX_DENSE_QUBITS}")
-    if kind == "qft":
-        return qft_cyclic(2**n).as_action()
-    t = int(params.get("t", 4 * n**3))
-    return densify(run_random_circuit(n, t, seed))
+    return build_unitary(kind, n, int(params.get("t", 4 * n**3)), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +84,7 @@ def _build_unitary(params: dict, n: int, seed: int):
 
 def run_dispersion(params: dict, seed: int):
     n = int(params.get("n", DEFAULT_N["dispersion"]))
-    beta = float(params.get("beta", 1.0))
+    beta = _beta(params, 1.0)
     group = params.get("group")
     if group:
         fourier = group_fourier(builtin_group(group))
@@ -141,6 +130,13 @@ def run_signs(params: dict, seed: int):
     d_min = int(params.get("d_min", 1))
     d_max = int(params.get("d_max", 16))
     brute_max = int(params.get("brute_max", 12))
+    if not 1 <= d_min <= d_max:
+        raise InvalidConfigError(f"need 1 <= d_min <= d_max, got d_min={d_min}, d_max={d_max}")
+    if max(d_min, BRUTE_FORCE_MAX_D + 1) <= min(d_max, brute_max):
+        raise InvalidConfigError(
+            f"brute_max {brute_max} sends d up to {min(d_max, brute_max)} to brute force, "
+            f"which is capped at d = {BRUTE_FORCE_MAX_D}"
+        )
     rng = child(seed, 0)
     min_ratio = 1.0
     violations = 0
@@ -175,9 +171,7 @@ def run_oracle(params: dict, seed: int):
         raise InvalidConfigError(f"labels must be at most 2^n = {2**n}, got {labels}")
     action = _build_unitary(params, n, seed)
     oracle = build_oracle(action, range(labels), seed=seed)
-    successes = np.array(
-        [identify(action, oracle, k).success_prob for k in range(oracle.n_labels)]
-    )
+    successes = np.array([identify(action, oracle, k) for k in range(oracle.n_labels)])
     margins = successes - oracle.predicted_success
     metrics = {
         "n": n,
@@ -212,7 +206,7 @@ def run_rfs(params: dict, seed: int):
         return metrics, [f"{p} violated" for p in failed]
 
     if mode == "bound-table":
-        rows = bound_trend_table(_sizes(params, [16, 64, 256]))
+        rows = bound_trend_table(_values(params, "n_list", [16, 64, 256]))
         metrics = {"table": rows}
         failures = []
         bounds = [r["bound"] for r in rows]
@@ -234,7 +228,7 @@ def run_rfs(params: dict, seed: int):
         return specs, unitary_for_spec(base)
 
     if mode == "separation":
-        n_list = [int(n_k) for n_k in _sizes(params, [4, 6, 8])]
+        n_list = [int(n_k) for n_k in _values(params, "n_list", [4, 6, 8])]
         # The classical cost must rise strictly along n_list, so the label count must too.
         bits = [label_bits(n_k, alpha_n) for n_k in n_list]
         for (n_a, a), (n_b, b) in itertools.pairwise(zip(n_list, bits)):
@@ -321,7 +315,7 @@ def run_markov(params: dict, seed: int):
     mode = _mode(params, "markov")
     failures: list[str] = []
     if mode == "gap":
-        ns = params.get("n_list") or [int(params.get("n", 16))]
+        ns = _values(params, "n_list", [int(params.get("n", 16))])
         rows = paulichain.gap_table(ns)
         metrics = {"table": rows}
         if any(r["gap"] <= 0 for r in rows):
@@ -376,7 +370,7 @@ def run_markov(params: dict, seed: int):
     # mode == "moments"
     n = int(params.get("n", 2))
     circuits = _count(params, "trials", 2000)
-    t_list = params.get("t_list") or [int(params.get("t", 5))]
+    t_list = _values(params, "t_list", [int(params.get("t", 5))])
     tvs = {}
     for idx, t in enumerate(t_list):
         res = paulichain.moment_compare(n, int(t), circuits, child(seed, idx))
@@ -413,7 +407,7 @@ def run_qt(params: dict, seed: int):
     steps = int(params.get("t", 4 * n**3))
     # The standard error of the collision mean needs two circuits.
     circuits = _count(params, "trials", 200, least=2)
-    beta = float(params.get("beta", 0.25))
+    beta = _beta(params, 0.25)
 
     # Each trial is an independent (circuit, input label) pair on its own stream.
     rngs = [child(seed, k) for k in range(circuits)]

@@ -16,9 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, LabelError
+from .errors import InvalidConfigError, LabelError, SizeError
 from .signs import TWO_OVER_PI, best_phase_signs
-from .simcore import FourierMatrix, PureState, adjoint_rows
+from .simcore import (
+    MAX_DENSE_QUBITS,
+    FourierMatrix,
+    PureState,
+    adjoint_rows,
+    densify,
+    hadamard_all,
+    qft_cyclic,
+    run_random_circuit,
+)
+
+# The named unitaries the game is played on.
+UNITARIES = ("hadamard", "qft", "random")
 
 
 @dataclass(frozen=True)
@@ -34,8 +46,7 @@ class LabelSpec:
 class SingleLevelOracle:
     """Compiled oracle family: one bit-vector of ``f(a, x)`` per label.
 
-    ``betas[k]`` is the achieved L1 over ``2^(n/2)`` for label ``k`` and
-    ``predicted_success[k] = (2 betas[k] / pi)^2``.
+    ``betas[k]`` is the achieved L1 over ``2^(n/2)`` for label ``k``.
     """
 
     n_qubits: int
@@ -43,7 +54,6 @@ class SingleLevelOracle:
     labels: tuple[LabelSpec, ...]
     f_bits: np.ndarray = field(repr=False)  # (len(labels), 2^n) uint8
     betas: np.ndarray = field(repr=False)
-    predicted_success: np.ndarray = field(repr=False)
     seed: int | None = None
 
     def __post_init__(self):
@@ -58,8 +68,17 @@ class SingleLevelOracle:
     def n_labels(self) -> int:
         return len(self.labels)
 
+    @property
+    def predicted_success(self) -> np.ndarray:
+        """The compiled guarantee ``(2 betas[k] / pi)^2`` for each label."""
+        return (TWO_OVER_PI * self.betas) ** 2
+
     def f(self, label_index: int, x: int) -> int:
         return int(self.f_bits[label_index, x])
+
+    def signs(self, label_index: int) -> np.ndarray:
+        """The oracle's phases ``theta_x = (-1)^f(a, x) = 1 - 2 f(a, x)`` for one label."""
+        return 1.0 - 2.0 * self.f_bits[label_index].astype(float)
 
     def label_index(self, ident) -> int:
         for k, spec in enumerate(self.labels):
@@ -100,32 +119,33 @@ def load_oracle(path) -> SingleLevelOracle:
         LabelSpec(tuple(ident) if isinstance(ident, list) else int(ident), rows=())
         for ident in data["labels"]
     )
-    betas = np.array(data["beta"], dtype=float)
-    predicted = (TWO_OVER_PI * betas) ** 2
     return SingleLevelOracle(
         n_qubits=n,
         m_bits=int(data["m"]),
         labels=labels,
         f_bits=np.array(rows, dtype=np.uint8),
-        betas=betas,
-        predicted_success=predicted,
+        betas=np.array(data["beta"], dtype=float),
         seed=data.get("seed"),
     )
 
 
-@dataclass(frozen=True)
-class IdentificationOutcome:
-    """Exact success probability plus optional shot statistics."""
+def build_unitary(kind: str, n: int, t: int | None = None, seed: int | None = None):
+    """The action of a named unitary on ``n`` qubits.
 
-    success_prob: float
-    sampled_hits: int
-    shots: int
-
-    def __post_init__(self):
-        if not -1e-12 <= self.success_prob <= 1 + 1e-12:
-            raise ValueError("success probability out of range")
-        if self.sampled_hits > self.shots:
-            raise ValueError("more hits than shots")
+    ``hadamard`` is H on every qubit, ``qft`` the cyclic Fourier matrix of
+    order ``2^n`` and ``random`` the dense matrix of the seeded length-``t``
+    random circuit.  The dense kinds are refused above ``MAX_DENSE_QUBITS``
+    before anything is built.
+    """
+    if kind not in UNITARIES:
+        raise InvalidConfigError(f"unknown unitary kind {kind!r}")
+    if kind == "hadamard":
+        return hadamard_all(n)
+    if n > MAX_DENSE_QUBITS:
+        raise SizeError(f"dense {kind} unitaries capped at n={MAX_DENSE_QUBITS}")
+    if kind == "qft":
+        return qft_cyclic(2**n).as_action()
+    return densify(run_random_circuit(n, t, seed))
 
 
 def build_oracle(
@@ -162,7 +182,6 @@ def build_oracle(
             rows = tuple(unitary.rows_for_block(*ident))
             if not rows:
                 raise LabelError(f"no block {ident} in Fourier matrix")
-            vec = None
             if psi and ident in psi:
                 vec = np.asarray(psi[ident], dtype=complex)
                 vec = vec / np.linalg.norm(vec)
@@ -189,14 +208,12 @@ def build_oracle(
         theta = np.array(sol.theta)
         f_bits[k] = ((1 - theta) // 2).astype(np.uint8)
         betas[k] = sol.l1 / 2 ** (n / 2)
-    predicted = (TWO_OVER_PI * betas) ** 2
     return SingleLevelOracle(
         n_qubits=n,
         m_bits=m,
         labels=tuple(specs),
         f_bits=f_bits,
         betas=betas,
-        predicted_success=predicted,
         seed=seed,
     )
 
@@ -210,43 +227,33 @@ def prepare_phi(oracle: SingleLevelOracle, label_index: int) -> PureState:
     if not 0 <= label_index < oracle.n_labels:
         raise LabelError(f"label index {label_index} out of range")
     dim = 2**oracle.n_qubits
-    signs = 1.0 - 2.0 * oracle.f_bits[label_index].astype(float)
-    return PureState(oracle.n_qubits, signs / np.sqrt(dim))
+    return PureState(oracle.n_qubits, oracle.signs(label_index) / np.sqrt(dim))
+
+
+def block_probability(out: np.ndarray, rows) -> float:
+    """Probability that measuring the output state ``out = U |psi>`` lands in ``rows``.
+
+    The one measurement rule of the game: a label is identified when the
+    outcome falls in its block of output rows (a single row when all n bits
+    are measured).  Rounding above 1 is clipped.
+    """
+    return min(float(np.sum(np.abs(out[list(rows)]) ** 2)), 1.0)
 
 
 def outcome_distribution(unitary, oracle: SingleLevelOracle, label_index: int) -> np.ndarray:
     """Probabilities of every label's measurement block on ``U |phi_a>``."""
     out = unitary.apply(prepare_phi(oracle, label_index).amplitudes)
-    probs = np.abs(out) ** 2
-    return np.array([float(np.sum(probs[list(spec.rows)])) for spec in oracle.labels])
+    return np.array([block_probability(out, spec.rows) for spec in oracle.labels])
 
 
-def identify(
-    unitary,
-    oracle: SingleLevelOracle,
-    label_index: int,
-    shots: int = 0,
-    rng: np.random.Generator | None = None,
-) -> IdentificationOutcome:
-    """Run the identification measurement on the compiled state for a label.
+def identify(unitary, oracle: SingleLevelOracle, label_index: int) -> float:
+    """Exact probability that one query identifies the label at ``label_index``.
 
-    The success probability is computed exactly from the state vector: the
-    measurement projects onto the label's block of output rows (a single row
-    when all n bits are measured).  With ``shots > 0`` the exact probability
-    is also sampled binomially.
+    The compiled state ``U |phi_a>`` is measured on the label's block of
+    output rows.
     """
-    if not 0 <= label_index < oracle.n_labels:
-        raise LabelError(f"label index {label_index} out of range")
     out = unitary.apply(prepare_phi(oracle, label_index).amplitudes)
-    spec = oracle.labels[label_index]
-    success = float(np.sum(np.abs(out[list(spec.rows)]) ** 2))
-    success = min(success, 1.0)
-    hits = 0
-    if shots:
-        if rng is None:
-            raise InvalidConfigError("shot sampling requires an rng stream")
-        hits = int(rng.binomial(shots, success))
-    return IdentificationOutcome(success, hits, shots)
+    return block_probability(out, oracle.labels[label_index].rows)
 
 
 def classical_guess_bound(q: int, alpha_n: float) -> float:

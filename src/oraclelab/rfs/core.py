@@ -20,13 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DepthError, InvalidConfigError, ProtocolError
-from ..oracle import SingleLevelOracle, build_oracle
-from ..simcore import densify, hadamard_all, mix64, run_random_circuit
+from ..oracle import SingleLevelOracle, build_oracle, build_unitary
+from ..simcore import mix64
 
 FAIL = "FAIL"
 
 _SECRET_TAG = 0x5EC4E7
 _ANSWER_TAG = 0xA05BEE
+# The unitary kind of ``build_unitary`` that each rebuildable descriptor kind names.
+_DESCRIPTOR_KINDS = {"hadamard": "hadamard", "random-circuit": "random"}
 
 
 @dataclass(frozen=True)
@@ -218,12 +220,10 @@ def make_rfs_spec(
 
 
 def _descriptor_unitary(n_symbol_bits: int, desc: dict):
-    kind = desc.get("kind")
-    if kind == "hadamard":
-        return hadamard_all(n_symbol_bits)
-    if kind == "random-circuit":
-        return densify(run_random_circuit(n_symbol_bits, desc["t"], desc["circuit_seed"]))
-    raise InvalidConfigError(f"descriptor carries no rebuildable unitary: {desc!r}")
+    kind = _DESCRIPTOR_KINDS.get(desc.get("kind"))
+    if kind is None:
+        raise InvalidConfigError(f"descriptor carries no rebuildable unitary: {desc!r}")
+    return build_unitary(kind, n_symbol_bits, desc.get("t"), desc.get("circuit_seed"))
 
 
 def unitary_for_spec(spec: RecursiveOracleSpec):

@@ -32,8 +32,8 @@ from itertools import product
 import numpy as np
 
 from ..errors import CertificationError, InvalidConfigError, SizeError
-from ..oracle import identify, prepare_phi
-from ..simcore import action_matrix, apply_matrix_to_qubits
+from ..oracle import block_probability, identify, prepare_phi
+from ..simcore import action_matrix, hadamard_all, run_gates
 from .core import RecursiveOracleSpec, secret_at
 
 MAX_MODEL_NODES = 100_000
@@ -94,11 +94,6 @@ def query_count_closed_form(m: int, depth: int) -> int:
     return sum((2 * m) ** j for j in range(1, depth + 1))
 
 
-def _block_success(unitary, vec: np.ndarray, rows) -> float:
-    out = unitary.apply(vec)
-    return float(np.sum(np.abs(out[list(rows)]) ** 2))
-
-
 def _haar_perp(rng: np.random.Generator, anchor: np.ndarray) -> np.ndarray:
     """A Haar-random unit vector orthogonal to ``anchor``."""
     dim = anchor.shape[0]
@@ -151,7 +146,7 @@ def find_simulate(
 
     def exact_success(label: int, path) -> float:
         if label not in exact_cache:
-            p = identify(unitary, oracle, label).success_prob
+            p = identify(unitary, oracle, label)
             if p < delta - 1e-12:
                 raise CertificationError(
                     f"label {label} at node {path} identifies with probability "
@@ -176,7 +171,7 @@ def find_simulate(
         else:
             child_eps = np.zeros(dim)
         if label not in sign_cache:
-            sign_cache[label] = 1.0 - 2.0 * oracle.f_bits[label].astype(float)
+            sign_cache[label] = oracle.signs(label)
         c = float(np.mean((1.0 - child_eps) + sign_cache[label] * child_eps))
         return node_out(path, label, max(0.0, (1.0 - c * c) / 4.0))
 
@@ -227,7 +222,7 @@ def find_simulate(
                     math.sqrt(1.0 - 4.0 * eps_unc) * phi
                     + math.sqrt(4.0 * eps_unc) * _haar_perp(rng, phi)
                 )
-                fail *= max(0.0, 1.0 - _block_success(unitary, tilde, rows))
+                fail *= max(0.0, 1.0 - block_probability(unitary.apply(tilde), rows))
             return min(1.0, fail + inject.get(path, 0.0))
 
         draws = np.array([1.0 - walk((), sampled_out) for _ in range(junk_draws)])
@@ -279,7 +274,7 @@ class _RegisterUnitary:
 
     def run(self, state, total, adjoint):
         mat = self.matrix.conj().T if adjoint else self.matrix
-        return apply_matrix_to_qubits(state, total, mat, self.qubits)
+        return run_gates(state, total, [self.qubits], [mat])
 
 
 class _Diagonal:
@@ -343,12 +338,8 @@ class _Probe:
 
 
 def _run_ops(state, total, ops, adjoint=False):
-    if adjoint:
-        for op in reversed(ops):
-            state = op.run(state, total, adjoint=True)
-    else:
-        for op in ops:
-            state = op.run(state, total, adjoint=False)
+    for op in reversed(ops) if adjoint else ops:
+        state = op.run(state, total, adjoint)
     return state
 
 
@@ -360,14 +351,6 @@ class _AdjointBlock:
 
     def run(self, state, total, adjoint):
         return _run_ops(state, total, self.ops, adjoint=not adjoint)
-
-
-def _hadamard_layer_matrix(n: int) -> np.ndarray:
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    out = np.array([[1.0]])
-    for _ in range(n):
-        out = np.kron(out, h)
-    return out.astype(complex)
 
 
 def find_coherent_tiny(
@@ -446,7 +429,7 @@ def find_coherent_tiny(
     def secret_ident(path: tuple[int, ...]) -> int:
         return int(idents[secret_at(spec, path)])
 
-    h_layer = _hadamard_layer_matrix(n)
+    h_layer = action_matrix(hadamard_all(n))
     u_matrix = action_matrix(unitary)
 
     def ancestors_of(inst: tuple[int, ...]) -> list:
@@ -486,7 +469,7 @@ def find_coherent_tiny(
             sym_vals = reg_val(sym_key)
             for combo in anc_combos:
                 label = secret_at(spec, combo)
-                sign_by_x = 1.0 - 2.0 * oracle.f_bits[label].astype(float)
+                sign_by_x = oracle.signs(label)
                 where = ancestor_mask(inst, combo)
                 if level + 1 < depth:
                     key_by_x = np.array(

@@ -339,14 +339,13 @@ class MatrixUnitary:
             raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
         mat = np.asarray(matrix, dtype=complex)
         dim = mat.shape[0]
-        n = int(round(np.log2(dim)))
-        if mat.shape != (dim, dim) or 2**n != dim:
+        if mat.shape != (dim, dim) or dim < 1 or dim & (dim - 1):
             raise InvalidConfigError("matrix dimension must be a power of two")
         defect = unitarity_defect(mat)
         if defect > 1e-10:
             raise InvalidConfigError(f"matrix is not unitary: defect {defect:.3e}")
         self.matrix = mat
-        self.n_qubits = n
+        self.n_qubits = dim.bit_length() - 1
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec

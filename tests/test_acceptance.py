@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from oraclelab.dispersion import l1_row, pseudo_search
+from oraclelab.dispersion import certify_dispersing, pseudo_search
 from oraclelab.experiments import run_qt
 from oraclelab.oracle import build_oracle, identify
 from oraclelab.paulichain import (
@@ -54,7 +54,7 @@ def check(num: int, ok: bool, detail: str) -> None:
 def test_criterion_01_hadamard_dispersion():
     started = time.perf_counter()
     action = hadamard_all(8)
-    values = np.array([l1_row(action, a) for a in range(256)])
+    values = certify_dispersing(action, 1.0).per_label_l1
     elapsed = time.perf_counter() - started
     worst = float(np.abs(values - 16.0).max())
     check(1, worst <= 1e-9 and elapsed < 1.0, f"max |L1-16| = {worst:.2e}, {elapsed:.2f}s")
@@ -89,7 +89,7 @@ def test_criterion_03_flat_transform_identifies_exactly():
         action = hadamard_all(n)
         oracle = build_oracle(action, range(2**n))
         for a in range(2**n):
-            worst = min(worst, identify(action, oracle, a).success_prob)
+            worst = min(worst, identify(action, oracle, a))
     check(3, abs(worst - 1.0) <= 1e-9, f"min success over n<=10: {worst:.12f}")
 
 
@@ -99,7 +99,7 @@ def test_criterion_04_compiled_success_bound():
     oracle = build_oracle(fourier, labels)
     floor = (2.0 / np.pi) ** 2
     qft_min = min(
-        identify(fourier, oracle, k).success_prob for k in range(oracle.n_labels)
+        identify(fourier, oracle, k) for k in range(oracle.n_labels)
     )
     ok_qft = qft_min >= floor - 1e-9
 
@@ -110,7 +110,7 @@ def test_criterion_04_compiled_success_bound():
         action = densify(circ)
         compiled = build_oracle(action, range(2**n), seed=seed)
         for k in range(compiled.n_labels):
-            measured = identify(action, compiled, k).success_prob
+            measured = identify(action, compiled, k)
             worst_margin = min(worst_margin, measured - compiled.predicted_success[k])
     ok_random = worst_margin >= -1e-9
     check(

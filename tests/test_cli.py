@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oraclelab import experiments
+from oraclelab import experiments, oracle, paulichain
 from oraclelab.cli import NUMERICS_VERSION, ExperimentConfig, main, replay, run
 from oraclelab.errors import InvalidConfigError, SchemaVersionError, SizeError
 from oraclelab.rfs import classical_solver, make_rfs_spec, save_query_log
@@ -129,7 +129,7 @@ def test_c_factor_uses_the_experiments_default_n(monkeypatch):
         built.append((n, t))
         raise _Stop
 
-    monkeypatch.setattr(experiments, "run_random_circuit", record_circuit)
+    monkeypatch.setattr(oracle, "run_random_circuit", record_circuit)
     with pytest.raises(_Stop):
         main(["oracle", "--unitary", "random", "--C", "1"])
     assert built == [(8, 512)]
@@ -140,8 +140,8 @@ def test_dense_unitary_above_cap_fails_before_building(monkeypatch, kind):
     def refuse(*args):
         raise AssertionError("built a unitary above the dense cap")
 
-    monkeypatch.setattr(experiments, "run_random_circuit", refuse)
-    monkeypatch.setattr(experiments, "qft_cyclic", refuse)
+    monkeypatch.setattr(oracle, "run_random_circuit", refuse)
+    monkeypatch.setattr(oracle, "qft_cyclic", refuse)
     with pytest.raises(SizeError):
         experiments.run_dispersion({"unitary": kind, "n": 14}, 0)
 
@@ -336,6 +336,37 @@ def test_too_few_samples_rejected_before_any_work(monkeypatch, experiment, param
     monkeypatch.setattr(experiments, "bound_trend_table", refuse)
     with pytest.raises(InvalidConfigError):
         experiments.EXPERIMENTS[experiment](params, 0)
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("qt", {"beta": 0}),
+        ("qt", {"beta": 2}),
+        ("qt", {"beta": -1}),
+        ("dispersion", {"unitary": "random", "n": 9, "beta": 0}),
+        ("markov", {"mode": "gap", "n_list": []}),
+        ("markov", {"mode": "moments", "t_list": []}),
+        ("signs", {"d_min": 0}),
+        ("signs", {"d_min": 9, "d_max": 8}),
+        ("signs", {"d_min": 18, "d_max": 24, "brute_max": 22}),
+    ],
+)
+def test_out_of_range_parameters_rejected_before_any_work(monkeypatch, experiment, params):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started work before checking the parameters")
+
+    monkeypatch.setattr(experiments, "child", refuse)
+    monkeypatch.setattr(experiments, "_build_unitary", refuse)
+    monkeypatch.setattr(paulichain, "gap_table", refuse)
+    with pytest.raises(InvalidConfigError):
+        experiments.EXPERIMENTS[experiment](params, 0)
+
+
+def test_brute_max_above_the_cap_runs_when_no_drawn_d_reaches_it():
+    for params in ({"d_max": 24, "brute_max": 20}, {"d_min": 22, "d_max": 24, "brute_max": 21}):
+        metrics, failures = experiments.run_signs({"trials": 20, **params}, 0)
+        assert metrics["trials"] == 20 and not failures
 
 
 @pytest.mark.parametrize("labels", [0, -1, 9, 20])

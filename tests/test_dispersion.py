@@ -5,7 +5,6 @@ from oraclelab.dispersion import (
     certify_dispersing,
     collision,
     fourth_moment_check,
-    l1_row,
     pseudo_search,
 )
 from oraclelab.errors import DegenerateInputError, InvalidConfigError
@@ -27,15 +26,13 @@ from test_states import dense_two_qubit_matrix
 
 
 def test_l1_identity_is_one():
-    action = MatrixUnitary(np.eye(8, dtype=complex))
-    for a in range(8):
-        assert abs(l1_row(action, a) - 1.0) <= 1e-12
+    l1 = certify_dispersing(MatrixUnitary(np.eye(8, dtype=complex)), 1.0).per_label_l1
+    assert np.all(np.abs(l1 - 1.0) <= 1e-12)
 
 
 def test_l1_hadamard_is_2_to_half_n():
-    action = hadamard_all(3)
-    for a in range(8):
-        assert abs(l1_row(action, a) - 2**1.5) <= 1e-9
+    l1 = certify_dispersing(hadamard_all(3), 1.0).per_label_l1
+    assert np.all(np.abs(l1 - 2**1.5) <= 1e-9)
 
 
 def test_l1_random_circuit_against_dense_recomputation():
@@ -46,8 +43,7 @@ def test_l1_random_circuit_against_dense_recomputation():
         ref = dense_two_qubit_matrix(gate.entries, n, i, j) @ ref
     beta = 0.25
     hits = 0
-    for a in range(2**n):
-        value = l1_row(circ, a)
+    for a, value in enumerate(certify_dispersing(circ, beta).per_label_l1):
         independent = float(np.sum(np.abs(ref[:, a])))
         assert abs(value - independent) <= 1e-9
         assert 1.0 - 1e-9 <= value <= 2 ** (n / 2) + 1e-9

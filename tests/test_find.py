@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -12,6 +15,7 @@ from oraclelab.rfs import (
     query_count,
     query_count_closed_form,
     repetition_count,
+    unitary_for_spec,
 )
 from oraclelab.simcore import MatrixUnitary, hadamard_all, stream
 
@@ -54,6 +58,20 @@ def test_hadamard_specs_are_error_free(depth):
         assert level.eps_out_max <= report.epsilon
     assert report.queries_total == report.queries_closed_form
     assert report.queries_order_estimate == float(2 * report.m) ** (2 * depth)
+
+
+def test_random_circuit_report_is_pinned():
+    # Both junk modes, with two copies so that the sampled successes lie inside (0, 1);
+    # taken while identify measured one label per call.  Moving it must bump
+    # cli.NUMERICS_VERSION.
+    spec = make_rfs_spec(2, 4, 7, kind="random-circuit", circuit_length=256, circuit_seed=0)
+    report = find_simulate(
+        spec, unitary_for_spec(spec), 0.2, junk_mode="both", m_override=2, junk_draws=3,
+        rng=stream(5),
+    )
+    assert 0 < report.sampled["success_min"] < report.sampled["success_max"] < 1
+    digest = hashlib.sha256(json.dumps(dataclasses.asdict(report), sort_keys=True).encode())
+    assert digest.hexdigest() == "502b31396bb7ec3f0b7770f8443b1323bb61df2c353dfc25ff71e6617c76a239"
 
 
 def test_certification_error_names_the_label():

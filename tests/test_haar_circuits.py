@@ -146,6 +146,11 @@ def test_random_circuit_draws_are_pinned():
     assert hashlib.sha256(gates.tobytes()).hexdigest() == PINNED_GATES_SHA256
 
 
+def test_empty_matrix_is_not_a_unitary():
+    with pytest.raises(InvalidConfigError):
+        MatrixUnitary(np.zeros((0, 0), dtype=complex))
+
+
 def test_matrix_above_dense_cap_fails_before_allocating():
     dim = 2 ** (MAX_DENSE_QUBITS + 1)
     # A zero-stride view: the shape of a 13-qubit matrix without its memory.

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oraclelab import experiments
+from oraclelab import experiments, oracle
 from oraclelab.cli import build_parser, main
 from oraclelab.errors import InvalidConfigError
 from oraclelab.rfs import classical_solver, make_rfs_spec, save_query_log
@@ -158,8 +158,9 @@ def test_unknown_mode_or_unitary_fails_as_flag_and_through_config(
     def refuse(*args, **kwargs):
         raise AssertionError("started work before checking the value")
 
-    for name in ("child", "hadamard_all", "qft_cyclic", "run_random_circuit"):
-        monkeypatch.setattr(experiments, name, refuse)
+    monkeypatch.setattr(experiments, "child", refuse)
+    for name in ("hadamard_all", "qft_cyclic", "run_random_circuit"):
+        monkeypatch.setattr(oracle, name, refuse)
     monkeypatch.setattr(experiments.paulichain, "gap_table", refuse)
     monkeypatch.setattr(core, "build_oracle", refuse)
 

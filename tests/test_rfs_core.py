@@ -137,8 +137,10 @@ def test_random_circuit_spec_round_trip(tmp_path):
 
 
 def test_bad_spec_kind():
-    with pytest.raises(InvalidConfigError):
-        make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=0, kind="nope")
+    # The experiments' unitary names "qft" and "random" are not descriptor kinds.
+    for kind in ("nope", "qft", "random"):
+        with pytest.raises(InvalidConfigError):
+            make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=0, kind=kind)
 
 
 def test_reseeded_spec_answer_bit_follows_the_seed():
