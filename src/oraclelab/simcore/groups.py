@@ -20,13 +20,32 @@ from importlib import resources
 
 import numpy as np
 
-from ..errors import InvalidConfigError, InvalidGroupDataError
-from .circuits import MatrixUnitary
+from ..errors import InvalidConfigError, InvalidGroupDataError, SizeError
+from .circuits import MAX_DENSE_QUBITS, MatrixUnitary
 
 IRREP_UNITARY_TOL = 1e-12
 HOMOMORPHISM_TOL = 1e-10
 FOURIER_UNITARY_TOL = 1e-10
-EXHAUSTIVE_ASSOC_MAX_ORDER = 24
+
+
+def generating_set(table: np.ndarray, identity: int) -> list[int]:
+    """Generators of ``table``, each the smallest element outside the subgroup of the earlier
+    ones, which grows from the identity by pointer doubling: ``x -> x s^(2^k)``, k < log2 |G|."""
+    n = len(table)
+    inside = np.zeros(n, dtype=bool)
+    inside[identity] = True
+    gens: list[int] = []
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        size = 0
+        while size < inside.sum():
+            size = inside.sum()
+            for s in gens:
+                step = table[:, s]
+                for _ in range(n.bit_length()):
+                    inside[step[inside]] = True
+                    step = step[step]
+    return gens
 
 
 @dataclass(frozen=True)
@@ -78,10 +97,10 @@ class GroupSpec:
         if not ((np.sort(table, axis=1) == idx).all() and (np.sort(table, axis=0) == idx[:, None]).all()):
             raise InvalidGroupDataError(f"{self.name}: rows/columns are not permutations")
 
-        if n <= EXHAUSTIVE_ASSOC_MAX_ORDER:
-            left = table[table, :]  # left[g,h,k] = table[table[g,h], k]
-            right = table[:, table]  # right[g,h,k] = table[g, table[h,k]]
-            if not (left == right).all():
+        # Light's test: the a with (x a) y = x (a y) for all x, y are closed under products.
+        gens = generating_set(table, int(identity_rows[0]))
+        for s in gens:
+            if not np.array_equal(table[table[:, s]], table[:, table[s]]):
                 raise InvalidGroupDataError(f"{self.name}: mult_table is not associative")
 
         if self.irreps:
@@ -100,13 +119,15 @@ class GroupSpec:
                 defect = np.abs(
                     np.einsum("gij,gik->gjk", mats.conj(), mats) - eye[None]
                 ).max()
-                if defect > IRREP_UNITARY_TOL:
+                if not defect <= IRREP_UNITARY_TOL:
                     raise InvalidGroupDataError(
                         f"{self.name}/{rep.label}: non-unitary matrices (defect {defect:.2e})"
                     )
-                products = np.einsum("gij,hjk->ghik", mats, mats)
-                hom_defect = np.abs(products - mats[table]).max()
-                if hom_defect > HOMOMORPHISM_TOL:
+                # rho(x s) = rho(x) rho(s) for every x and generator s gives every product,
+                # by induction on word length; rho(e) rho(s) = rho(s) gives rho(e) = I.
+                products = np.einsum("gij,sjk->gsik", mats, mats[gens])
+                hom_defect = np.abs(products - mats[table[:, gens]]).max()
+                if not hom_defect <= HOMOMORPHISM_TOL:
                     raise InvalidGroupDataError(
                         f"{self.name}/{rep.label}: not a homomorphism (defect {hom_defect:.2e})"
                     )
@@ -165,6 +186,7 @@ class FourierMatrix:
     group: GroupSpec
     entries: np.ndarray = field(repr=False)
     row_index: tuple[tuple[str, int, int], ...] = ()
+    _blocks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.array(self.entries, dtype=complex)
@@ -178,21 +200,20 @@ class FourierMatrix:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "_blocks", {})  # (label, i) -> rows, in row order
+        for r, (lab, i, _j) in enumerate(self.row_index):
+            self._blocks.setdefault((lab, i), []).append(r)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.entries @ vec
 
     def rows_for_block(self, label: str, i: int) -> list[int]:
         """Rows ``(label, i, *)``: the measurement block of output label ``(label, i)``."""
-        return [r for r, (lab, ii, _jj) in enumerate(self.row_index) if lab == label and ii == i]
+        return list(self._blocks.get((label, i), ()))
 
     def block_labels(self) -> list[tuple[str, int]]:
         """All ``(irrep label, i)`` output labels, in row order."""
-        seen: list[tuple[str, int]] = []
-        for lab, i, _j in self.row_index:
-            if (lab, i) not in seen:
-                seen.append((lab, i))
-        return seen
+        return list(self._blocks)
 
     def as_action(self) -> MatrixUnitary:
         """The matrix as a qubit-register action; order must be a power of two."""
@@ -223,13 +244,15 @@ def cyclic_group(n: int) -> GroupSpec:
     """Z_n with its characters chi_j(g) = exp(2 pi i j g / n)."""
     if n < 2:
         raise InvalidConfigError("cyclic group needs order >= 2")
+    if n > 2**MAX_DENSE_QUBITS:
+        raise SizeError(f"cyclic groups capped at order 2^{MAX_DENSE_QUBITS}")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     omega = np.exp(2j * np.pi / n)
-    # Reduce exponents mod n before powering to keep phases at machine accuracy.
+    # Exponents reduced mod n keep phases at machine accuracy; each power is made once.
+    powers = omega**idx
     irreps = tuple(
-        Irrep(f"chi{j}", 1, (omega ** ((j * idx) % n)).reshape(n, 1, 1))
-        for j in range(n)
+        Irrep(f"chi{j}", 1, powers[(j * idx) % n].reshape(n, 1, 1)) for j in range(n)
     )
     return GroupSpec(f"Z{n}", n, table, irreps)
 
@@ -238,6 +261,8 @@ def xor_group(n_bits: int) -> GroupSpec:
     """The group of n-bit strings under XOR, with parity characters."""
     if n_bits < 1:
         raise InvalidConfigError("need at least one bit")
+    if n_bits > MAX_DENSE_QUBITS:
+        raise SizeError(f"XOR groups capped at {MAX_DENSE_QUBITS} bits")
     n = 2**n_bits
     idx = np.arange(n)
     table = idx[:, None] ^ idx[None, :]

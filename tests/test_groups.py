@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from oraclelab.errors import InvalidConfigError, InvalidGroupDataError
+from oraclelab.errors import InvalidConfigError, InvalidGroupDataError, SizeError
 from oraclelab.simcore import (
+    MAX_DENSE_QUBITS,
     GroupSpec,
     builtin_group,
     cyclic_group,
@@ -15,6 +17,8 @@ from oraclelab.simcore import (
     stream,
     xor_group,
 )
+from oraclelab.simcore import groups
+from oraclelab.simcore.groups import HOMOMORPHISM_TOL, IRREP_UNITARY_TOL, Irrep, generating_set
 
 
 @pytest.mark.parametrize("name", ["s3", "d4", "q8"])
@@ -123,3 +127,142 @@ def test_matrix_csv_dump(tmp_path):
 def test_cyclic_group_requires_order_two():
     with pytest.raises(InvalidConfigError):
         cyclic_group(1)
+
+
+def reference_verdict(order, table, irreps) -> bool:
+    """The O(|G|^3) validator: all-triples associativity, all-pairs homomorphism."""
+    table = np.asarray(table)
+    idx = np.arange(order)
+    latin = (np.sort(table, axis=1) == idx).all() and (np.sort(table, axis=0) == idx[:, None]).all()
+    if not latin:
+        return False
+    identities = [e for e in range(order) if (table[e] == idx).all() and (table[:, e] == idx).all()]
+    if len(identities) != 1 or not (table[table, :] == table[:, table]).all():
+        return False
+    if irreps and sum(rep.dim**2 for rep in irreps) != order:
+        return False
+    for rep in irreps:
+        mats = rep.matrices
+        unitary = np.einsum("gij,gik->gjk", mats.conj(), mats) - np.eye(rep.dim)
+        if not np.abs(unitary).max() <= IRREP_UNITARY_TOL:
+            return False
+        products = np.einsum("gij,hjk->ghik", mats, mats)
+        if not np.abs(products - mats[table]).max() <= HOMOMORPHISM_TOL:
+            return False
+    return True
+
+
+def fast_verdict(order, table, irreps) -> bool:
+    try:
+        GroupSpec("candidate", order, table, irreps)
+    except InvalidGroupDataError:
+        return False
+    return True
+
+
+def _with_matrices(group, label, edit):
+    """``group``'s irreps with ``edit`` applied to a copy of irrep ``label``'s matrices."""
+    irreps = []
+    for rep in group.irreps:
+        if rep.label == label:
+            mats = np.array(rep.matrices)
+            edit(mats)
+            rep = Irrep(rep.label, rep.dim, mats)
+        irreps.append(rep)
+    return tuple(irreps)
+
+
+def intercalate_loop():
+    """Z_32 with the intercalate at rows 3, 19 and columns 5, 21 swapped: a
+    Latin square with a two-sided identity that is not associative."""
+    table = np.array(cyclic_group(32).mult_table)
+    rows, cols = np.ix_([3, 19], [5, 21])
+    table[rows, cols] = table[rows, cols][::-1]
+    return table
+
+
+def corrupted_cases():
+    s3 = builtin_group("s3")
+    z16 = cyclic_group(16)
+    xor2 = xor_group(2)
+
+    def perturb(mats):  # element 3 is not a generator of s3
+        mats[3] *= np.exp(1e-6j)
+
+    def swap(mats):
+        mats[[3, 5]] = mats[[5, 3]]
+
+    def poison(mats):
+        mats[3] = np.nan
+
+    def second_generator(mats):  # rho(x ^ 1) = rho(x) rho(1) holds; rho(2)^2 = -1
+        mats[:, 0, 0] = [1, 1, 1j, 1j]
+
+    return {
+        "loop": (32, intercalate_loop(), ()),
+        "s3-perturbed": (6, s3.mult_table, _with_matrices(s3, "standard", perturb)),
+        "z16-swapped": (16, z16.mult_table, _with_matrices(z16, "chi1", swap)),
+        "xor2-phases": (4, xor2.mult_table, _with_matrices(xor2, "chi2", second_generator)),
+        "s3-nan": (6, s3.mult_table, _with_matrices(s3, "sign", poison)),
+    }
+
+
+def test_generating_sets():
+    assert generating_set(cyclic_group(12).mult_table, 0) == [1]
+    assert generating_set(xor_group(4).mult_table, 0) == [1, 2, 4, 8]
+    for name, gens in (("s3", [1, 2]), ("d4", [1, 4]), ("q8", [1, 2, 4])):
+        assert generating_set(builtin_group(name).mult_table, 0) == gens
+
+
+def test_non_associative_table_refused():
+    with pytest.raises(InvalidGroupDataError, match="associative"):
+        GroupSpec("loop", 32, intercalate_loop())
+
+
+@pytest.mark.parametrize(
+    "case, defect",
+    [
+        ("s3-perturbed", "not a homomorphism"),
+        ("z16-swapped", "not a homomorphism"),
+        ("xor2-phases", "not a homomorphism"),
+        ("s3-nan", "non-unitary"),
+    ],
+)
+def test_corrupted_irrep_refused(case, defect):
+    order, table, irreps = corrupted_cases()[case]
+    with pytest.raises(InvalidGroupDataError, match=defect):
+        GroupSpec(case, order, table, irreps)
+
+
+def test_fast_validator_agrees_with_reference():
+    groups_ok = [builtin_group(name) for name in ("s3", "d4", "q8")]
+    groups_ok += [cyclic_group(n) for n in range(2, 33)]
+    groups_ok += [xor_group(k) for k in range(1, 5)]
+    cases = [(g.order, g.mult_table, g.irreps) for g in groups_ok]
+    for case in cases:
+        assert reference_verdict(*case) and fast_verdict(*case)
+    for name, case in corrupted_cases().items():
+        assert not reference_verdict(*case) and not fast_verdict(*case), name
+
+
+@pytest.mark.parametrize(
+    "order, digest",
+    [
+        (8, "ba8a95fe0ccedba914da66c4c51fe57c74d913c283574fce9abaa01791323052"),
+        (256, "e375b2bd1d9466d150bb52e29583e518d468d514249a1d46014def47d8c8850f"),
+    ],
+)
+def test_qft_entries_are_pinned(order, digest):
+    assert hashlib.sha256(qft_cyclic(order).entries.tobytes()).hexdigest() == digest
+
+
+def test_group_order_cap_checked_before_any_allocation(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} used before the size check")
+
+    monkeypatch.setattr(groups, "np", NoNumpy())
+    with pytest.raises(SizeError):
+        cyclic_group(2**MAX_DENSE_QUBITS + 1)
+    with pytest.raises(SizeError):
+        xor_group(MAX_DENSE_QUBITS + 1)
