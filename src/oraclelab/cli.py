@@ -23,7 +23,10 @@ SCHEMA_VERSION = 1
 # 3: the two-copy average sums by GEMM and takes norms without BLAS.
 # 4: the Walsh-Hadamard transform sums by two Sylvester GEMMs.
 # 5: moment_compare steps its circuits together, drawing step by step.
-NUMERICS_VERSION = 6
+# 6: random-circuit gates fuse into 5-qubit blocks on wide states.
+# 7: the referee reads Z from per-depth frontier counts (rfs replay-log
+# final_z moves by ulps); certification slack scales with 2^n.
+NUMERICS_VERSION = 7
 
 
 @dataclass(frozen=True)

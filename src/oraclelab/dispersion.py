@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidConfigError, LabelError
 from .simcore import FourierMatrix, PureState, adjoint_rows
 
-THRESHOLD_SLACK = 1e-12
 DEFAULT_PSI_SAMPLES = 2000
 
 
@@ -62,7 +61,9 @@ def certify_dispersing(action, beta: float) -> DispersionReport:
 
     Label ``a``'s L1 norm is that of ``U^dag |a>``, one run of the action each.
     A label achieves when its L1 is at least ``beta * 2^(n/2)`` up to a
-    1e-12 boundary slack, so certification is reproducible across platforms.
+    slack of ``2^n * eps * beta * 2^(n/2)``: the norm adds ``2^n`` moduli,
+    each rounded, so its rounding grows with ``2^n``, and a flat row must
+    not miss the threshold by a few ulps per term.
     """
     if not 0 < beta <= 1:
         raise InvalidConfigError("beta must lie in (0, 1]")
@@ -70,7 +71,8 @@ def certify_dispersing(action, beta: float) -> DispersionReport:
     dim = 2**n
     l1 = np.array([np.sum(np.abs(adjoint_rows(action, a))) for a in range(dim)])
     threshold = beta * 2 ** (n / 2)
-    achieving = tuple(int(a) for a in np.nonzero(l1 >= threshold - THRESHOLD_SLACK)[0])
+    slack = dim * np.finfo(float).eps * threshold
+    achieving = tuple(int(a) for a in np.nonzero(l1 >= threshold - slack)[0])
     alpha = float(np.log2(len(achieving)) / n) if achieving else 0.0
     return DispersionReport(n, beta, l1, achieving, alpha)
 

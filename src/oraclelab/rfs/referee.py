@@ -1,8 +1,8 @@
 """Progress-potential referee for query logs, and the guessing bound.
 
 A node counts as *hit* once the oracle has been queried there with its
-correct label (leaves are hit by any query).  Over the set ``S`` of hit
-nodes with no hit ancestor, the potential
+correct label (leaves are hit by any query).  Over the *frontier* ``S``, the
+hit nodes with no hit ancestor, the potential
 
     Z = sum_{x in S} (log2|A| / 3)^(-depth(x))
 
@@ -12,6 +12,17 @@ hits are rare: per query at a node with ``q`` earlier queries there, the
 expected gain is at most ``2 / (|A|^(1/3) - q)``; the referee logs each
 internal query's gain together with that bound so the inequality can be
 checked statistically across many runs.
+
+The replay keeps a count ``c_d`` of frontier nodes at each depth and reads
+``Z = sum_d c_d w_d`` in depth order, with the ``l + 1`` weights ``w_d``
+computed once per log.  A first hit at depth ``k`` checks its ``k``
+ancestors; if none is hit it joins the frontier and removes the frontier
+nodes listed under it (each prefix lists the frontier nodes that joined
+below it, deleted lazily).  A node joins and leaves at most once, so a log
+of ``Q`` queries costs O(Q l) beyond its ``Q`` oracle calls.  Each change of
+``Z`` is checked against the node-level delta (``+w_k`` minus the weight of
+each removed node), and the final ``Z`` against a sorted fold over the
+whole hit set.
 """
 
 from __future__ import annotations
@@ -22,6 +33,8 @@ import numpy as np
 
 from ..errors import IntegrityError, ProtocolError
 from .core import FAIL, QueryRecord, RecursiveOracleSpec, oracle_query
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -61,9 +74,27 @@ def z_weight(n_labels: int, depth_of_node: int) -> float:
     return float(base ** (-depth_of_node))
 
 
+def _fold_slack(n_terms: int, magnitude: float) -> float:
+    """Tolerance for two sums of the same terms folded in different orders.
+
+    A fold of ``m`` terms whose sizes add up to ``S`` rounds by at most
+    ``m * eps * S``; on top of that the 1e-12 floor is the check's own slack.
+    """
+    return 1e-12 + n_terms * _EPS * magnitude
+
+
+def _frontier_z(counts: list[int], weights: list[float]) -> float:
+    """``sum_d c_d w_d``, folded in depth order."""
+    total = 0.0
+    for count, weight in zip(counts, weights):
+        total += count * weight
+    return total
+
+
 def _recompute_z(hits: set, n_labels: int) -> float:
-    # Sorted fold: the value must not depend on set iteration order, so
-    # replays are bit-identical across processes.
+    # Z from the hit set alone, the reference for the frontier counts.  Sorted
+    # fold: the value must not depend on set iteration order, so replays are
+    # bit-identical across processes.
     total = 0.0
     for path in sorted(hits):
         if any(path[:j] in hits for j in range(len(path))):
@@ -81,8 +112,13 @@ def z_referee(spec: RecursiveOracleSpec, log) -> ZTrace:
     result raises :class:`IntegrityError`.
     """
     n_labels = spec.n_labels
-    leaf_w = z_weight(n_labels, spec.depth)
+    weights = [z_weight(n_labels, d) for d in range(spec.depth + 1)]
+    leaf_w = weights[-1]
+    cube_root = n_labels ** (1.0 / 3.0)
+    counts = [0] * (spec.depth + 1)  # frontier nodes per depth
     hits: set = set()
+    frontier: set = set()
+    below: dict = {}  # prefix -> frontier nodes that joined under it
     z = 0.0
     z_values: list[float] = []
     deltas: list[float] = []
@@ -112,26 +148,30 @@ def z_referee(spec: RecursiveOracleSpec, log) -> ZTrace:
         if not is_leaf:
             per_node_queries[path] = q_before + 1
 
-        delta_incremental = 0.0
+        z_new = z
         if hit and path not in hits:
-            ancestor_hit = any(path[:j] in hits for j in range(k))
-            if not ancestor_hit:
-                delta_incremental += z_weight(n_labels, k)
-                # Hit descendants that sat in S now have a hit ancestor.
-                for other in sorted(hits):
-                    if (
-                        len(other) > k
-                        and other[:k] == path
-                        and not any(other[:j] in hits for j in range(len(other)))
-                    ):
-                        delta_incremental -= z_weight(n_labels, len(other))
             hits.add(path)
-            if k == 0 and root_hit_index is None:
+            if k == 0:
                 root_hit_index = pos
-        # The recomputed value is canonical; the incremental one cross-checks it.
-        z_new = _recompute_z(hits, n_labels)
-        if abs((z + delta_incremental) - z_new) > 1e-12:
-            consistent = False
+            if not any(path[:j] in hits for j in range(k)):
+                frontier.add(path)
+                counts[k] += 1
+                # Frontier nodes below the new hit now have a hit ancestor.
+                removed = 0
+                removed_w = 0.0
+                for node in below.pop(path, ()):
+                    if node in frontier:
+                        frontier.remove(node)
+                        counts[len(node)] -= 1
+                        removed += 1
+                        removed_w += weights[len(node)]
+                for j in range(k):
+                    below.setdefault(path[:j], []).append(path)
+                z_new = _frontier_z(counts, weights)
+                # The delta folds removed + 1 terms; Z before and after fold l + 1 each.
+                slack = _fold_slack(removed + 2 * len(weights) + 1, z + weights[k] + removed_w)
+                if abs(z + (weights[k] - removed_w) - z_new) > slack:
+                    consistent = False
         delta = z_new - z
         z = z_new
         z_values.append(z)
@@ -139,7 +179,6 @@ def z_referee(spec: RecursiveOracleSpec, log) -> ZTrace:
         if is_leaf:
             leaf_deltas.append(delta)
         else:
-            cube_root = n_labels ** (1.0 / 3.0)
             bound = 2.0 / (cube_root - q_before) if q_before < cube_root else np.inf
             events.append(
                 InternalQueryEvent(
@@ -150,6 +189,9 @@ def z_referee(spec: RecursiveOracleSpec, log) -> ZTrace:
                     bound=float(bound),
                 )
             )
+    # The frontier counts must agree with a fold over the whole hit set.
+    if abs(_recompute_z(hits, n_labels) - z) > _fold_slack(len(hits) + len(weights), z):
+        consistent = False
 
     p2 = True
     if root_hit_index is not None:

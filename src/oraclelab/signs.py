@@ -10,6 +10,12 @@ crossing the breakpoints in sorted order flips one sign at a time, and one
 cumulative sum gives the partial sum ``z`` of every interval's signs.  The
 largest ``|z|`` is the maximum; duplicate phases need no merging, and ties go
 to the first interval in sweep order.
+
+Real rows (every imaginary part zero, such as the rows of Hadamard
+transforms) skip the sweep: all their breakpoints sit at ``pi/2``, so
+``g(phi) = |cos phi| sum|x_k|`` peaks at ``phi = 0`` and ``theta = sign(x)``,
+with zeros mapped to +1.  That is the sweep's own answer, field for field,
+in O(d).
 """
 
 from __future__ import annotations
@@ -57,8 +63,13 @@ def best_phase_signs(x) -> SignSolution:
     xv = np.asarray(x, dtype=complex).ravel()
     if xv.size == 0 or not np.any(xv != 0):
         raise DegenerateInputError("sign compilation needs a nonzero vector")
-    l1 = float(np.sum(np.abs(xv)))
+    if np.any(xv.imag):
+        return _sweep(xv)
+    return _solution(xv, 0.0, np.where(xv.real >= 0.0, 1, -1))
 
+
+def _sweep(xv: np.ndarray) -> SignSolution:
+    """The sorted sweep over the breakpoints of a nonzero complex vector."""
     nonzero = xv[xv != 0]
     breaks = np.mod(np.pi / 2 - np.angle(nonzero), np.pi)
     order = np.argsort(breaks, kind="stable")
@@ -73,9 +84,12 @@ def best_phase_signs(x) -> SignSolution:
     phi_star = float(np.mod(-np.angle(best), np.pi))
     if phi_star >= np.pi:  # a critical phase just below 0 rounds up to pi
         phi_star = 0.0
-    theta = _signs_at(xv, phi_star)
+    return _solution(xv, phi_star, _signs_at(xv, phi_star))
+
+
+def _solution(xv: np.ndarray, phi_star: float, theta: np.ndarray) -> SignSolution:
     value = float(np.abs(np.sum(theta * xv)))
-    return SignSolution(phi_star, tuple(theta.tolist()), value, l1)
+    return SignSolution(phi_star, tuple(theta.tolist()), value, float(np.sum(np.abs(xv))))
 
 
 def brute_force_signs(x) -> tuple[tuple[int, ...], float]:

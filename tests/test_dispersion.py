@@ -13,6 +13,7 @@ from oraclelab.simcore import (
     MatrixUnitary,
     PureState,
     TwoQubitGate,
+    action_matrix,
     apply_gate,
     builtin_group,
     fwht_normalized,
@@ -54,6 +55,20 @@ def test_l1_random_circuit_against_dense_recomputation():
 def test_certify_hadamard_full_alpha():
     report = certify_dispersing(hadamard_all(6), beta=1.0)
     assert len(report.achieving_set) == 64
+    assert report.alpha_achieved == 1.0
+
+
+def test_dense_flat_spectrum_certifies_every_label():
+    # H times the diagonal phases w, w^2, ..., w^(2^n), each a product of the
+    # last, as a Fourier transform builds its twiddles.  The products drift
+    # off the unit circle, so every row's L1 falls 2.1e-12 short of 2^(n/2):
+    # a rounding shortfall that grows with 2^n, not a dispersion failure.
+    n = 11
+    w = np.exp(2j * np.pi * stream(0).uniform())
+    phases = np.cumprod(np.full(2**n, w))
+    report = certify_dispersing(MatrixUnitary(action_matrix(hadamard_all(n)) * phases), beta=1.0)
+    assert np.max(2 ** (n / 2) - report.per_label_l1) > 1e-12
+    assert len(report.achieving_set) == 2**n
     assert report.alpha_achieved == 1.0
 
 

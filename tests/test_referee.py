@@ -17,6 +17,7 @@ from oraclelab.rfs import (
     z_referee,
     z_weight,
 )
+from oraclelab.rfs import referee
 from oraclelab.simcore import stream
 
 
@@ -175,3 +176,140 @@ def test_referee_trace_is_pinned():
     trace = z_referee(spec, classical_solver(spec).log)
     digest = hashlib.sha256(json.dumps(asdict(trace), sort_keys=True).encode()).hexdigest()
     assert digest == "90b882f02e49949c7a5936d8d4197bee8c7051497fd95e93ce95e1f9e67c6f36"
+
+
+def _reference_trace(spec, log):
+    """The potential recomputed from the hit set after every query.
+
+    This is the quadratic definition the frontier counts replace: every z is
+    a sorted fold over the hits so far, and the deltas, events, root hit and
+    the P2/P4 verdicts are read off those z values.
+    """
+    n_labels = spec.n_labels
+    hits = set()
+    per_node = {}
+    z = 0.0
+    out = {"z": [], "deltas": [], "leaf_deltas": [], "events": [], "root": None}
+    for pos, rec in enumerate(log):
+        q_before = per_node.get(rec.path, 0)
+        if len(rec.path) < spec.depth:
+            per_node[rec.path] = q_before + 1
+        if rec.result != FAIL:
+            if rec.path == () and out["root"] is None:
+                out["root"] = pos
+            hits.add(rec.path)
+        z_new = referee._recompute_z(hits, n_labels)
+        delta, z = z_new - z, z_new
+        out["z"].append(z)
+        out["deltas"].append(delta)
+        if len(rec.path) == spec.depth:
+            out["leaf_deltas"].append(delta)
+        else:
+            out["events"].append((pos, len(rec.path), q_before, delta))
+    root = out["root"]
+    out["p2"] = root is None or all(v == 1.0 for v in out["z"][root:])
+    out["p4"] = all(d <= z_weight(n_labels, spec.depth) + 1e-12 for d in out["leaf_deltas"])
+    return out
+
+
+def _ulps(a, b):
+    return abs(a - b) / np.spacing(max(abs(a), abs(b), np.finfo(float).tiny))
+
+
+def hitting_log(spec, n_queries, rng):
+    """Random queries that often guess right, so internal and root hits cover earlier hits."""
+    log = []
+    for _ in range(n_queries):
+        depth = int(rng.integers(0, spec.depth + 1))
+        if depth == 0 and rng.random() < 0.9:
+            depth = spec.depth  # keep the root hit late in most logs
+        if log and rng.random() < 0.15:
+            path = log[int(rng.integers(len(log)))].path[:depth]  # repeat a prefix
+        else:
+            path = tuple(int(rng.integers(2**spec.n_symbol_bits)) for _ in range(depth))
+        if len(path) == spec.depth:
+            oracle_query(spec, path, log=log)
+        elif rng.random() < 0.5:
+            oracle_query(spec, path, guess=secret_at(spec, path), log=log)
+        else:
+            oracle_query(spec, path, guess=int(rng.integers(spec.n_labels)), log=log)
+    return log
+
+
+def _referee_logs():
+    logs = []
+    for depth, n, alpha_n in ((2, 4, 4), (2, 6, 3), (3, 4, None), (3, 3, 2), (4, 3, None)):
+        for seed in range(3):
+            spec = make_rfs_spec(depth=depth, n_symbol_bits=n, master_seed=seed, alpha_n=alpha_n)
+            logs.append((spec, list(classical_solver(spec).log)))
+            logs.append((spec, hitting_log(spec, 200, stream(1000 * depth + 10 * n + seed))))
+    return logs
+
+
+_REFEREE_LOGS = _referee_logs()
+
+
+@pytest.mark.parametrize("case", range(len(_REFEREE_LOGS)))
+def test_frontier_counts_match_the_per_prefix_recomputation(case):
+    spec, log = _REFEREE_LOGS[case]
+    trace = z_referee(spec, log)
+    ref = _reference_trace(spec, log)
+    assert len(trace.z_values) == len(ref["z"]) == len(log)
+    assert max(_ulps(a, b) for a, b in zip(trace.z_values, ref["z"])) <= 4
+    scale = np.spacing(max(1.0, max(ref["z"])))
+    assert all(abs(a - b) <= 8 * scale for a, b in zip(trace.deltas, ref["deltas"]))
+    assert all(abs(a - b) <= 8 * scale for a, b in zip(trace.leaf_deltas, ref["leaf_deltas"]))
+    events = [(e.index, e.depth, e.prior_queries_at_node) for e in trace.internal_events]
+    assert events == [event[:3] for event in ref["events"]]
+    assert all(
+        abs(e.delta_z - event[3]) <= 8 * scale for e, event in zip(trace.internal_events, ref["events"])
+    )
+    assert trace.root_hit_index == ref["root"]
+    assert trace.p1_initial_zero
+    assert trace.p2_root_hit_z_one == ref["p2"]
+    assert trace.p3_incremental_consistent
+    assert trace.p4_leaf_increment_ok == ref["p4"]
+
+
+def test_referee_logs_cover_root_hits_and_covered_descendants():
+    roots = 0
+    covering = 0
+    for spec, log in _REFEREE_LOGS:
+        trace = z_referee(spec, log)
+        roots += trace.root_hit_index is not None
+        covering += any(d < 0 for d in trace.deltas)  # an internal hit absorbed deeper ones
+    assert roots >= 15 and covering >= 15
+
+
+def test_referee_recomputes_the_hit_set_once_per_log(monkeypatch):
+    calls = []
+    reference = referee._recompute_z
+
+    def counted(hits, n_labels):
+        calls.append(len(hits))
+        return reference(hits, n_labels)
+
+    monkeypatch.setattr(referee, "_recompute_z", counted)
+    for spec, log in _REFEREE_LOGS[:6]:
+        calls.clear()
+        trace = z_referee(spec, log)
+        assert trace.p3_incremental_consistent
+        assert len(calls) <= 1
+
+
+def test_frontier_z_is_exact_where_long_folds_drift():
+    # 3000 leaf queries at weight (5/3)^-2: a fold over the hit set drifts
+    # about 2e-11 from the count times the weight; P3 must not fire on it.
+    spec = make_rfs_spec(depth=2, n_symbol_bits=6, master_seed=3, alpha_n=5)
+    rng = stream(5)
+    log = []
+    for _ in range(3000):
+        oracle_query(spec, (int(rng.integers(64)), int(rng.integers(64))), log=log)
+    trace = z_referee(spec, log)
+    leaves = len({rec.path for rec in log})
+    assert trace.final_z == float(leaves * z_weight(spec.n_labels, 2))
+    assert trace.p3_incremental_consistent
+    oracle_query(spec, (), guess=secret_at(spec, ()), log=log)
+    trace = z_referee(spec, log)
+    assert trace.final_z == 1.0
+    assert trace.p2_root_hit_z_one and trace.p3_incremental_consistent

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclelab.errors import DegenerateInputError, SizeError
-from oraclelab.signs import best_phase_signs, brute_force_signs
-from oraclelab.simcore import qft_cyclic, stream
+from oraclelab.signs import _sweep, best_phase_signs, brute_force_signs
+from oraclelab.simcore import adjoint_rows, hadamard_all, qft_cyclic, stream
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -145,3 +145,44 @@ def test_property_captures_two_over_pi(x):
         return
     sol = best_phase_signs(x)
     assert sol.value >= TWO_OVER_PI * sol.l1 - 1e-12 * sol.l1
+
+
+def _real_row_cases():
+    rng = stream(44)
+    cases = [("negative", [-rng.uniform(0.1, 3.0, d) for d in (1, 2, 7, 16)])]
+    signed_zeros = []
+    for d in (3, 8, 17):
+        x = rng.standard_normal(d)
+        x[::3] = 0.0
+        x[1::4] = -0.0
+        signed_zeros.append(x)
+    signed_zeros.append(np.array([0.0, -0.0, -1.0, 0.0]))
+    cases.append(("signed zeros", signed_zeros))
+    cases.append(("one entry", [np.array([v]) for v in (2.5, -2.5, 1e-300, -7.0)]))
+    zero_imag = []
+    for d in (1, 5, 12):
+        x = rng.standard_normal(d)
+        signed = np.where(rng.random(d) < 0.5, 0.0, -0.0)
+        zero_imag.append(np.array([complex(r, i) for r, i in zip(x, signed)]))
+    zero_imag.append(np.array([complex(-0.0, -0.0), complex(-1.0, -0.0), complex(2.0, 0.0)]))
+    cases.append(("imaginary parts +-0", zero_imag))
+    for n in range(1, 7):
+        h = hadamard_all(n)
+        cases.append((f"hadamard n={n}", [adjoint_rows(h, a) for a in range(2**n)]))
+    return [pytest.param(kind, rows, id=kind) for kind, rows in cases]
+
+
+def _bits(sol):
+    floats = (sol.phi_star, sol.value, sol.l1)
+    return sol.theta, [np.float64(v).tobytes() for v in floats]
+
+
+@pytest.mark.parametrize("kind,rows", _real_row_cases())
+def test_real_rows_short_path_equals_the_sweep(kind, rows):
+    for x in rows:
+        sol = best_phase_signs(x)
+        assert _bits(sol) == _bits(_sweep(np.asarray(x, dtype=complex).ravel())), kind
+        assert sol.theta == tuple(1 if v >= 0 else -1 for v in np.real(x))
+        if np.size(x) <= 20:
+            _theta, best = brute_force_signs(x)
+            assert abs(sol.value - best) <= 1e-12 * sol.l1, kind
