@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidConfigError, LabelError
-from .simcore import FourierMatrix, PureState, adjoint_rows
+from .simcore import FourierMatrix, adjoint_rows
 
 DEFAULT_PSI_SAMPLES = 2000
 
@@ -118,20 +118,6 @@ def pseudo_search(
     )
 
 
-def pseudo_alpha(fourier: FourierMatrix) -> tuple[float, bool]:
-    """Label-set exponent of a Fourier matrix's output blocks.
-
-    There are ``sum_rep d_rep`` output labels ``(rep, i)``; the exponent is
-    reported relative to ``log2 |G|`` qubits.  The flag marks orders that are
-    not powers of two, where the label register does not embed exactly into
-    qubits and the exponent is only nominal.
-    """
-    n_blocks = len(fourier.block_labels())
-    order = fourier.group.order
-    alpha = float(np.log2(n_blocks) / np.log2(order))
-    return alpha, (order & (order - 1)) == 0
-
-
 def fourth_moment_check(values) -> tuple[float, float, bool]:
     """Check ``E|Y| >= (E Y^2)^(3/2) / (E Y^4)^(1/2)`` on an empirical sample.
 
@@ -148,7 +134,3 @@ def fourth_moment_check(values) -> tuple[float, float, bool]:
     rhs = m2**1.5 / np.sqrt(m4)
     return lhs, rhs, lhs >= rhs - 1e-12
 
-
-def collision(state: PureState) -> float:
-    """Collision probability ``sum_x |amp(x)|^4``; lies in ``[2^-n, 1]``."""
-    return float(np.sum(np.abs(state.amplitudes) ** 4))

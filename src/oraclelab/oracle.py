@@ -11,7 +11,6 @@ on ``a``.  The compiled table guarantees a success probability of at least
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,48 +85,6 @@ class SingleLevelOracle:
                 return k
         raise LabelError(f"unknown label {ident!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_qubits,
-            "m": self.m_bits,
-            "labels": [list(s.ident) if isinstance(s.ident, tuple) else s.ident for s in self.labels],
-            # Bit order: x ascending, least-significant bit first within each byte.
-            "f_bits": [
-                np.packbits(row, bitorder="little").tobytes().hex()
-                for row in self.f_bits
-            ],
-            "beta": [float(b) for b in self.betas],
-            "seed": self.seed,
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-
-def load_oracle(path) -> SingleLevelOracle:
-    """Load a compiled oracle instance from its JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    n = int(data["n"])
-    dim = 2**n
-    rows = []
-    for hexrow in data["f_bits"]:
-        packed = np.frombuffer(bytes.fromhex(hexrow), dtype=np.uint8)
-        rows.append(np.unpackbits(packed, bitorder="little")[:dim])
-    labels = tuple(
-        LabelSpec(tuple(ident) if isinstance(ident, list) else int(ident), rows=())
-        for ident in data["labels"]
-    )
-    return SingleLevelOracle(
-        n_qubits=n,
-        m_bits=int(data["m"]),
-        labels=labels,
-        f_bits=np.array(rows, dtype=np.uint8),
-        betas=np.array(data["beta"], dtype=float),
-        seed=data.get("seed"),
-    )
-
 
 def build_unitary(kind: str, n: int, t: int | None = None, seed: int | None = None):
     """The action of a named unitary on ``n`` qubits.
@@ -196,6 +153,9 @@ def build_oracle(
     else:
         n = unitary.n_qubits
         m = n
+        outside = [int(a) for a in labels if not 0 <= a < 2**n]
+        if outside:
+            raise LabelError(f"labels {outside} outside the basis [0, 2^{n})")
         specs = [LabelSpec(int(a), (int(a),)) for a in labels]
         compiled_rows = (adjoint_rows(unitary, s.rows[0]).conj() for s in specs)
 
@@ -238,12 +198,6 @@ def block_probability(out: np.ndarray, rows) -> float:
     are measured).  Rounding above 1 is clipped.
     """
     return min(float(np.sum(np.abs(out[list(rows)]) ** 2)), 1.0)
-
-
-def outcome_distribution(unitary, oracle: SingleLevelOracle, label_index: int) -> np.ndarray:
-    """Probabilities of every label's measurement block on ``U |phi_a>``."""
-    out = unitary.apply(prepare_phi(oracle, label_index).amplitudes)
-    return np.array([block_probability(out, spec.rows) for spec in oracle.labels])
 
 
 def identify(unitary, oracle: SingleLevelOracle, label_index: int) -> float:

@@ -56,37 +56,12 @@ class PauliString:
         if any(c not in (0, 1, 2, 3) for c in self.codes):
             raise InvalidConfigError("site codes must be 0..3")
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.codes)
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for c in self.codes if c != 0)
-
     def matrix(self) -> np.ndarray:
         out = np.array([[1.0 + 0j]])
         # Site k is bit k of the basis index, so it is the last kron factor.
         for code in reversed(self.codes):
             out = np.kron(out, PAULI_1Q[code])
         return out
-
-
-def chain_step(p: PauliString, rng: np.random.Generator) -> PauliString:
-    """One update: pick a random distinct pair of sites and rerandomize it."""
-    n = p.n_sites
-    if n < 2:
-        raise InvalidConfigError("chain needs at least 2 sites")
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    codes = list(p.codes)
-    if codes[i] == 0 and codes[j] == 0:
-        return p
-    a, b = NONZERO_PAIRS[int(rng.integers(15))]
-    codes[i], codes[j] = int(a), int(b)
-    return PauliString(tuple(codes))
 
 
 def walk_ensemble(
@@ -99,6 +74,8 @@ def walk_ensemble(
     """Evolve many independent walkers; returns final codes, shape (walkers, n)."""
     if n_sites < 2:
         raise InvalidConfigError("chain needs at least 2 sites")
+    if steps < 0:
+        raise InvalidConfigError("steps must be nonnegative")
     if start is None:
         start = (1,) + (0,) * (n_sites - 1)
     codes = np.tile(np.array(start, dtype=np.uint8), (walkers, 1))
@@ -118,51 +95,12 @@ def walk_ensemble(
 
 
 @dataclass(frozen=True)
-class GammaDistribution:
-    """Probability masses of squared Pauli coefficients after ``t`` steps."""
-
-    n_sites: int
-    t: int
-    masses: np.ndarray = field(repr=False)  # indexed like all_strings(n)
-
-    def __post_init__(self):
-        masses = np.asarray(self.masses, dtype=float)
-        if masses.shape != (4**self.n_sites,):
-            raise InvalidConfigError("need one mass per Pauli string")
-        if masses.min() < -1e-12 or abs(masses.sum() - 1.0) > 1e-9:
-            raise InvalidConfigError("masses must be a probability distribution")
-
-    def mass(self, codes) -> float:
-        index = 0
-        for c in codes:
-            index = index * 4 + int(c)
-        return float(self.masses[index])
-
-    @classmethod
-    def initial(cls, n: int, a: int = 0) -> "GammaDistribution":
-        return cls(n, 0, initial_gamma_squared(n, a))
-
-    def stepped(self, chain_matrix: np.ndarray, steps: int = 1) -> "GammaDistribution":
-        masses = self.masses
-        for _ in range(steps):
-            masses = masses @ chain_matrix
-        return GammaDistribution(self.n_sites, self.t + steps, masses)
-
-
-@dataclass(frozen=True)
 class WeightChain:
     """Weight-lumped transition matrix on ``{1, .., n}`` with its stationary law."""
 
     n_sites: int
     transition: np.ndarray = field(repr=False)
     stationary: np.ndarray = field(repr=False)
-
-    def states(self) -> np.ndarray:
-        return np.arange(1, self.n_sites + 1)
-
-    def stationary_json(self) -> dict:
-        """Weight-to-mass map in the documented dump layout."""
-        return {str(w): float(p) for w, p in zip(self.states(), self.stationary)}
 
 
 def _lumped_rows(n: int, num) -> list:
@@ -338,15 +276,18 @@ def moment_compare(
     for vec in states:
         acc += gamma_squared(PureState(n, vec))
     lhs = acc / circuits
-    rhs = GammaDistribution.initial(n, a).stepped(full_transition_matrix(n), steps)
-    tv = 0.5 * float(np.sum(np.abs(lhs - rhs.masses)))
+    chain = full_transition_matrix(n)
+    rhs = initial_gamma_squared(n, a)
+    for _ in range(steps):
+        rhs = rhs @ chain
+    tv = 0.5 * float(np.sum(np.abs(lhs - rhs)))
     return {
         "n": n,
         "t": steps,
         "circuits": circuits,
         "tv_distance": tv,
         "lhs_mass": float(lhs.sum()),
-        "rhs_mass": float(rhs.masses.sum()),
+        "rhs_mass": float(rhs.sum()),
     }
 
 
@@ -372,19 +313,6 @@ def _transfer_complex(gates: np.ndarray) -> np.ndarray:
     right = (doubled @ cols).reshape(-1, 16, 16)
     left = np.tensordot(rows, right, (1, 1))  # axes (p, gate, q)
     return np.moveaxis(left, 0, 1).reshape(gates.shape[:-2] + (16, 16)) / 4.0
-
-
-def pauli_transfer(gate: np.ndarray) -> np.ndarray:
-    """16x16 conjugation matrix ``tr(sigma_p W sigma_q W^dag)/4`` on two sites.
-
-    Real for any unitary gate (conjugation preserves Hermiticity in the
-    Hermitian Pauli basis); the residual imaginary part is asserted small.
-    """
-    ad = _transfer_complex(gate)
-    imag = float(np.abs(ad.imag).max())
-    if imag > 1e-12:
-        raise InvalidConfigError(f"transfer matrix not real: residual {imag:.2e}")
-    return ad.real
 
 
 def two_copy_target() -> np.ndarray:

@@ -18,13 +18,7 @@ import numpy as np
 
 from ..errors import InvalidConfigError, InvalidPlacementError, SizeError
 from .rng import stream
-from .states import (
-    UNITARY_TOL,
-    PureState,
-    TwoQubitGate,
-    fwht_normalized,
-    unitarity_defect,
-)
+from .states import UNITARY_TOL, TwoQubitGate, fwht_normalized, unitarity_defect
 
 MAX_QUBITS = 14
 # A dense 2^12 x 2^12 complex matrix takes 256 MiB.
@@ -114,10 +108,6 @@ class RandomCircuit:
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """Apply the sampled gates in order: the action of ``U^dag``."""
         return _run_fused(vec, self.n_qubits, self.pairs, self.gates)
-
-    def state_from_basis(self, a: int) -> PureState:
-        """The forward-run state ``U^dag |a>``."""
-        return PureState(self.n_qubits, self.apply_adjoint(basis_vector(self.n_qubits, a)))
 
 
 def _checked_supports(supports, n_qubits: int) -> np.ndarray:
@@ -296,6 +286,10 @@ def run_pair_circuits(states: np.ndarray, n_qubits: int, steps: int, rngs) -> np
     scatter; no gate outlives its step, so memory stays O(circuits * 2^n).
     Returns the final states, one per row.
     """
+    if n_qubits < 2:
+        raise InvalidConfigError("random circuits need at least 2 qubits")
+    if steps < 0:
+        raise InvalidConfigError("steps must be nonnegative")
     out = np.array(states, dtype=complex)
     if out.ndim != 2 or out.shape[1] != 2**n_qubits or len(rngs) != len(out):
         raise ValueError("need one stream per row of 2^n amplitudes")

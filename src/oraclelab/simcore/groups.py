@@ -132,24 +132,6 @@ class GroupSpec:
                         f"{self.name}/{rep.label}: not a homomorphism (defect {hom_defect:.2e})"
                     )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "order": self.order,
-            "mult_table": self.mult_table.tolist(),
-            "irreps": [
-                {
-                    "label": rep.label,
-                    "dim": rep.dim,
-                    "matrices": [
-                        [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-                        for mat in rep.matrices
-                    ],
-                }
-                for rep in self.irreps
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupSpec":
         irreps = tuple(
@@ -289,11 +271,3 @@ def builtin_group(name: str) -> GroupSpec:
             return GroupSpec.from_json_dict(item)
     raise InvalidConfigError(f"no builtin group named {name!r}")
 
-
-def dump_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Debug dump: row-major CSV, cells formatted re+imj at 17 significant digits."""
-    mat = np.asarray(matrix, dtype=complex)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in mat:
-            fh.write(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
-            fh.write("\n")

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InvalidPlacementError
-
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-12
 
@@ -80,11 +78,6 @@ class PureState:
         amps[index] = 1.0
         return cls(n_qubits, amps)
 
-    @classmethod
-    def uniform(cls, n_qubits: int) -> "PureState":
-        dim = 2**n_qubits
-        return cls(n_qubits, np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -107,15 +100,6 @@ def apply_matrix_to_qubits(
     moved = np.tensordot(mat_t, tensor, axes=(list(range(k, 2 * k)), axes))
     out = np.moveaxis(moved, list(range(k)), axes)
     return np.ascontiguousarray(out).reshape((2**n_qubits,) + batch_shape)
-
-
-def apply_gate(state: PureState, gate: TwoQubitGate, i: int, j: int) -> PureState:
-    """Apply ``gate`` to qubits ``i`` (most-significant local bit) and ``j``."""
-    n = state.n_qubits
-    if i == j or not (0 <= i < n) or not (0 <= j < n):
-        raise InvalidPlacementError(f"invalid qubit pair ({i}, {j}) for n={n}")
-    out = apply_matrix_to_qubits(state.amplitudes, n, gate.entries, (i, j))
-    return PureState(n, out)
 
 
 @functools.cache

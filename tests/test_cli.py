@@ -175,6 +175,21 @@ def test_cli_main_dispersion_exit_zero(capsys):
     assert "all checks passed" in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["markov", "--mode", "moments", "--n", "2", "--t-list=-2"],
+        ["markov", "--mode", "lumped-vs-full", "--t", "-5"],
+        ["markov", "--mode", "moments", "--n", "1"],
+        ["qt", "--t", "-3"],
+        ["qt", "--n", "1"],
+    ],
+)
+def test_cli_refuses_negative_steps_and_single_qubits(argv):
+    with pytest.raises(InvalidConfigError):
+        main(argv)
+
+
 def test_cli_markov_gap_csv(tmp_path, capsys):
     csv_path = tmp_path / "gaps.csv"
     code = main(["markov", "--mode", "gap", "--n-list", "4,8", "--csv", str(csv_path)])

@@ -1,21 +1,14 @@
 import numpy as np
 import pytest
 
-from oraclelab.dispersion import (
-    certify_dispersing,
-    collision,
-    fourth_moment_check,
-    pseudo_search,
-)
+from oraclelab.dispersion import certify_dispersing, fourth_moment_check, pseudo_search
 from oraclelab.errors import DegenerateInputError, InvalidConfigError
+from oraclelab.paulichain import collision_statistics
 from oraclelab.simcore import (
-    SWAP_2Q,
     MatrixUnitary,
-    PureState,
-    TwoQubitGate,
     action_matrix,
-    apply_gate,
     builtin_group,
+    child,
     fwht_normalized,
     group_fourier,
     hadamard_all,
@@ -114,18 +107,6 @@ def test_pseudo_search_requires_rng():
         pseudo_search(qft_cyclic(4), ("chi1", 1), samples=10, rng=None)
 
 
-def test_pseudo_alpha_reporting():
-    from oraclelab.dispersion import pseudo_alpha
-
-    alpha, exact_register = pseudo_alpha(group_fourier(builtin_group("q8")))
-    # 6 output labels over 8 elements: log2(6)/3, and 8 is a power of two.
-    assert abs(alpha - np.log2(6) / 3) <= 1e-12
-    assert exact_register
-    alpha_s3, exact_s3 = pseudo_alpha(group_fourier(builtin_group("s3")))
-    assert not exact_s3  # order 6 does not fill a qubit register
-    assert alpha_s3 >= 0.5  # at least half the register, any group
-
-
 def test_fourth_moment_sign_variable():
     lhs, rhs, ok = fourth_moment_check([1.0, -1.0, 1.0, -1.0])
     assert ok and abs(lhs - 1.0) <= 1e-15 and abs(rhs - 1.0) <= 1e-15
@@ -157,26 +138,22 @@ def test_fourth_moment_rejects_zero():
 
 
 def test_collision_extremes():
-    assert collision(PureState.basis(4, 3)) == 1.0
-    assert abs(collision(PureState.uniform(4)) - 2.0**-4) <= 1e-12
-
-
-def test_collision_after_hadamard_and_swap():
-    state = PureState.basis(2, 0)
-    state = PureState(2, fwht_normalized(state.amplitudes))
-    state = apply_gate(state, TwoQubitGate(SWAP_2Q), 0, 1)
-    assert abs(collision(state) - 0.25) <= 1e-12
+    # A basis state carries all its mass on one amplitude.
+    q, l1 = collision_statistics(4, 0, [stream(1)], [3])
+    assert q[0] == 1.0 and l1[0] == 1.0
+    # Every state lies between a basis state and the uniform state.
+    rngs = [child(2, c) for c in range(20)]
+    q, l1 = collision_statistics(4, 40, rngs, [c % 16 for c in range(20)])
+    assert np.all((q >= 2.0**-4 - 1e-12) & (q <= 1.0 + 1e-12))
+    assert np.all((l1 >= 1.0 - 1e-12) & (l1 <= 2.0**2 + 1e-12))
 
 
 def test_l1_collision_inequality():
     # L1^2 * collision >= 1 for every normalized state.
     rng = stream(15)
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        amps /= np.linalg.norm(amps)
-        state = PureState(n, amps)
-        l1 = float(np.sum(np.abs(amps)))
-        q = collision(state)
-        assert q >= 2.0**-n - 1e-12
-        assert l1 * l1 * q >= 1.0 - 1e-9
+    for n in range(2, 6):
+        for steps in (1, n, 4 * n**2):
+            rngs = [child(15 * n + steps, c) for c in range(20)]
+            q, l1 = collision_statistics(n, steps, rngs, rng.integers(2**n, size=20))
+            assert np.all(q >= 2.0**-n - 1e-12)
+            assert np.all(l1 * l1 * q >= 1.0 - 1e-9)

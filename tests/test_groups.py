@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from oraclelab.simcore import (
     GroupSpec,
     builtin_group,
     cyclic_group,
-    dump_matrix_csv,
     fwht_normalized,
     group_fourier,
     qft_cyclic,
@@ -73,20 +71,6 @@ def test_plancherel_on_random_vectors(name):
         ) <= 1e-10 * np.linalg.norm(vec)
 
 
-def test_group_json_round_trip(tmp_path):
-    group = builtin_group("s3")
-    path = tmp_path / "s3.json"
-    with open(path, "w") as fh:
-        json.dump(group.to_json_dict(), fh)
-    with open(path) as fh:
-        reloaded = GroupSpec.from_json_dict(json.load(fh))
-    assert reloaded.order == group.order
-    np.testing.assert_array_equal(reloaded.mult_table, group.mult_table)
-    for a, b in zip(reloaded.irreps, group.irreps):
-        assert a.label == b.label
-        np.testing.assert_allclose(a.matrices, b.matrices)
-
-
 def test_bad_group_data_rejected():
     group = builtin_group("s3")
     bad_table = np.array(group.mult_table)
@@ -112,16 +96,6 @@ def test_as_action_requires_power_of_two():
         group_fourier(builtin_group("s3")).as_action()
     action = group_fourier(builtin_group("d4")).as_action()
     assert action.n_qubits == 3
-
-
-def test_matrix_csv_dump(tmp_path):
-    fourier = qft_cyclic(2)
-    path = tmp_path / "f.csv"
-    dump_matrix_csv(fourier.entries, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 2
-    cell = lines[0].split(",")[0]
-    assert cell.endswith("j") and "0.70710678118654" in cell
 
 
 def test_cyclic_group_requires_order_two():

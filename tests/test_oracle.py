@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from oraclelab import experiments
+from oraclelab import oracle as oracle_module
 from oraclelab.dispersion import certify_dispersing, pseudo_search
 from oraclelab.errors import InvalidConfigError, LabelError
 from oraclelab.oracle import (
+    block_probability,
     build_oracle,
     classical_guess_bound,
     identify,
-    load_oracle,
-    outcome_distribution,
     prepare_phi,
     simulate_bisection_strategy,
 )
@@ -130,10 +130,16 @@ def test_hadamard_identification_exact_and_phi_inverts():
         assert abs(identify(action, oracle, a) - 1.0) <= 1e-9
 
 
+def _block_probabilities(unitary, oracle, label_index: int) -> np.ndarray:
+    """Probability of every label's measurement block on ``U |phi_a>``."""
+    out = unitary.apply(prepare_phi(oracle, label_index).amplitudes)
+    return np.array([block_probability(out, spec.rows) for spec in oracle.labels])
+
+
 def test_outcome_distribution_sums_to_one():
     fourier = qft_cyclic(8)
     oracle = build_oracle(fourier, [(f"chi{j}", 1) for j in range(8)])
-    dist = outcome_distribution(fourier, oracle, 3)
+    dist = _block_probabilities(fourier, oracle, 3)
     assert abs(dist.sum() - 1.0) <= 1e-9
 
 
@@ -161,7 +167,7 @@ def test_group_block_oracle_with_ancilla(name):
     for k, label in enumerate(blocks):
         measured = identify(fourier, oracle, k)
         assert measured >= oracle.predicted_success[k] - 1e-9
-    dist = outcome_distribution(fourier, oracle, 0)
+    dist = _block_probabilities(fourier, oracle, 0)
     assert abs(dist.sum() - 1.0) <= 1e-9
 
 
@@ -182,17 +188,14 @@ def test_unknown_label_raises():
         oracle.label_index(99)
 
 
-def test_oracle_file_round_trip(tmp_path):
-    action = hadamard_all(4)
-    oracle = build_oracle(action, range(16), seed=9)
-    path = tmp_path / "oracle.json"
-    oracle.save(path)
-    loaded = load_oracle(path)
-    assert loaded.n_qubits == oracle.n_qubits
-    assert loaded.m_bits == oracle.m_bits
-    np.testing.assert_array_equal(loaded.f_bits, oracle.f_bits)
-    np.testing.assert_allclose(loaded.betas, oracle.betas)
-    assert loaded.seed == 9
+@pytest.mark.parametrize("labels", [[-1, 2], [0, 8], [7, 8]])
+def test_basis_labels_outside_the_register_are_refused_before_compiling(monkeypatch, labels):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a row before checking the labels")
+
+    monkeypatch.setattr(oracle_module, "best_phase_signs", refuse)
+    with pytest.raises(LabelError, match="outside"):
+        build_oracle(hadamard_all(3), labels)
 
 
 def test_classical_guess_bound_values():

@@ -9,9 +9,9 @@ from oraclelab.errors import InvalidConfigError, SizeError
 from oraclelab.paulichain import (
     NONZERO_PAIRS,
     TWO_COPY_BLOCK,
-    PauliString,
-    chain_step,
+    _transfer_complex,
     circuit_collision_sample,
+    collision_statistics,
     exact_gap,
     full_transition_matrix,
     gamma_squared,
@@ -20,7 +20,6 @@ from oraclelab.paulichain import (
     lumped_matrix,
     lumped_matrix_rational,
     moment_compare,
-    pauli_transfer,
     two_copy_chunk,
     two_copy_target,
     verify_mean_ad2,
@@ -39,23 +38,17 @@ from oraclelab.simcore import (
 
 
 def test_zero_string_is_absorbing():
-    rng = stream(1)
-    p = PauliString((0, 0, 0))
-    for _ in range(100):
-        p = chain_step(p, rng)
-    assert p.codes == (0, 0, 0)
+    codes = walk_ensemble(3, 100, 50, stream(1), start=(0, 0, 0))
+    assert not codes.any()
 
 
 def test_nonzero_pair_outcomes_uniform():
-    rng = stream(2)
-    counts = np.zeros(16)
-    p = PauliString((1, 0))
-    steps = 100_000
-    current = p
-    for _ in range(steps):
-        current = chain_step(current, rng)
-        counts[current.codes[0] * 4 + current.codes[1]] += 1
-    freqs = counts / steps
+    # With two sites every step rerandomizes the only pair: one step from a
+    # nonzero string is one uniform draw from the 15 nonzero pairs.
+    walkers = 100_000
+    codes = walk_ensemble(2, 1, walkers, stream(2), start=(1, 0))
+    counts = np.bincount(codes[:, 0] * 4 + codes[:, 1], minlength=16)
+    freqs = counts / walkers
     assert freqs[0] == 0.0
     np.testing.assert_allclose(freqs[1:], 1 / 15, atol=0.01)
 
@@ -68,11 +61,10 @@ def test_weight_law_of_new_pair():
 
 
 def test_weight_never_dies():
-    rng = stream(3)
-    p = PauliString((0, 2, 0, 0))
-    for _ in range(500):
-        p = chain_step(p, rng)
-        assert p.weight >= 1
+    # The zero string is absorbing, so a walker alive at the end was alive at every step.
+    for steps in (1, 10, 500):
+        codes = walk_ensemble(4, steps, 1000, stream(3), start=(0, 2, 0, 0))
+        assert ((codes != 0).sum(axis=1) >= 1).all()
 
 
 def test_lumped_two_sites():
@@ -162,29 +154,9 @@ def test_gamma_squared_sums_to_one():
     assert abs(gamma_squared(PureState(3, amps)).sum() - 1.0) <= 1e-9
 
 
-def test_gamma_distribution_type():
-    from oraclelab.paulichain import GammaDistribution
-
-    dist = GammaDistribution.initial(2, a=1)
-    assert dist.t == 0
-    assert dist.mass((0, 0)) == 0.25
-    assert dist.mass((1, 0)) == 0.25  # diagonal string
-    assert dist.mass((2, 0)) == 0.0
-    stepped = dist.stepped(full_transition_matrix(2), 3)
-    assert stepped.t == 3
-    assert abs(stepped.masses.sum() - 1.0) <= 1e-9
-    with pytest.raises(InvalidConfigError):
-        GammaDistribution(2, 0, np.ones(16))
-
-
 def test_weight_chain_stationary_dump():
-    chain = lumped_matrix(3)
-    dump = chain.stationary_json()
-    assert set(dump) == {"1", "2", "3"}
-    assert abs(sum(dump.values()) - 1.0) <= 1e-12
-    # pi(w) = C(3,w) 3^w / 63
-    assert abs(dump["1"] - 9 / 63) <= 1e-12
-    assert abs(dump["3"] - 27 / 63) <= 1e-12
+    # pi(w) = C(3,w) 3^w / 63 over the weights w = 1, 2, 3.
+    np.testing.assert_allclose(lumped_matrix(3).stationary, [9 / 63, 27 / 63, 27 / 63], atol=1e-12)
 
 
 def test_moment_compare_t_zero_is_exact():
@@ -208,9 +180,11 @@ def test_pauli_transfer_properties():
     rng = stream(10)
     eye = np.eye(16)
     for _ in range(20):
-        gate = sample_haar_two_qubit(rng).entries
-        ad = pauli_transfer(gate)
+        ad = _transfer_complex(sample_haar_two_qubit(rng).entries)
         assert ad.shape == (16, 16)
+        # Conjugation keeps Hermitian Paulis Hermitian, so the matrix is real.
+        assert np.abs(ad.imag).max() <= 1e-12
+        ad = ad.real
         assert abs(ad[0, 0] - 1.0) <= 1e-12  # trace preservation
         np.testing.assert_allclose(ad[0], eye[0], atol=1e-12)  # unitality
         np.testing.assert_allclose(ad[:, 0], eye[0], atol=1e-12)
@@ -255,7 +229,7 @@ def test_empirical_markov_tail_bound():
 
 def test_chain_step_needs_two_sites():
     with pytest.raises(InvalidConfigError):
-        chain_step(PauliString((1,)), stream(13))
+        walk_ensemble(1, 5, 10, stream(13))
 
 
 def _random_gates(n: int, steps: int, rng: np.random.Generator):
@@ -282,14 +256,42 @@ def test_batched_circuits_match_per_circuit_runs(n):
         np.testing.assert_allclose(batched[c], single, rtol=0, atol=1e-12)
 
 
+def test_collision_statistics_match_gate_by_gate_runs():
+    n, steps, circuits = 4, 30, 6
+    inputs = [(5 * c) % 2**n for c in range(circuits)]
+    q, l1 = collision_statistics(n, steps, [child(70, c) for c in range(circuits)], inputs)
+    for c, a in enumerate(inputs):
+        gates = list(_random_gates(n, steps, child(70, c)))
+        amps = run_gates(basis_vector(n, a), n, [g[:2] for g in gates], [g[2] for g in gates])
+        assert q[c] == pytest.approx(np.sum(np.abs(amps) ** 4), rel=0, abs=1e-12)
+        assert l1[c] == pytest.approx(np.sum(np.abs(amps)), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: walk_ensemble(3, -1, 10, rng),
+        lambda rng: run_pair_circuits(np.eye(1, 4), 2, -1, [rng]),
+        lambda rng: run_pair_circuits(np.eye(1, 2), 1, 3, [rng]),
+    ],
+)
+def test_bad_site_and_step_counts_are_refused_before_any_draw(call):
+    rng = stream(16)
+    with pytest.raises(InvalidConfigError):
+        call(rng)
+    # An untouched stream still gives its first draw.
+    assert rng.random() == stream(16).random()
+
+
 def test_two_copy_gemm_matches_kron_sum():
     samples = TWO_COPY_BLOCK + 30  # one full block and one partial block
     chunk = two_copy_chunk(samples, stream(15))
     rng = stream(15)
     acc = np.zeros((256, 256))
     for _ in range(samples):
-        ad = pauli_transfer(sample_haar_two_qubit(rng).entries)
-        acc += np.kron(ad, ad)
+        ad = _transfer_complex(sample_haar_two_qubit(rng).entries)
+        assert np.abs(ad.imag).max() <= 1e-12
+        acc += np.kron(ad.real, ad.real)
     np.testing.assert_allclose(chunk["acc"], acc, rtol=0, atol=1e-11)
 
 
