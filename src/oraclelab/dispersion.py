@@ -35,7 +35,6 @@ class DispersionReport:
 class PseudoDispersionReport:
     """Sampled L1 values for one output block of a group Fourier matrix."""
 
-    group_name: str
     label: tuple[str, int]
     samples: int
     l1_values: np.ndarray = field(repr=False)
@@ -100,8 +99,8 @@ def pseudo_search(
     if not rows:
         raise LabelError(f"no block {label} in Fourier matrix")
     order = fourier.group.order
-    # <g | U^dag |row> = conj(entries[row, g]).
-    block = fourier.entries[rows, :].conj()  # (d, |G|)
+    # <g | U^dag |row> = conj(matrix[row, g]).
+    block = fourier.matrix[rows, :].conj()  # (d, |G|)
     d = len(rows)
     coeff = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
     coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
@@ -109,7 +108,6 @@ def pseudo_search(
     l1_values = np.sum(np.abs(vectors), axis=1)
     best = int(np.argmax(l1_values))
     return PseudoDispersionReport(
-        group_name=fourier.group.name,
         label=label,
         samples=samples,
         l1_values=l1_values,

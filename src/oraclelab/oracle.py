@@ -19,7 +19,6 @@ from .errors import InvalidConfigError, LabelError, SizeError
 from .signs import TWO_OVER_PI, best_phase_signs
 from .simcore import (
     MAX_DENSE_QUBITS,
-    FourierMatrix,
     PureState,
     adjoint_rows,
     densify,
@@ -49,11 +48,9 @@ class SingleLevelOracle:
     """
 
     n_qubits: int
-    m_bits: int
     labels: tuple[LabelSpec, ...]
     f_bits: np.ndarray = field(repr=False)  # (len(labels), 2^n) uint8
     betas: np.ndarray = field(repr=False)
-    seed: int | None = None
 
     def __post_init__(self):
         if len(self.labels) == 0:
@@ -101,23 +98,37 @@ def build_unitary(kind: str, n: int, t: int | None = None, seed: int | None = No
     if n > MAX_DENSE_QUBITS:
         raise SizeError(f"dense {kind} unitaries capped at n={MAX_DENSE_QUBITS}")
     if kind == "qft":
-        return qft_cyclic(2**n).as_action()
+        return qft_cyclic(2**n)
     return densify(run_random_circuit(n, t, seed))
 
 
-def build_oracle(
-    unitary,
-    labels,
-    psi: dict | None = None,
-    seed: int | None = None,
-) -> SingleLevelOracle:
-    """Compile an oracle family from a unitary and a list of labels.
+def _label_spec(unitary, ident, psi: dict) -> LabelSpec:
+    """The measurement rows of one label: a basis row, or a block with its ancilla."""
+    if isinstance(ident, (int, np.integer)):
+        return LabelSpec(int(ident), (int(ident),))
+    ident = tuple(ident)
+    blocks = getattr(unitary, "rows_for_block", None)
+    rows = tuple(blocks(*ident)) if blocks else ()
+    if not rows:
+        raise LabelError(f"no block {ident} in the unitary")
+    if ident in psi:
+        vec = np.asarray(psi[ident], dtype=complex)
+        vec = vec / np.linalg.norm(vec)
+    elif len(rows) == 1:
+        vec = np.ones(1, dtype=complex)
+    else:
+        raise InvalidConfigError(f"label {ident} has block dimension {len(rows)}; supply psi")
+    return LabelSpec(ident, rows, vec)
 
-    ``unitary`` is either an action on n qubits (labels are basis indices,
-    all n output bits are measured) or a :class:`FourierMatrix` whose order
-    is a power of two (labels are ``(irrep, i)`` blocks and ``psi`` may map a
-    label to ancilla coefficients over its block; blocks of dimension one
-    default to the trivial ancilla).
+
+def build_oracle(unitary, labels, psi: dict | None = None) -> SingleLevelOracle:
+    """Compile an oracle family from a unitary action on n qubits and a list of labels.
+
+    The label decides its measurement rows.  A basis index ``a`` is the row
+    ``(a,)``: all n output bits are measured.  An ``(irrep, i)`` pair is that
+    block of a :class:`~oraclelab.simcore.FourierMatrix`, and ``psi`` may map
+    it to ancilla coefficients over the block; blocks of dimension one default
+    to the trivial ancilla.
 
     For each label the compiled bits are ``f(a, x) = (1 - theta_x) / 2``
     where ``theta`` is the sign pattern maximizing the retained L1 mass of
@@ -127,55 +138,23 @@ def build_oracle(
     labels = list(labels)
     if not labels:
         raise InvalidConfigError("empty label list")
+    n = unitary.n_qubits
+    specs = [_label_spec(unitary, ident, psi or {}) for ident in labels]
+    outside = [s.ident for s in specs if s.psi is None and not 0 <= s.ident < 2**n]
+    if outside:
+        raise LabelError(f"labels {outside} outside the basis [0, 2^{n})")
 
-    if isinstance(unitary, FourierMatrix):
-        order = unitary.group.order
-        if order & (order - 1):
-            raise InvalidConfigError("group order must be a power of two")
-        n = int(np.log2(order))
-        m = max(1, int(np.ceil(np.log2(len(unitary.block_labels())))))
-        specs = []
-        for ident in labels:
-            rows = tuple(unitary.rows_for_block(*ident))
-            if not rows:
-                raise LabelError(f"no block {ident} in Fourier matrix")
-            if psi and ident in psi:
-                vec = np.asarray(psi[ident], dtype=complex)
-                vec = vec / np.linalg.norm(vec)
-            elif len(rows) == 1:
-                vec = np.ones(1, dtype=complex)
-            else:
-                raise InvalidConfigError(
-                    f"label {ident} has block dimension {len(rows)}; supply psi"
-                )
-            specs.append(LabelSpec(tuple(ident), rows, vec))
-        compiled_rows = (s.psi.conj() @ unitary.entries[list(s.rows), :] for s in specs)
-    else:
-        n = unitary.n_qubits
-        m = n
-        outside = [int(a) for a in labels if not 0 <= a < 2**n]
-        if outside:
-            raise LabelError(f"labels {outside} outside the basis [0, 2^{n})")
-        specs = [LabelSpec(int(a), (int(a),)) for a in labels]
-        compiled_rows = (adjoint_rows(unitary, s.rows[0]).conj() for s in specs)
-
-    dim = 2**n
-    f_bits = np.zeros((len(specs), dim), dtype=np.uint8)
+    f_bits = np.zeros((len(specs), 2**n), dtype=np.uint8)
     betas = np.zeros(len(specs))
-    # Each label's row c_x = <a| <psi| U |x>, made lazily: one row is held at a time.
-    for k, c in enumerate(compiled_rows):
-        sol = best_phase_signs(c)
+    for k, spec in enumerate(specs):
+        # Row r of U is conj(U^dag |r>); a block's row c_x = <a| <psi| U |x>.
+        # One label's rows are held at a time.
+        rows = np.conj([adjoint_rows(unitary, r) for r in spec.rows])
+        sol = best_phase_signs(rows[0] if spec.psi is None else spec.psi.conj() @ rows)
         theta = np.array(sol.theta)
         f_bits[k] = ((1 - theta) // 2).astype(np.uint8)
         betas[k] = sol.l1 / 2 ** (n / 2)
-    return SingleLevelOracle(
-        n_qubits=n,
-        m_bits=m,
-        labels=tuple(specs),
-        f_bits=f_bits,
-        betas=betas,
-        seed=seed,
-    )
+    return SingleLevelOracle(n_qubits=n, labels=tuple(specs), f_bits=f_bits, betas=betas)
 
 
 def prepare_phi(oracle: SingleLevelOracle, label_index: int) -> PureState:

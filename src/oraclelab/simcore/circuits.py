@@ -326,20 +326,31 @@ class HadamardAll:
 
 
 class MatrixUnitary:
-    """Unitary action backed by an explicit dense matrix."""
+    """Unitary action backed by an explicit dense matrix.
+
+    The one unitarity check of a dense matrix.  Any square, nonempty unitary
+    is accepted; only a power-of-two dimension fits a qubit register, so
+    ``n_qubits`` refuses the others.
+    """
 
     def __init__(self, matrix: np.ndarray):
-        if np.shape(matrix)[0] > 2**MAX_DENSE_QUBITS:
+        shape = np.shape(matrix)
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            raise InvalidConfigError(f"matrix must be square and nonempty, got shape {shape}")
+        if shape[0] > 2**MAX_DENSE_QUBITS:
             raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
         mat = np.asarray(matrix, dtype=complex)
-        dim = mat.shape[0]
-        if mat.shape != (dim, dim) or dim < 1 or dim & (dim - 1):
-            raise InvalidConfigError("matrix dimension must be a power of two")
         defect = unitarity_defect(mat)
-        if defect > 1e-10:
+        if not defect <= 1e-10:
             raise InvalidConfigError(f"matrix is not unitary: defect {defect:.3e}")
         self.matrix = mat
-        self.n_qubits = dim.bit_length() - 1
+
+    @property
+    def n_qubits(self) -> int:
+        dim = len(self.matrix)
+        if dim & (dim - 1):
+            raise InvalidConfigError(f"dimension {dim} is not a power of two: no qubit register")
+        return dim.bit_length() - 1
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec

@@ -22,10 +22,10 @@ import numpy as np
 
 from ..errors import InvalidConfigError, InvalidGroupDataError, SizeError
 from .circuits import MAX_DENSE_QUBITS, MatrixUnitary
+from .states import unitarity_defect
 
 IRREP_UNITARY_TOL = 1e-12
 HOMOMORPHISM_TOL = 1e-10
-FOURIER_UNITARY_TOL = 1e-10
 
 
 def generating_set(table: np.ndarray, identity: int) -> list[int]:
@@ -115,10 +115,7 @@ class GroupSpec:
                     raise InvalidGroupDataError(
                         f"{self.name}/{rep.label}: need one matrix per element"
                     )
-                eye = np.eye(rep.dim)
-                defect = np.abs(
-                    np.einsum("gij,gik->gjk", mats.conj(), mats) - eye[None]
-                ).max()
+                defect = unitarity_defect(mats)
                 if not defect <= IRREP_UNITARY_TOL:
                     raise InvalidGroupDataError(
                         f"{self.name}/{rep.label}: non-unitary matrices (defect {defect:.2e})"
@@ -156,38 +153,21 @@ class GroupSpec:
         )
 
 
-@dataclass(frozen=True)
-class FourierMatrix:
-    """The Fourier transform over a finite group.
+class FourierMatrix(MatrixUnitary):
+    """The Fourier transform over a finite group: a dense unitary with measurement blocks.
 
     Row ``r`` corresponds to ``row_index[r] = (label, i, j)`` with ``i, j``
     1-based matrix coordinates inside the irrep; column ``g`` runs over group
     elements.  Entries are ``sqrt(d / |G|) * rep(g)[i-1, j-1]``.
     """
 
-    group: GroupSpec
-    entries: np.ndarray = field(repr=False)
-    row_index: tuple[tuple[str, int, int], ...] = ()
-    _blocks: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        mat = np.array(self.entries, dtype=complex)
-        n = self.group.order
-        if mat.shape != (n, n):
-            raise InvalidGroupDataError("Fourier matrix must be |G| x |G|")
-        defect = np.abs(mat.conj().T @ mat - np.eye(n)).max()
-        if defect > FOURIER_UNITARY_TOL:
-            raise InvalidGroupDataError(
-                f"Fourier matrix not unitary (defect {defect:.2e})"
-            )
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-        object.__setattr__(self, "_blocks", {})  # (label, i) -> rows, in row order
-        for r, (lab, i, _j) in enumerate(self.row_index):
+    def __init__(self, group: GroupSpec, matrix: np.ndarray, row_index: tuple[tuple, ...]):
+        super().__init__(matrix)
+        self.group = group
+        self.row_index = row_index
+        self._blocks = {}  # (label, i) -> rows, in row order
+        for r, (lab, i, _j) in enumerate(row_index):
             self._blocks.setdefault((lab, i), []).append(r)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.entries @ vec
 
     def rows_for_block(self, label: str, i: int) -> list[int]:
         """Rows ``(label, i, *)``: the measurement block of output label ``(label, i)``."""
@@ -197,29 +177,24 @@ class FourierMatrix:
         """All ``(irrep label, i)`` output labels, in row order."""
         return list(self._blocks)
 
-    def as_action(self) -> MatrixUnitary:
-        """The matrix as a qubit-register action; order must be a power of two."""
-        n = self.group.order
-        if n & (n - 1):
-            raise InvalidConfigError(
-                f"group order {n} is not a power of two; no qubit register fits exactly"
-            )
-        return MatrixUnitary(self.entries)
-
 
 def group_fourier(group: GroupSpec) -> FourierMatrix:
-    """Assemble the Fourier matrix of ``group`` from its irrep tables."""
+    """The Fourier matrix of ``group``, filled irrep by irrep and checked once."""
     if not group.irreps:
         raise InvalidGroupDataError(f"{group.name}: no irreps attached")
-    rows = []
+    n = group.order
+    matrix = np.empty((n, n), dtype=complex)
     index = []
     for rep in group.irreps:
-        scale = np.sqrt(rep.dim / group.order)
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                rows.append(scale * rep.matrices[:, i, j])
-                index.append((rep.label, i + 1, j + 1))
-    return FourierMatrix(group, np.array(rows), tuple(index))
+        d = rep.dim
+        # Rows (rep, i, j) in (i, j) order; GroupSpec checked that the dimensions fill |G| rows.
+        rows = (np.sqrt(d / n) * rep.matrices).reshape(n, d * d).T
+        matrix[len(index) : len(index) + d * d] = rows
+        index += [(rep.label, i + 1, j + 1) for i in range(d) for j in range(d)]
+    try:
+        return FourierMatrix(group, matrix, tuple(index))
+    except InvalidConfigError as err:
+        raise InvalidGroupDataError(f"{group.name}: no unitary Fourier transform: {err}") from err
 
 
 def cyclic_group(n: int) -> GroupSpec:

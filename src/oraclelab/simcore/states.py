@@ -31,7 +31,9 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     """Max-entry deviation of ``M^dag M`` from the identity, over a stack of matrices too."""
     m = np.asarray(matrix)
     gram = np.swapaxes(m.conj(), -1, -2) @ m
-    return float(np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0))
+    diag = np.arange(m.shape[-1])
+    gram[..., diag, diag] -= 1  # in place: no identity-sized temporaries beside the product
+    return float(np.max(np.abs(gram), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def test_criterion_04_compiled_success_bound():
     for seed in range(20):
         circ = run_random_circuit(n, t, seed=seed)
         action = densify(circ)
-        compiled = build_oracle(action, range(2**n), seed=seed)
+        compiled = build_oracle(action, range(2**n))
         for k in range(compiled.n_labels):
             measured = identify(action, compiled, k)
             worst_margin = min(worst_margin, measured - compiled.predicted_success[k])

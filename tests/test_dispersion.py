@@ -73,7 +73,7 @@ def test_certify_identity_empty_above_threshold():
 
 
 def test_certify_cyclic_qft_full():
-    report = certify_dispersing(qft_cyclic(32).as_action(), beta=1.0)
+    report = certify_dispersing(qft_cyclic(32), beta=1.0)
     assert len(report.achieving_set) == 32
     assert report.alpha_achieved == 1.0
 

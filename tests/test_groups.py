@@ -3,19 +3,24 @@ import hashlib
 import numpy as np
 import pytest
 
+from oraclelab.dispersion import certify_dispersing
 from oraclelab.errors import InvalidConfigError, InvalidGroupDataError, SizeError
+from oraclelab.oracle import build_oracle
 from oraclelab.simcore import (
     MAX_DENSE_QUBITS,
+    FourierMatrix,
     GroupSpec,
+    action_matrix,
     builtin_group,
     cyclic_group,
     fwht_normalized,
     group_fourier,
     qft_cyclic,
     stream,
+    unitarity_defect,
     xor_group,
 )
-from oraclelab.simcore import groups
+from oraclelab.simcore import circuits, groups
 from oraclelab.simcore.groups import HOMOMORPHISM_TOL, IRREP_UNITARY_TOL, Irrep, generating_set
 
 
@@ -25,7 +30,7 @@ def test_builtin_groups_validate(name):
     assert sum(rep.dim**2 for rep in group.irreps) == group.order
     fourier = group_fourier(group)
     defect = np.abs(
-        fourier.entries.conj().T @ fourier.entries - np.eye(group.order)
+        fourier.matrix.conj().T @ fourier.matrix - np.eye(group.order)
     ).max()
     assert defect <= 1e-10
     assert len(fourier.row_index) == group.order
@@ -34,19 +39,19 @@ def test_builtin_groups_validate(name):
 def test_z2_fourier_is_hadamard():
     fourier = qft_cyclic(2)
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    np.testing.assert_allclose(fourier.entries, h, atol=1e-15)
+    np.testing.assert_allclose(fourier.matrix, h, atol=1e-15)
 
 
 def test_cyclic_entry_formula():
     fourier = qft_cyclic(4)
     # entry(1, 3) = omega^3 / 2 = -i/2
-    assert abs(fourier.entries[1, 3] - (-0.5j)) <= 1e-12
+    assert abs(fourier.matrix[1, 3] - (-0.5j)) <= 1e-12
     for n in (3, 5, 8):
         f = qft_cyclic(n)
         omega = np.exp(2j * np.pi / n)
         for j in (0, 1, n - 1):
             for g in (0, 1, n - 1):
-                assert abs(f.entries[j, g] - omega ** (j * g) / np.sqrt(n)) <= 1e-12
+                assert abs(f.matrix[j, g] - omega ** (j * g) / np.sqrt(n)) <= 1e-12
 
 
 def test_xor_group_fourier_matches_hadamard_transform():
@@ -54,7 +59,7 @@ def test_xor_group_fourier_matches_hadamard_transform():
     rng = stream(12)
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     np.testing.assert_allclose(
-        fourier.entries @ vec, fwht_normalized(vec), atol=1e-12
+        fourier.matrix @ vec, fwht_normalized(vec), atol=1e-12
     )
 
 
@@ -67,7 +72,7 @@ def test_plancherel_on_random_vectors(name):
             fourier.group.order
         )
         assert abs(
-            np.linalg.norm(fourier.entries @ vec) - np.linalg.norm(vec)
+            np.linalg.norm(fourier.matrix @ vec) - np.linalg.norm(vec)
         ) <= 1e-10 * np.linalg.norm(vec)
 
 
@@ -91,11 +96,49 @@ def test_fourier_block_lookup():
     assert fourier.row_index[rows[0]] == ("spinor", 1, 1)
 
 
-def test_as_action_requires_power_of_two():
-    with pytest.raises(InvalidConfigError):
-        group_fourier(builtin_group("s3")).as_action()
-    action = group_fourier(builtin_group("d4")).as_action()
-    assert action.n_qubits == 3
+def test_s3_transform_is_refused_by_register_uses_before_any_work(monkeypatch):
+    fourier = group_fourier(builtin_group("s3"))
+
+    def refuse(self, vec):
+        raise AssertionError("ran the order-6 transform before refusing it")
+
+    monkeypatch.setattr(FourierMatrix, "apply", refuse)
+    monkeypatch.setattr(FourierMatrix, "apply_adjoint", refuse)
+    uses = (
+        lambda: certify_dispersing(fourier, 1.0),
+        lambda: build_oracle(fourier, range(4)),
+        lambda: action_matrix(fourier),
+    )
+    for use in uses:
+        with pytest.raises(InvalidConfigError, match="not a power of two"):
+            use()
+    assert group_fourier(builtin_group("d4")).n_qubits == 3
+
+
+def test_repeated_character_is_refused_by_the_transform():
+    # Two copies of the trivial character pass every check of GroupSpec: the
+    # dimensions tally and each is a unitary homomorphism.  Only the Fourier
+    # matrix, whose two rows coincide, shows that they are not the irreps of Z2.
+    trivial = Irrep("trivial", 1, np.ones((2, 1, 1)))
+    group = GroupSpec("Z2-trivial-twice", 2, cyclic_group(2).mult_table, (trivial, trivial))
+    with pytest.raises(InvalidGroupDataError, match="not unitary"):
+        group_fourier(group)
+
+
+def test_fourier_build_does_one_unitarity_product(monkeypatch):
+    built = [cyclic_group(16), xor_group(3), builtin_group("s3"), builtin_group("q8")]
+    shapes = []
+
+    def counted(matrix):
+        shapes.append(np.shape(matrix))
+        return unitarity_defect(matrix)
+
+    monkeypatch.setattr(circuits, "unitarity_defect", counted)
+    monkeypatch.setattr(groups, "unitarity_defect", counted)
+    for group in built:
+        shapes.clear()
+        group_fourier(group)
+        assert shapes == [(group.order, group.order)], group.name
 
 
 def test_cyclic_group_requires_order_two():
@@ -227,7 +270,7 @@ def test_fast_validator_agrees_with_reference():
     ],
 )
 def test_qft_entries_are_pinned(order, digest):
-    assert hashlib.sha256(qft_cyclic(order).entries.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(qft_cyclic(order).matrix.tobytes()).hexdigest() == digest
 
 
 def test_group_order_cap_checked_before_any_allocation(monkeypatch):

@@ -149,6 +149,26 @@ def test_empty_matrix_is_not_a_unitary():
         MatrixUnitary(np.zeros((0, 0), dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.complex128(1),
+        np.broadcast_to(np.complex128(1), (2**26,)),
+        np.broadcast_to(np.complex128(1), (2**13, 2**12)),
+    ],
+    ids=["0-d", "1-d", "not-square"],
+)
+def test_matrix_that_is_not_square_fails_before_allocating(matrix):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfigError, match="square"):
+            MatrixUnitary(matrix)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 def test_matrix_above_dense_cap_fails_before_allocating():
     dim = 2 ** (MAX_DENSE_QUBITS + 1)
     # A zero-stride view: the shape of a 13-qubit matrix without its memory.

@@ -147,7 +147,7 @@ def test_random_circuit_predicted_vs_measured():
     for seed in range(10):
         circ = run_random_circuit(4, 150, seed=seed)
         action = densify(circ)
-        oracle = build_oracle(action, range(16), seed=seed)
+        oracle = build_oracle(action, range(16))
         for k in range(16):
             measured = identify(action, oracle, k)
             assert measured >= oracle.predicted_success[k] - 1e-9
@@ -169,6 +169,43 @@ def test_group_block_oracle_with_ancilla(name):
         assert measured >= oracle.predicted_success[k] - 1e-9
     dist = _block_probabilities(fourier, oracle, 0)
     assert abs(dist.sum() - 1.0) <= 1e-9
+
+
+# SHA-256 of f_bits and betas of block oracles, taken while blocks were sliced from
+# the Fourier matrix; reading each row as conj(U^dag |r>) must keep them bit-identical.
+@pytest.mark.parametrize(
+    "name, f_bits_digest, betas_digest",
+    [
+        ("qft256", "d0816777ed45853853c911ed55d74eb38e36ccd20b7177abc0f5bead31df8a9e",
+         "1087cfccff56d21d544075ddf66f5fdd8e622a23a3f64b1694478cec0e0813ea"),
+        ("d4", "e304de8dbfdaa8cc804304d56d8846e29e0b455a720bb70e7100b090ace3d1a2",
+         "e3029b8d9cf37ff6ec11293b4956a23a8ba192cc508dd5379aa962010b2b7e41"),
+        ("q8", "0ee072a6a93045f3f9823dc2492bf4f125db431a5e1e457641247bd9ff235f19",
+         "e3029b8d9cf37ff6ec11293b4956a23a8ba192cc508dd5379aa962010b2b7e41"),
+    ],
+)
+def test_block_oracles_are_pinned(name, f_bits_digest, betas_digest):
+    if name == "qft256":
+        fourier = qft_cyclic(256)
+        oracle = build_oracle(fourier, [(f"chi{j}", 1) for j in range(256)])
+    else:
+        fourier = group_fourier(builtin_group(name))
+        blocks = fourier.block_labels()
+        psi = {
+            label: pseudo_search(fourier, label, 500, stream(51)).best_psi
+            for label in blocks
+            if len(fourier.rows_for_block(*label)) == 2
+        }
+        oracle = build_oracle(fourier, blocks, psi=psi)
+    assert hashlib.sha256(oracle.f_bits.tobytes()).hexdigest() == f_bits_digest
+    assert hashlib.sha256(oracle.betas.tobytes()).hexdigest() == betas_digest
+
+
+def test_block_labels_need_a_unitary_with_blocks():
+    with pytest.raises(LabelError, match="no block"):
+        build_oracle(hadamard_all(3), [("chi1", 1)])
+    with pytest.raises(LabelError, match="no block"):
+        build_oracle(qft_cyclic(8), [("chi9", 1)])
 
 
 def test_group_block_oracle_requires_psi_for_wide_blocks():

@@ -92,7 +92,7 @@ def test_tie_rule_zero_entries_get_plus_one():
 
 def _sweep_corpus():
     rng = stream(43)
-    rows = [("qft", row) for d in (4, 8, 16) for row in qft_cyclic(d).entries]
+    rows = [("qft", row) for d in (4, 8, 16) for row in qft_cyclic(d).matrix]
     rows += [("real", rng.standard_normal(d)) for d in (1, 2, 5, 12)]
     rows += [("complex", rng.standard_normal(d) + 1j * rng.standard_normal(d)) for d in range(1, 9)]
     rows.append(("real", np.array([1.0, -1.0, 1.0, 1.0, -1.0])))
