@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidConfigError, LabelError
-from .simcore import FourierMatrix, adjoint_rows
+from .simcore import FourierMatrix
 
 DEFAULT_PSI_SAMPLES = 2000
 
@@ -58,7 +58,7 @@ class PseudoDispersionReport:
 def certify_dispersing(action, beta: float) -> DispersionReport:
     """Enumerate all ``2^n`` labels and certify the dispersion threshold.
 
-    Label ``a``'s L1 norm is that of ``U^dag |a>``, one run of the action each.
+    Label ``a``'s L1 norm is that of ``U^dag |a>``, the action's ``adjoint_row(a)``.
     A label achieves when its L1 is at least ``beta * 2^(n/2)`` up to a
     slack of ``2^n * eps * beta * 2^(n/2)``: the norm adds ``2^n`` moduli,
     each rounded, so its rounding grows with ``2^n``, and a flat row must
@@ -68,7 +68,7 @@ def certify_dispersing(action, beta: float) -> DispersionReport:
         raise InvalidConfigError("beta must lie in (0, 1]")
     n = action.n_qubits
     dim = 2**n
-    l1 = np.array([np.sum(np.abs(adjoint_rows(action, a))) for a in range(dim)])
+    l1 = np.array([np.sum(np.abs(action.adjoint_row(a))) for a in range(dim)])
     threshold = beta * 2 ** (n / 2)
     slack = dim * np.finfo(float).eps * threshold
     achieving = tuple(int(a) for a in np.nonzero(l1 >= threshold - slack)[0])

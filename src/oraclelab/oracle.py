@@ -20,7 +20,6 @@ from .signs import TWO_OVER_PI, best_phase_signs
 from .simcore import (
     MAX_DENSE_QUBITS,
     PureState,
-    adjoint_rows,
     densify,
     hadamard_all,
     qft_cyclic,
@@ -72,15 +71,12 @@ class SingleLevelOracle:
     def f(self, label_index: int, x: int) -> int:
         return int(self.f_bits[label_index, x])
 
-    def signs(self, label_index: int) -> np.ndarray:
-        """The oracle's phases ``theta_x = (-1)^f(a, x) = 1 - 2 f(a, x)`` for one label."""
-        return 1.0 - 2.0 * self.f_bits[label_index].astype(float)
+    def signs(self, label_index) -> np.ndarray:
+        """The oracle's phases ``theta_x = (-1)^f(a, x) = 1 - 2 f(a, x)`` for one label.
 
-    def label_index(self, ident) -> int:
-        for k, spec in enumerate(self.labels):
-            if spec.ident == ident:
-                return k
-        raise LabelError(f"unknown label {ident!r}")
+        An array of label indices gives one row of phases per entry.
+        """
+        return 1.0 - 2.0 * self.f_bits[label_index].astype(float)
 
 
 def build_unitary(kind: str, n: int, t: int | None = None, seed: int | None = None):
@@ -149,7 +145,7 @@ def build_oracle(unitary, labels, psi: dict | None = None) -> SingleLevelOracle:
     for k, spec in enumerate(specs):
         # Row r of U is conj(U^dag |r>); a block's row c_x = <a| <psi| U |x>.
         # One label's rows are held at a time.
-        rows = np.conj([adjoint_rows(unitary, r) for r in spec.rows])
+        rows = np.conj([unitary.adjoint_row(r) for r in spec.rows])
         sol = best_phase_signs(rows[0] if spec.psi is None else spec.psi.conj() @ rows)
         theta = np.array(sol.theta)
         f_bits[k] = ((1 - theta) // 2).astype(np.uint8)

@@ -27,6 +27,7 @@ FAIL = "FAIL"
 
 _SECRET_TAG = 0x5EC4E7
 _ANSWER_TAG = 0xA05BEE
+_SYMBOL_TAG = 0x9E3779B97F4A7C15
 # The unitary kind of ``build_unitary`` that each rebuildable descriptor kind names.
 _DESCRIPTOR_KINDS = {"hadamard": "hadamard", "random-circuit": "random"}
 
@@ -132,8 +133,26 @@ def secret_at(spec: RecursiveOracleSpec, path) -> int:
             raise ProtocolError(f"symbol {sym} out of range")
     h = mix64(spec.master_seed ^ _SECRET_TAG)
     for sym in path:
-        h = mix64(h ^ mix64(sym + 0x9E3779B97F4A7C15))
+        h = mix64(h ^ mix64(sym + _SYMBOL_TAG))
     return int(h % spec.n_labels)
+
+
+def level_secrets(spec: RecursiveOracleSpec) -> list[np.ndarray]:
+    """The labels of every depth at once: entry ``k`` holds ``secret_at`` of all ``dim^k`` paths.
+
+    A path's position in its level is the path read as a base-``dim`` number,
+    first symbol most significant, so node ``i``'s children are ``i*dim + x``.
+    The chain runs on ``uint64`` arrays, whose arithmetic wraps mod 2^64 as
+    ``mix64``'s masks do, so every label equals ``secret_at`` exactly.
+    """
+    steps = mix64(np.arange(2**spec.n_symbol_bits, dtype=np.uint64) + np.uint64(_SYMBOL_TAG))
+    h = np.array([mix64(spec.master_seed ^ _SECRET_TAG)], dtype=np.uint64)
+    levels = []
+    for k in range(spec.depth):
+        if k:
+            h = mix64(h[:, None] ^ steps).ravel()
+        levels.append((h % np.uint64(spec.n_labels)).astype(np.intp))
+    return levels
 
 
 def oracle_query(

@@ -1,10 +1,12 @@
 """Recursive identification runs: error propagation, query counts, and a
 literal coherent simulator at tiny sizes.
 
-``find_simulate`` walks the secret tree and evaluates the recursion's
-overlap algebra numerically.  A node's copies are prepared from its
-children's certified outputs; writing the children's failure weights
-``eps_x`` into the phase-conditioned superposition gives the exact overlap
+``find_simulate`` evaluates the recursion's overlap algebra numerically, one
+depth of the secret tree at a time from the deepest up: each depth's labels,
+sign rows and failure weights are arrays over all its nodes.  A node's copies
+are prepared from its children's certified outputs; writing the children's
+failure weights ``eps_x`` into the phase-conditioned superposition gives the
+exact overlap
 
     c = mean_x [ (1 - eps_x) + (-1)^{f(a, x)} eps_x ]
 
@@ -14,7 +16,7 @@ with probability at least ``p_exact - 4 sqrt(eps_unc)`` (pure-state trace
 distance), and ``m`` copies push the failure probability down to
 ``(1 - s)^m``.  Worst-case mode propagates these bounds with adversarial
 junk; sampled mode draws the junk direction at random and Monte-Carlos the
-same pipeline.
+same pipeline, visiting the nodes in post-order (children first).
 
 ``find_coherent_tiny`` instead allocates every register of the recursion
 explicitly (symbol, test, flag and answer registers for each copy at each
@@ -34,7 +36,7 @@ import numpy as np
 from ..errors import CertificationError, InvalidConfigError, SizeError
 from ..oracle import block_probability, identify, prepare_phi
 from ..simcore import action_matrix, hadamard_all, run_gates
-from .core import RecursiveOracleSpec, secret_at
+from .core import RecursiveOracleSpec, level_secrets, secret_at
 
 MAX_MODEL_NODES = 100_000
 MAX_COHERENT_QUBITS = 22
@@ -124,8 +126,10 @@ def find_simulate(
     for cross-validating against the coherent simulator.  ``m_override``
     replaces the repetition count derived from ``delta`` (same hook).
 
-    Raises :class:`CertificationError` naming the first encountered label
-    whose exact single-level success falls below ``delta``.
+    Each distinct label is identified once.  Raises
+    :class:`CertificationError` naming the first node in post-order (children
+    before their parent, siblings in symbol order) whose label's exact
+    single-level success falls below ``delta``.
     """
     if junk_mode not in ("worst", "sampled", "both"):
         raise InvalidConfigError(f"unknown junk mode {junk_mode!r}")
@@ -141,64 +145,66 @@ def find_simulate(
         raise SizeError(f"{n_nodes} internal nodes exceed the model cap")
 
     oracle = spec.oracle
-    exact_cache: dict[int, float] = {}
-    sign_cache: dict[int, np.ndarray] = {}
+    labels = level_secrets(spec)
+    # Injected weights per depth, at the nodes' positions in ``labels``.
+    injected = [np.zeros(dim**k) for k in range(depth)]
+    for path, eps in inject.items():
+        if len(path) < depth and all(0 <= x < dim for x in path):
+            injected[len(path)][np.ravel_multi_index(path, (dim,) * len(path))] += eps
 
-    def exact_success(label: int, path) -> float:
-        if label not in exact_cache:
-            p = identify(unitary, oracle, label)
-            if p < delta - 1e-12:
-                raise CertificationError(
-                    f"label {label} at node {path} identifies with probability "
-                    f"{p:.6f} < delta {delta}"
-                )
-            exact_cache[label] = p
-        return exact_cache[label]
-
-    stats = {
-        k: {"nodes": 0, "eps_unc": 0.0, "eps_out": 0.0, "s_min": 1.0, "p_min": 1.0}
-        for k in range(depth)
-    }
-
-    def walk(path: tuple[int, ...], node_out) -> float:
-        """Children first, then ``node_out(path, label, eps_unc)`` for the node.
-
-        ``eps_unc`` is the uncompute error left by the children's failure weights.
-        """
-        label = secret_at(spec, path)
-        if len(path) + 1 < depth:
-            child_eps = np.array([walk(path + (x,), node_out) for x in range(dim)])
-        else:
-            child_eps = np.zeros(dim)
-        if label not in sign_cache:
-            sign_cache[label] = oracle.signs(label)
-        c = float(np.mean((1.0 - child_eps) + sign_cache[label] * child_eps))
-        return node_out(path, label, max(0.0, (1.0 - c * c) / 4.0))
-
-    def bound_out(path: tuple[int, ...], label: int, eps_unc: float) -> float:
-        p = exact_success(label, path)
-        s_floor = max(0.0, p - 4.0 * math.sqrt(eps_unc))
-        eps_out = min(1.0, (1.0 - s_floor) ** m + inject.get(path, 0.0))
-        st = stats[len(path)]
-        st["nodes"] += 1
-        st["eps_unc"] = max(st["eps_unc"], eps_unc)
-        st["eps_out"] = max(st["eps_out"], eps_out)
-        st["s_min"] = min(st["s_min"], s_floor)
-        st["p_min"] = min(st["p_min"], p)
-        return eps_out
-
-    root_eps = walk((), bound_out)
-    levels = tuple(
-        LevelStats(
-            depth=k,
-            nodes=stats[k]["nodes"],
-            eps_uncompute_max=stats[k]["eps_unc"],
-            eps_out_max=stats[k]["eps_out"],
-            copy_success_min=stats[k]["s_min"],
-            exact_success_min=stats[k]["p_min"],
+    used = np.zeros(spec.n_labels, dtype=bool)
+    for level in labels:
+        used[level] = True
+    exact = np.zeros(spec.n_labels)
+    for label in np.flatnonzero(used).tolist():
+        exact[label] = identify(unitary, oracle, label)
+    failed = used & (exact < delta - 1e-12)
+    if failed.any():
+        # The first failing node of each depth, as (path, label).  In post-order a
+        # node comes after every path below it, hence the key's trailing ``dim``.
+        candidates = []
+        for k, level in enumerate(labels):
+            bad = failed[level]
+            if bad.any():
+                i = int(np.argmax(bad))
+                path = tuple(int(x) for x in np.unravel_index(i, (dim,) * k))
+                candidates.append((path, int(level[i])))
+        path, label = min(candidates, key=lambda node: node[0] + (dim,))
+        raise CertificationError(
+            f"label {label} at node {path} identifies with probability "
+            f"{exact[label]:.6f} < delta {delta}"
         )
-        for k in range(depth)
-    )
+
+    # Worst mode, bottom up: the failure weights of depth k + 1, reshaped to
+    # (dim^k, dim), are the children of depth k.  The deepest nodes have no
+    # children, so their overlap is c = 1 and their uncompute error 0.
+    levels = []
+    child_eps = None
+    for k in reversed(range(depth)):
+        label_k = labels[k]
+        p = exact[label_k]
+        if child_eps is None:
+            eps_unc = np.zeros(dim**k)
+        else:
+            kids = child_eps.reshape(dim**k, dim)
+            c = np.mean((1.0 - kids) + oracle.signs(label_k) * kids, axis=1)
+            eps_unc = np.maximum(0.0, (1.0 - c * c) / 4.0)
+        s_floor = np.maximum(0.0, p - 4.0 * np.sqrt(eps_unc))
+        # Python's float power, which numpy's vectorised power does not match bit for bit.
+        child_eps = np.array([
+            min(1.0, (1.0 - s) ** m + extra)
+            for s, extra in zip(s_floor.tolist(), injected[k].tolist())
+        ])
+        levels.append(LevelStats(
+            depth=k,
+            nodes=dim**k,
+            eps_uncompute_max=max(0.0, float(eps_unc.max())),
+            eps_out_max=max(0.0, float(child_eps.max())),
+            copy_success_min=min(1.0, float(s_floor.min())),
+            exact_success_min=min(1.0, float(p.min())),
+        ))
+    root_eps = float(child_eps[0])
+    levels = tuple(reversed(levels))
     bounds_hold = all(
         lv.eps_uncompute_max <= epsilon + 1e-15
         and lv.eps_out_max <= epsilon + 1e-15
@@ -213,7 +219,14 @@ def find_simulate(
         if n_nodes * m * junk_draws > 5_000_000:
             raise SizeError("sampled junk mode too large; shrink the tree or draws")
 
-        def sampled_out(path: tuple[int, ...], label: int, eps_unc: float) -> float:
+        def sampled_fail(k: int, i: int) -> float:
+            """Sampled failure weight of node ``i`` of depth ``k``; its children draw first."""
+            label = int(labels[k][i])
+            eps_unc = 0.0
+            if k + 1 < depth:
+                kids = np.array([sampled_fail(k + 1, i * dim + x) for x in range(dim)])
+                c = float(np.mean((1.0 - kids) + oracle.signs(label) * kids))
+                eps_unc = max(0.0, (1.0 - c * c) / 4.0)
             phi = prepare_phi(oracle, label).amplitudes
             rows = oracle.labels[label].rows
             fail = 1.0
@@ -223,9 +236,9 @@ def find_simulate(
                     + math.sqrt(4.0 * eps_unc) * _haar_perp(rng, phi)
                 )
                 fail *= max(0.0, 1.0 - block_probability(unitary.apply(tilde), rows))
-            return min(1.0, fail + inject.get(path, 0.0))
+            return min(1.0, fail + float(injected[k][i]))
 
-        draws = np.array([1.0 - walk((), sampled_out) for _ in range(junk_draws)])
+        draws = np.array([1.0 - sampled_fail(0, 0) for _ in range(junk_draws)])
         sampled_stats = {
             "draws": junk_draws,
             "success_mean": float(np.mean(draws)),

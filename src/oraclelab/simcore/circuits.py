@@ -7,6 +7,9 @@ oracles is therefore the adjoint of the sampled gate sequence: applying
 ``U`` means applying the sampled gates' adjoints in reverse order.  Only
 this convention is used anywhere; it makes "the forward run of the circuit
 on a basis state" and "a row of U" the same data.
+
+Every unitary action has ``n_qubits``, ``apply``, ``apply_adjoint`` and
+``adjoint_row(a)``: ``U^dag |a>``, the conjugate of row ``a`` of ``U``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from ..errors import InvalidConfigError, InvalidPlacementError, SizeError
 from .rng import stream
-from .states import UNITARY_TOL, TwoQubitGate, fwht_normalized, unitarity_defect
+from .states import UNITARY_TOL, TwoQubitGate, _sylvester, fwht_normalized, unitarity_defect
 
 MAX_QUBITS = 14
 # A dense 2^12 x 2^12 complex matrix takes 256 MiB.
@@ -108,6 +111,10 @@ class RandomCircuit:
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """Apply the sampled gates in order: the action of ``U^dag``."""
         return _run_fused(vec, self.n_qubits, self.pairs, self.gates)
+
+    def adjoint_row(self, a: int) -> np.ndarray:
+        """``U^dag |a>``: the forward run on a basis state."""
+        return self.apply_adjoint(basis_vector(self.n_qubits, a))
 
 
 def _checked_supports(supports, n_qubits: int) -> np.ndarray:
@@ -324,6 +331,16 @@ class HadamardAll:
 
     apply_adjoint = apply
 
+    def adjoint_row(self, a: int) -> np.ndarray:
+        """``U^dag |a>`` with no transform: for ``a = hi 2^b + lo``, row ``hi`` times row ``lo``
+        of the two Sylvester factors of :func:`fwht_normalized`, divided as it divides."""
+        n = self.n_qubits
+        b = n - n // 2
+        hi, lo = divmod(a, 1 << b)
+        out = np.outer(_sylvester(n // 2)[hi], _sylvester(b)[lo]).ravel().astype(complex)
+        out /= np.sqrt(2**n)
+        return out
+
 
 class MatrixUnitary:
     """Unitary action backed by an explicit dense matrix.
@@ -359,6 +376,10 @@ class MatrixUnitary:
         # conj(M^T conj(v)) equals M^dag v without copying the matrix.
         return np.conj(self.matrix.T @ np.conj(vec))
 
+    def adjoint_row(self, a: int) -> np.ndarray:
+        """``U^dag |a>``, the conjugate of row ``a``: one slice, no product."""
+        return np.conj(self.matrix[a])
+
 
 def hadamard_all(n_qubits: int) -> HadamardAll:
     """Unitary action of ``H`` applied to all ``n_qubits`` qubits."""
@@ -376,8 +397,3 @@ def densify(action) -> MatrixUnitary:
     if action.n_qubits > MAX_DENSE_QUBITS:
         raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
     return MatrixUnitary(action_matrix(action))
-
-
-def adjoint_rows(action, a: int) -> np.ndarray:
-    """The vector ``U^dag |a>`` as raw amplitudes."""
-    return action.apply_adjoint(basis_vector(action.n_qubits, a))

@@ -76,9 +76,12 @@ class GroupSpec:
     irreps: tuple[Irrep, ...] = ()
 
     def __post_init__(self):
-        table = np.array(self.mult_table, dtype=np.int64)
-        table.setflags(write=False)
-        object.__setattr__(self, "mult_table", table)
+        # A read-only int64 table is shared as it is; anything else is copied.
+        table = self.mult_table
+        if not isinstance(table, np.ndarray) or table.dtype != np.int64 or table.flags.writeable:
+            table = np.array(table, dtype=np.int64)
+            table.setflags(write=False)
+            object.__setattr__(self, "mult_table", table)
         self._validate()
 
     def _validate(self) -> None:
@@ -203,8 +206,9 @@ def cyclic_group(n: int) -> GroupSpec:
         raise InvalidConfigError("cyclic group needs order >= 2")
     if n > 2**MAX_DENSE_QUBITS:
         raise SizeError(f"cyclic groups capped at order 2^{MAX_DENSE_QUBITS}")
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int64)
     table = (idx[:, None] + idx[None, :]) % n
+    table.setflags(write=False)
     omega = np.exp(2j * np.pi / n)
     # Exponents reduced mod n keep phases at machine accuracy; each power is made once.
     powers = omega**idx
@@ -221,8 +225,9 @@ def xor_group(n_bits: int) -> GroupSpec:
     if n_bits > MAX_DENSE_QUBITS:
         raise SizeError(f"XOR groups capped at {MAX_DENSE_QUBITS} bits")
     n = 2**n_bits
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int64)
     table = idx[:, None] ^ idx[None, :]
+    table.setflags(write=False)
     irreps = []
     for a in range(n):
         parities = np.array([bin(a & g).count("1") & 1 for g in range(n)])

@@ -35,7 +35,8 @@ def mix64(z: int) -> int:
     """64-bit avalanche mix (splitmix64 finalizer).
 
     Used to derive deterministic per-node values from composite keys without
-    storing exponentially large tables.
+    storing exponentially large tables.  A ``uint64`` array is mixed
+    elementwise with the same result, since its arithmetic wraps mod 2^64.
     """
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -72,17 +72,6 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def basis(cls, n_qubits: int, index: int) -> "PureState":
-        if not 0 <= index < 2**n_qubits:
-            raise ValueError(f"basis index {index} out of range for n={n_qubits}")
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(n_qubits, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def apply_matrix_to_qubits(
     vec: np.ndarray, n_qubits: int, matrix: np.ndarray, qubits: tuple[int, ...]

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
 
@@ -7,17 +9,104 @@ import numpy as np
 import pytest
 
 from oraclelab.errors import CertificationError, InvalidConfigError
-from oraclelab.oracle import build_oracle
+from oraclelab.oracle import block_probability, build_oracle, identify, prepare_phi
 from oraclelab.rfs import (
+    LevelStats,
     RecursiveOracleSpec,
     find_simulate,
     make_rfs_spec,
     query_count,
     query_count_closed_form,
     repetition_count,
+    secret_at,
     unitary_for_spec,
 )
-from oraclelab.simcore import MatrixUnitary, hadamard_all, stream
+from oraclelab.rfs.core import level_secrets
+from oraclelab.rfs.find import _haar_perp
+from oraclelab.simcore import MatrixUnitary, action_matrix, hadamard_all, stream
+
+
+def reference_walk(spec, unitary, delta, m, inject=None, junk_draws=0, rng=None):
+    """The recursion model as a recursive post-order walk: the reference for ``find_simulate``.
+
+    Returns the root failure weight, the per-depth statistics and, when
+    ``junk_draws`` is positive, the sampled-mode summary.  Identification
+    runs once per label, on the label's first node in post-order.
+    """
+    inject = dict(inject or {})
+    depth = spec.depth
+    dim = 2**spec.n_symbol_bits
+    oracle = spec.oracle
+    exact_cache: dict[int, float] = {}
+    sign_cache: dict[int, np.ndarray] = {}
+
+    def exact_success(label: int, path) -> float:
+        if label not in exact_cache:
+            p = identify(unitary, oracle, label)
+            if p < delta - 1e-12:
+                raise CertificationError(
+                    f"label {label} at node {path} identifies with probability "
+                    f"{p:.6f} < delta {delta}"
+                )
+            exact_cache[label] = p
+        return exact_cache[label]
+
+    stats = {
+        k: {"nodes": 0, "eps_unc": 0.0, "eps_out": 0.0, "s_min": 1.0, "p_min": 1.0}
+        for k in range(depth)
+    }
+
+    def walk(path, node_out) -> float:
+        label = secret_at(spec, path)
+        if len(path) + 1 < depth:
+            child_eps = np.array([walk(path + (x,), node_out) for x in range(dim)])
+        else:
+            child_eps = np.zeros(dim)
+        if label not in sign_cache:
+            sign_cache[label] = oracle.signs(label)
+        c = float(np.mean((1.0 - child_eps) + sign_cache[label] * child_eps))
+        return node_out(path, label, max(0.0, (1.0 - c * c) / 4.0))
+
+    def bound_out(path, label: int, eps_unc: float) -> float:
+        p = exact_success(label, path)
+        s_floor = max(0.0, p - 4.0 * math.sqrt(eps_unc))
+        eps_out = min(1.0, (1.0 - s_floor) ** m + inject.get(path, 0.0))
+        st = stats[len(path)]
+        st["nodes"] += 1
+        st["eps_unc"] = max(st["eps_unc"], eps_unc)
+        st["eps_out"] = max(st["eps_out"], eps_out)
+        st["s_min"] = min(st["s_min"], s_floor)
+        st["p_min"] = min(st["p_min"], p)
+        return eps_out
+
+    root_eps = walk((), bound_out)
+    levels = tuple(
+        LevelStats(k, st["nodes"], st["eps_unc"], st["eps_out"], st["s_min"], st["p_min"])
+        for k, st in stats.items()
+    )
+    if junk_draws == 0:
+        return root_eps, levels, None
+
+    def sampled_out(path, label: int, eps_unc: float) -> float:
+        phi = prepare_phi(oracle, label).amplitudes
+        rows = oracle.labels[label].rows
+        fail = 1.0
+        for _copy in range(m):
+            tilde = phi if eps_unc == 0.0 else (
+                math.sqrt(1.0 - 4.0 * eps_unc) * phi
+                + math.sqrt(4.0 * eps_unc) * _haar_perp(rng, phi)
+            )
+            fail *= max(0.0, 1.0 - block_probability(unitary.apply(tilde), rows))
+        return min(1.0, fail + inject.get(path, 0.0))
+
+    draws = np.array([1.0 - walk((), sampled_out) for _ in range(junk_draws)])
+    sampled = {
+        "draws": junk_draws,
+        "success_mean": float(np.mean(draws)),
+        "success_min": float(np.min(draws)),
+        "success_max": float(np.max(draws)),
+    }
+    return root_eps, levels, sampled
 
 
 def test_repetition_and_epsilon_for_point_two():
@@ -142,3 +231,100 @@ def test_epsilon_bounds_hold_at_every_level():
         assert level.eps_out_max <= epsilon + 1e-15
         assert level.copy_success_min >= delta / 2
     assert report.bounds_hold
+
+
+@functools.cache
+def _phased_oracle(n):
+    """Hadamard times random column phases on ``n`` qubits, its oracle over ``2^ceil(n/2)``
+    labels, and a delta just below the smallest exact success, so that every label certifies."""
+    phases = np.exp(2j * np.pi * stream(n).random(2**n))
+    unitary = MatrixUnitary(action_matrix(hadamard_all(n)) * phases)
+    oracle = build_oracle(unitary, range(2 ** ((n + 1) // 2)))
+    delta = 0.9 * min(identify(unitary, oracle, k) for k in range(oracle.n_labels))
+    return unitary, oracle, delta
+
+
+def _phased_spec(depth, n, seed):
+    unitary, oracle, delta = _phased_oracle(n)
+    return RecursiveOracleSpec(depth, n, oracle, seed, {"kind": "custom"}), unitary, delta
+
+
+def _injections(depth, n, seed):
+    """One injected weight per depth on a seed-dependent path, and one key below the tree."""
+    dim = 2**n
+    inject = {tuple((seed + j) % dim for j in range(k)): 1e-3 * (k + 1) for k in range(depth)}
+    inject[(0,) * depth] = 0.5  # a path of full length names no internal node
+    return inject
+
+
+@pytest.mark.parametrize("depth, n", [(1, 3), (2, 2), (2, 8), (3, 4), (3, 6), (2, 10), (4, 4)])
+@pytest.mark.parametrize("variant", ["plain", "inject", "m_override", "both"])
+def test_level_sweep_equals_the_recursive_walk(depth, n, variant):
+    for seed in (0, 5, 2**64 - 1):
+        spec, unitary, delta = _phased_spec(depth, n, seed)
+        inject = _injections(depth, n, seed) if variant in ("inject", "both") else None
+        m_override = 2 if variant in ("m_override", "both") else None
+        report = find_simulate(spec, unitary, delta, m_override=m_override, inject=inject)
+        root_eps, levels, _ = reference_walk(spec, unitary, delta, report.m, inject)
+        assert report.final_failure_sq == root_eps
+        assert report.levels == levels
+        for new, old in zip(report.levels, levels):
+            for name in LevelStats.__dataclass_fields__:
+                assert getattr(new, name) == getattr(old, name), name
+
+
+@pytest.mark.parametrize("depth, n", [(2, 2), (3, 2), (2, 4)])
+def test_sampled_mode_keeps_the_post_order_draws(depth, n):
+    spec, unitary, delta = _phased_spec(depth, n, 3)
+    inject = _injections(depth, n, 3)
+    report = find_simulate(
+        spec, unitary, delta, junk_mode="both", m_override=2, inject=inject, junk_draws=4,
+        rng=stream(9),
+    )
+    root_eps, levels, sampled = reference_walk(
+        spec, unitary, delta, 2, inject, junk_draws=4, rng=stream(9)
+    )
+    assert (report.final_failure_sq, report.levels, report.sampled) == (root_eps, levels, sampled)
+    assert 0 < sampled["success_min"] < 1
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+def test_level_secrets_equal_secret_at_on_every_node(seed):
+    spec = make_rfs_spec(depth=3, n_symbol_bits=4, master_seed=seed)
+    levels = level_secrets(spec)
+    assert [len(level) for level in levels] == [1, 16, 256]
+    for k, level in enumerate(levels):
+        for i, path in enumerate(itertools.product(range(16), repeat=k)):
+            assert level[i] == secret_at(spec, path)
+
+
+def _two_failing_labels(depth, seed):
+    """An instance on n = 3 whose labels 6 and 7 identify with probability 1/8 and all
+    others with at least 1/3: the order-6 DFT on the first six basis states, identity on the rest."""
+    matrix = np.eye(8, dtype=complex)
+    matrix[:6, :6] = np.exp(2j * np.pi / 6) ** np.outer(range(6), range(6)) / np.sqrt(6)
+    unitary = MatrixUnitary(matrix)
+    oracle = build_oracle(unitary, range(8))
+    return RecursiveOracleSpec(depth, 3, oracle, seed, {"kind": "custom"}), unitary
+
+
+@pytest.mark.parametrize(
+    "depth, seed, label, path",
+    [
+        # The root's label 7 fails too, but the root comes last in post-order.
+        (2, 12, 6, (1,)),
+        # Deeper nodes carry 7 as well, but only after node (0,) and its clean children.
+        (3, 10, 6, (0,)),
+    ],
+)
+def test_certification_error_names_the_first_node_of_the_post_order_walk(depth, seed, label, path):
+    spec, unitary = _two_failing_labels(depth, seed)
+    levels = level_secrets(spec)
+    assert {6, 7} <= {int(x) for level in levels for x in level}
+    assert 7 in levels[-1] or 7 in levels[0]  # another failing node, not first in post-order
+    with pytest.raises(CertificationError) as expected:
+        reference_walk(spec, unitary, 0.3, 74)
+    with pytest.raises(CertificationError) as err:
+        find_simulate(spec, unitary, 0.3)
+    message = f"label {label} at node {path} identifies with probability 0.125000 < delta 0.3"
+    assert str(err.value) == str(expected.value) == message

@@ -104,6 +104,7 @@ def test_s3_transform_is_refused_by_register_uses_before_any_work(monkeypatch):
 
     monkeypatch.setattr(FourierMatrix, "apply", refuse)
     monkeypatch.setattr(FourierMatrix, "apply_adjoint", refuse)
+    monkeypatch.setattr(FourierMatrix, "adjoint_row", refuse)
     uses = (
         lambda: certify_dispersing(fourier, 1.0),
         lambda: build_oracle(fourier, range(4)),
@@ -283,3 +284,22 @@ def test_group_order_cap_checked_before_any_allocation(monkeypatch):
         cyclic_group(2**MAX_DENSE_QUBITS + 1)
     with pytest.raises(SizeError):
         xor_group(MAX_DENSE_QUBITS + 1)
+
+
+def test_a_read_only_int64_table_is_shared_and_a_writable_one_copied():
+    z8 = cyclic_group(8)
+    assert not z8.mult_table.flags.writeable
+    shared = GroupSpec("Z8-again", 8, z8.mult_table, z8.irreps)
+    assert np.shares_memory(shared.mult_table, z8.mult_table)
+    xor3 = xor_group(3).mult_table
+    assert xor3.dtype == np.int64 and not xor3.flags.writeable
+
+    writable = np.array(z8.mult_table)
+    copied = GroupSpec("Z8-copy", 8, writable, z8.irreps)
+    assert not np.shares_memory(copied.mult_table, writable)
+    assert not copied.mult_table.flags.writeable
+    writable[:] = 0
+    assert np.array_equal(copied.mult_table, z8.mult_table)
+    for table in (z8.mult_table.astype(np.int32), z8.mult_table.tolist()):
+        spec = GroupSpec("Z8-converted", 8, table, z8.irreps)
+        assert spec.mult_table.dtype == np.int64 and not spec.mult_table.flags.writeable

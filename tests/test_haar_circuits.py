@@ -15,7 +15,11 @@ from oraclelab.simcore import (
     action_matrix,
     apply_matrix_to_qubits,
     basis_vector,
+    builtin_group,
+    densify,
+    group_fourier,
     hadamard_all,
+    qft_cyclic,
     run_gates,
     run_random_circuit,
     sample_haar_stack,
@@ -117,6 +121,40 @@ def test_hadamard_action_twice_is_identity():
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     vec /= np.linalg.norm(vec)
     np.testing.assert_allclose(action.apply(action.apply(vec)), vec, atol=1e-12)
+
+
+def _assert_rows_equal_the_adjoint_action(action, labels):
+    """``adjoint_row(a)`` against the slow path, ``U^dag`` run on the basis vector."""
+    n = action.n_qubits
+    for a in labels:
+        assert np.array_equal(action.adjoint_row(a), action.apply_adjoint(basis_vector(n, a))), a
+
+
+@pytest.mark.parametrize("n", [*range(1, 11), 12])
+def test_hadamard_rows_are_the_transform_of_basis_vectors(n):
+    labels = range(2**n) if n <= 10 else stream(n).choice(2**n, 64, replace=False).tolist()
+    action = hadamard_all(n)
+    _assert_rows_equal_the_adjoint_action(action, labels)
+    x = np.arange(2**n)
+    for a in labels[:8]:
+        row = action.adjoint_row(a)
+        parity = np.array([(a & v).bit_count() & 1 for v in x.tolist()])
+        assert np.array_equal(row, np.where(parity, -1.0, 1.0) / np.sqrt(2**n))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: densify(run_random_circuit(6, 120, seed=5)),
+        lambda: qft_cyclic(64),
+        lambda: group_fourier(builtin_group("d4")),
+        lambda: run_random_circuit(4, 40, seed=6),
+    ],
+    ids=["random-matrix-6", "qft-6", "d4", "circuit-4"],
+)
+def test_every_row_equals_the_adjoint_action_on_a_basis_vector(make):
+    action = make()
+    _assert_rows_equal_the_adjoint_action(action, range(2**action.n_qubits))
 
 
 def test_stacked_draw_equals_repeated_single_draws():

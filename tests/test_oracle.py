@@ -100,7 +100,7 @@ def test_prepare_phi_shapes():
     oracle = build_oracle(action, range(2**n))
     phi = prepare_phi(oracle, 2)
     np.testing.assert_allclose(np.abs(phi.amplitudes), 2 ** (-n / 2), atol=1e-12)
-    assert abs(phi.norm() - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(phi.amplitudes) - 1.0) <= 1e-12
     # Constant bits give the uniform superposition up to a global sign.
     flat = build_oracle(MatrixUnitary(np.eye(2**n, dtype=complex)), [0])
     uniform = prepare_phi(flat, 0)
@@ -221,8 +221,6 @@ def test_unknown_label_raises():
     for index in (-1, 4):
         with pytest.raises(LabelError):
             identify(hadamard_all(2), oracle, index)
-    with pytest.raises(LabelError):
-        oracle.label_index(99)
 
 
 @pytest.mark.parametrize("labels", [[-1, 2], [0, 8], [7, 8]])

@@ -143,7 +143,7 @@ def test_gamma_initial_distribution():
         assert (g0 > 0).sum() == 2**n
         np.testing.assert_allclose(g0[g0 > 0], 2.0**-n)
     # Agrees with the direct Pauli expansion of a basis state.
-    state = PureState.basis(2, 3)
+    state = PureState(2, basis_vector(2, 3))
     np.testing.assert_allclose(gamma_squared(state), initial_gamma_squared(2, 3), atol=1e-12)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oraclelab.errors import DegenerateInputError, SizeError
 from oraclelab.signs import _sweep, best_phase_signs, brute_force_signs
-from oraclelab.simcore import adjoint_rows, hadamard_all, qft_cyclic, stream
+from oraclelab.simcore import hadamard_all, qft_cyclic, stream
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -168,7 +168,7 @@ def _real_row_cases():
     cases.append(("imaginary parts +-0", zero_imag))
     for n in range(1, 7):
         h = hadamard_all(n)
-        cases.append((f"hadamard n={n}", [adjoint_rows(h, a) for a in range(2**n)]))
+        cases.append((f"hadamard n={n}", [h.adjoint_row(a) for a in range(2**n)]))
     return [pytest.param(kind, rows, id=kind) for kind, rows in cases]
 
 

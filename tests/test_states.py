@@ -11,6 +11,7 @@ from oraclelab.simcore import (
     SWAP_2Q,
     PureState,
     apply_matrix_to_qubits,
+    basis_vector,
     fwht_normalized,
     run_gates,
     sample_haar_two_qubit,
@@ -33,30 +34,30 @@ def dense_two_qubit_matrix(gate: np.ndarray, n: int, i: int, j: int) -> np.ndarr
 
 
 def test_identity_gate_leaves_state_unchanged():
-    state = PureState.basis(3, 5)
+    state = PureState(3, basis_vector(3, 5))
     out = apply_matrix_to_qubits(state.amplitudes, 3, IDENTITY_2Q, (0, 2))
     np.testing.assert_array_equal(out, state.amplitudes)
 
 
 def test_swap_gate_on_01():
     # qubit0 = 1, qubit1 = 0 is basis index 1; after SWAP index 2.
-    state = PureState.basis(2, 1)
+    state = PureState(2, basis_vector(2, 1))
     out = apply_matrix_to_qubits(state.amplitudes, 2, SWAP_2Q, (0, 1))
-    np.testing.assert_allclose(out, PureState.basis(2, 2).amplitudes)
+    np.testing.assert_allclose(out, basis_vector(2, 2))
 
 
 def test_h_tensor_identity_on_00():
     # Hand multiplication: kron(H, I) acts as H on qubit i. On |00> the
     # result is (|00> + |01>)/sqrt(2), i.e. qubit 0 in superposition.
     gate = np.kron(HADAMARD_1Q, np.eye(2))
-    out = apply_matrix_to_qubits(PureState.basis(2, 0).amplitudes, 2, gate, (0, 1))
+    out = apply_matrix_to_qubits(basis_vector(2, 0), 2, gate, (0, 1))
     expected = np.zeros(4, dtype=complex)
     expected[0] = expected[1] = 1 / np.sqrt(2)
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
 def test_invalid_placements_raise():
-    vec = PureState.basis(2, 0).amplitudes
+    vec = basis_vector(2, 0)
     for pair in ((1, 1), (0, 2)):
         with pytest.raises(InvalidPlacementError):
             run_gates(vec, 2, [pair], [IDENTITY_2Q])
