@@ -90,6 +90,9 @@ def replay(path: str) -> dict:
 
     A mismatch lists the metric ``keys`` that differ and is ``cross_version``
     when the record's numerics version (1 if absent) is not the running one.
+    Its ``errors`` map each differing key whose recorded and fresh values are
+    both numbers to their ``abs_error`` and ``rel_error``; the relative error
+    divides by the larger magnitude of the two.
     """
     verdicts = []
     with open(path, encoding="utf-8") as fh:
@@ -107,19 +110,27 @@ def replay(path: str) -> dict:
                 parameters=data["parameters"],
                 master_seed=int(data["seed"]),
             )
-            fresh, _failures = EXPERIMENTS[config.experiment](
+            metrics, _failures = EXPERIMENTS[config.experiment](
                 config.parameters, config.master_seed
             )
             # Serialize both the same way so 0.1 compares as 0.1, not repr noise.
-            fresh = {k: json.dumps(v, sort_keys=True) for k, v in fresh.items()}
+            fresh = {k: json.dumps(v, sort_keys=True) for k, v in metrics.items()}
             reference = {k: json.dumps(v, sort_keys=True) for k, v in data["metrics"].items()}
             keys = sorted({key for key, _ in fresh.items() ^ reference.items()})
+            errors = {}
+            for key in keys:
+                old, new = data["metrics"].get(key), metrics.get(key)
+                if _is_number(old) and _is_number(new):
+                    error = abs(new - old)
+                    scale = max(abs(old), abs(new))
+                    errors[key] = {"abs_error": error, "rel_error": error / scale if scale else 0.0}
             verdicts.append(
                 {
                     "line": line_no,
                     "experiment": data["experiment"],
                     "match": not keys,
                     "keys": keys,
+                    "errors": errors,
                     "cross_version": data.get("numerics_version", 1) != NUMERICS_VERSION,
                 }
             )
@@ -128,6 +139,10 @@ def replay(path: str) -> dict:
         "all_match": all(v["match"] for v in verdicts),
         "mismatches": [v for v in verdicts if not v["match"]],
     }
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _csv_rows(metrics: dict) -> list[dict] | None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidConfigError, LabelError
-from .simcore import FourierMatrix
+from .simcore import FourierMatrix, rows_per_block
 
 DEFAULT_PSI_SAMPLES = 2000
 
@@ -58,7 +58,9 @@ class PseudoDispersionReport:
 def certify_dispersing(action, beta: float) -> DispersionReport:
     """Enumerate all ``2^n`` labels and certify the dispersion threshold.
 
-    Label ``a``'s L1 norm is that of ``U^dag |a>``, the action's ``adjoint_row(a)``.
+    Label ``a``'s L1 norm is that of ``U^dag |a>``.  The action's
+    ``adjoint_rows`` hands over one block of labels at a time, and each row
+    is summed along its contiguous axis, as a lone row would be.
     A label achieves when its L1 is at least ``beta * 2^(n/2)`` up to a
     slack of ``2^n * eps * beta * 2^(n/2)``: the norm adds ``2^n`` moduli,
     each rounded, so its rounding grows with ``2^n``, and a flat row must
@@ -68,7 +70,11 @@ def certify_dispersing(action, beta: float) -> DispersionReport:
         raise InvalidConfigError("beta must lie in (0, 1]")
     n = action.n_qubits
     dim = 2**n
-    l1 = np.array([np.sum(np.abs(action.adjoint_row(a))) for a in range(dim)])
+    step = rows_per_block(n)
+    l1 = np.empty(dim)
+    for start in range(0, dim, step):
+        labels = range(start, min(start + step, dim))
+        l1[start : start + len(labels)] = np.abs(action.adjoint_rows(labels)).sum(axis=1)
     threshold = beta * 2 ** (n / 2)
     slack = dim * np.finfo(float).eps * threshold
     achieving = tuple(int(a) for a in np.nonzero(l1 >= threshold - slack)[0])

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError, LabelError, SizeError
-from .signs import TWO_OVER_PI, best_phase_signs
+from .signs import TWO_OVER_PI, compile_rows
 from .simcore import (
     MAX_DENSE_QUBITS,
     PureState,
     densify,
     hadamard_all,
     qft_cyclic,
+    rows_per_block,
     run_random_circuit,
 )
 
@@ -56,7 +57,8 @@ class SingleLevelOracle:
             raise InvalidConfigError("oracle needs at least one label")
         if self.f_bits.shape != (len(self.labels), 2**self.n_qubits):
             raise InvalidConfigError("f_bits shape mismatch")
-        if np.any(self.predicted_success <= 0) or np.any(self.predicted_success > 1):
+        p = self.predicted_success
+        if not np.all((p > 0) & (p <= 1)):  # NaN fails both comparisons
             raise InvalidConfigError("predicted success must lie in (0, 1]")
 
     @property
@@ -117,6 +119,20 @@ def _label_spec(unitary, ident, psi: dict) -> LabelSpec:
     return LabelSpec(ident, rows, vec)
 
 
+def _spec_blocks(specs, limit: int):
+    """``(start, stop)`` runs of consecutive specs with at most ``limit`` rows between them.
+
+    A spec with more rows than ``limit`` makes a run of its own.
+    """
+    start = held = 0
+    for k, spec in enumerate(specs):
+        if held and held + len(spec.rows) > limit:
+            yield start, k
+            start, held = k, 0
+        held += len(spec.rows)
+    yield start, len(specs)
+
+
 def build_oracle(unitary, labels, psi: dict | None = None) -> SingleLevelOracle:
     """Compile an oracle family from a unitary action on n qubits and a list of labels.
 
@@ -129,7 +145,10 @@ def build_oracle(unitary, labels, psi: dict | None = None) -> SingleLevelOracle:
     For each label the compiled bits are ``f(a, x) = (1 - theta_x) / 2``
     where ``theta`` is the sign pattern maximizing the retained L1 mass of
     the label's row.  The global sign of ``theta`` is not fixed by the
-    construction; either choice satisfies the success bound.
+    construction; either choice satisfies the success bound.  Labels are
+    compiled a block at a time: one ``adjoint_rows`` call reads the rows of
+    every label in the block, and :func:`~oraclelab.signs.compile_rows`
+    compiles them together.
     """
     labels = list(labels)
     if not labels:
@@ -142,14 +161,21 @@ def build_oracle(unitary, labels, psi: dict | None = None) -> SingleLevelOracle:
 
     f_bits = np.zeros((len(specs), 2**n), dtype=np.uint8)
     betas = np.zeros(len(specs))
-    for k, spec in enumerate(specs):
+    for start, stop in _spec_blocks(specs, rows_per_block(n)):
+        block = specs[start:stop]
         # Row r of U is conj(U^dag |r>); a block's row c_x = <a| <psi| U |x>.
-        # One label's rows are held at a time.
-        rows = np.conj([unitary.adjoint_row(r) for r in spec.rows])
-        sol = best_phase_signs(rows[0] if spec.psi is None else spec.psi.conj() @ rows)
-        theta = np.array(sol.theta)
-        f_bits[k] = ((1 - theta) // 2).astype(np.uint8)
-        betas[k] = sol.l1 / 2 ** (n / 2)
+        # One block of labels' rows is held at a time.
+        rows = unitary.adjoint_rows([r for spec in block for r in spec.rows])
+        np.conj(rows, out=rows)
+        if any(spec.psi is not None for spec in block):
+            parts = np.split(rows, np.cumsum([len(spec.rows) for spec in block[:-1]]))
+            rows = np.array(
+                [part[0] if spec.psi is None else spec.psi.conj() @ part
+                 for spec, part in zip(block, parts)]
+            )
+        theta, l1 = compile_rows(rows)
+        f_bits[start:stop] = (1 - theta) // 2
+        betas[start:stop] = l1 / 2 ** (n / 2)
     return SingleLevelOracle(n_qubits=n, labels=tuple(specs), f_bits=f_bits, betas=betas)
 
 

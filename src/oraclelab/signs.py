@@ -15,7 +15,10 @@ Real rows (every imaginary part zero, such as the rows of Hadamard
 transforms) skip the sweep: all their breakpoints sit at ``pi/2``, so
 ``g(phi) = |cos phi| sum|x_k|`` peaks at ``phi = 0`` and ``theta = sign(x)``,
 with zeros mapped to +1.  That is the sweep's own answer, field for field,
-in O(d).
+in O(d).  :func:`compile_rows` applies that rule to a whole stack of real
+rows at once and sweeps its complex rows one by one.
+
+Every entry must be finite: a NaN or an infinity has no sign to keep.
 """
 
 from __future__ import annotations
@@ -44,6 +47,25 @@ class SignSolution:
         return self.value / self.l1
 
 
+def _checked(rows: np.ndarray) -> np.ndarray:
+    """``rows`` (a row, or rows along the last axis), refused unless each is nonzero and finite."""
+    if rows.shape[-1] == 0 or not np.all(np.any(rows != 0, axis=-1)):
+        raise DegenerateInputError("sign compilation needs a nonzero vector")
+    if not np.all(np.isfinite(rows)):
+        raise DegenerateInputError("sign compilation needs finite entries")
+    return rows
+
+
+def _real_signs(rows: np.ndarray) -> np.ndarray:
+    """The real-row rule, entry by entry: ``theta = sign(x)`` with exact zeros mapped to +1."""
+    return np.where(rows.real >= 0.0, 1, -1)
+
+
+def _l1(rows: np.ndarray) -> np.ndarray:
+    """Each row's L1 norm, summed along its contiguous last axis."""
+    return np.abs(rows).sum(axis=-1)
+
+
 def _signs_at(x: np.ndarray, phi: float) -> np.ndarray:
     """Signs of Re(exp(i phi) x_k); exact zeros resolve to +1 for determinism."""
     re = np.real(np.exp(1j * phi) * x)
@@ -60,12 +82,24 @@ def best_phase_signs(x) -> SignSolution:
     ``theta_k = sign(Re(exp(i phi_star) x_k))`` with exact zeros mapped to
     +1, and ``value = |sum_k theta_k x_k|``, which is at least ``g(phi_star)``.
     """
-    xv = np.asarray(x, dtype=complex).ravel()
-    if xv.size == 0 or not np.any(xv != 0):
-        raise DegenerateInputError("sign compilation needs a nonzero vector")
+    xv = _checked(np.asarray(x, dtype=complex).ravel())
     if np.any(xv.imag):
         return _sweep(xv)
-    return _solution(xv, 0.0, np.where(xv.real >= 0.0, 1, -1))
+    return _solution(xv, 0.0, _real_signs(xv))
+
+
+def compile_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`best_phase_signs` on each row of a ``(k, d)`` stack: its signs and its L1 norm.
+
+    Returns the ``(k, d)`` array of ``theta`` and the ``k`` L1 norms, equal
+    bit for bit to the ``theta`` and ``l1`` of the row-by-row calls.  Real
+    rows take the short path together; each complex row is swept alone.
+    """
+    rows = _checked(np.asarray(rows, dtype=complex))
+    theta = _real_signs(rows)
+    for k in np.flatnonzero(np.any(rows.imag, axis=1)):
+        theta[k] = best_phase_signs(rows[k]).theta
+    return theta, _l1(rows)
 
 
 def _sweep(xv: np.ndarray) -> SignSolution:
@@ -89,7 +123,7 @@ def _sweep(xv: np.ndarray) -> SignSolution:
 
 def _solution(xv: np.ndarray, phi_star: float, theta: np.ndarray) -> SignSolution:
     value = float(np.abs(np.sum(theta * xv)))
-    return SignSolution(phi_star, tuple(theta.tolist()), value, float(np.sum(np.abs(xv))))
+    return SignSolution(phi_star, tuple(theta.tolist()), value, float(_l1(xv)))
 
 
 def brute_force_signs(x) -> tuple[tuple[int, ...], float]:

@@ -9,7 +9,10 @@ this convention is used anywhere; it makes "the forward run of the circuit
 on a basis state" and "a row of U" the same data.
 
 Every unitary action has ``n_qubits``, ``apply``, ``apply_adjoint`` and
-``adjoint_row(a)``: ``U^dag |a>``, the conjugate of row ``a`` of ``U``.
+``adjoint_rows(labels)``: the ``(len(labels), 2^n)`` stack of ``U^dag |a>``,
+the conjugates of rows ``a`` of ``U``.  A single row is
+``adjoint_rows([a])[0]``.  Readers of many rows ask for them a block of
+:func:`rows_per_block` labels at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +39,14 @@ FUSE_MIN_AMPLITUDES = 2**14
 # identities too, so that building one allocates no identity of its own.
 _EYE = np.eye(1 << FUSED_WIDTH)
 _EYE.setflags(write=False)
+# A block of rows read through ``adjoint_rows`` holds at most this many amplitudes
+# (256 KiB complex), so that reading rows by blocks adds no more than that to memory.
+ROW_BLOCK_AMPLITUDES = 2**14
+
+
+def rows_per_block(n_qubits: int) -> int:
+    """How many rows of ``2^n_qubits`` amplitudes one block holds: at least one."""
+    return max(1, ROW_BLOCK_AMPLITUDES >> n_qubits)
 
 
 def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
@@ -112,9 +123,17 @@ class RandomCircuit:
         """Apply the sampled gates in order: the action of ``U^dag``."""
         return _run_fused(vec, self.n_qubits, self.pairs, self.gates)
 
-    def adjoint_row(self, a: int) -> np.ndarray:
-        """``U^dag |a>``: the forward run on a basis state."""
-        return self.apply_adjoint(basis_vector(self.n_qubits, a))
+    def adjoint_rows(self, labels) -> np.ndarray:
+        """``U^dag |a>`` for each label: one forward run per basis state, stacked.
+
+        Not one batched run: a batch of ``FUSE_MIN_AMPLITUDES`` amplitudes
+        would fuse the gates, which sums in another order.
+        """
+        dim = 2**self.n_qubits
+        rows = np.empty((len(labels), dim), dtype=complex)
+        for row, a in zip(rows, labels):
+            row[:] = self.apply_adjoint(basis_vector(self.n_qubits, a))
+        return rows
 
 
 def _checked_supports(supports, n_qubits: int) -> np.ndarray:
@@ -331,15 +350,21 @@ class HadamardAll:
 
     apply_adjoint = apply
 
-    def adjoint_row(self, a: int) -> np.ndarray:
+    def adjoint_rows(self, labels) -> np.ndarray:
         """``U^dag |a>`` with no transform: for ``a = hi 2^b + lo``, row ``hi`` times row ``lo``
-        of the two Sylvester factors of :func:`fwht_normalized`, divided as it divides."""
+        of the two Sylvester factors of :func:`fwht_normalized`, divided as it divides.
+
+        All labels' outer products come from one broadcast product.  The
+        scale rides on the real factor: every entry is ``+-1``, and numpy's
+        complex quotient ``(+-1 + 0j) / s`` is ``+-(1 / s) + 0j``, which is what
+        ``+-1 * (1 / s)`` cast to complex gives, without a complex division.
+        """
         n = self.n_qubits
         b = n - n // 2
-        hi, lo = divmod(a, 1 << b)
-        out = np.outer(_sylvester(n // 2)[hi], _sylvester(b)[lo]).ravel().astype(complex)
-        out /= np.sqrt(2**n)
-        return out
+        hi, lo = np.divmod(np.asarray(labels, dtype=np.intp), 1 << b)
+        scaled = _sylvester(b)[lo] * (1 / np.sqrt(2**n))
+        out = _sylvester(n // 2)[hi][:, :, None] * scaled[:, None, :]
+        return out.reshape(len(hi), 2**n).astype(complex)
 
 
 class MatrixUnitary:
@@ -376,9 +401,10 @@ class MatrixUnitary:
         # conj(M^T conj(v)) equals M^dag v without copying the matrix.
         return np.conj(self.matrix.T @ np.conj(vec))
 
-    def adjoint_row(self, a: int) -> np.ndarray:
-        """``U^dag |a>``, the conjugate of row ``a``: one slice, no product."""
-        return np.conj(self.matrix[a])
+    def adjoint_rows(self, labels) -> np.ndarray:
+        """``U^dag |a>`` for each label, the conjugates of rows ``a``: one gather, no product."""
+        rows = self.matrix[np.asarray(labels, dtype=np.intp)]
+        return np.conj(rows, out=rows)
 
 
 def hadamard_all(n_qubits: int) -> HadamardAll:

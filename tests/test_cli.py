@@ -79,6 +79,33 @@ def test_replay_names_differing_keys_and_flags_cross_version(tmp_path):
     assert mismatch["cross_version"] is True
 
 
+def test_replay_reports_the_error_of_each_differing_number(tmp_path):
+    out = tmp_path / "records.jsonl"
+    record = run(
+        ExperimentConfig(
+            experiment="signs",
+            parameters={"trials": 30, "d_max": 6},
+            master_seed=5,
+            out_path=str(out),
+        )
+    )
+    fresh = record.metrics
+    edited = json.loads(out.read_text())
+    edited["metrics"]["min_ratio"] = 0.5
+    edited["metrics"]["violations"] = 7
+    edited["metrics"]["trials"] = "thirty"
+    out.write_text(json.dumps(edited) + "\n")
+    (mismatch,) = replay(str(out))["mismatches"]
+    assert mismatch["keys"] == ["min_ratio", "trials", "violations"]
+    # A string against a number has no error; each pair of numbers has both.
+    assert sorted(mismatch["errors"]) == ["min_ratio", "violations"]
+    ratio = mismatch["errors"]["min_ratio"]
+    assert ratio["abs_error"] == abs(fresh["min_ratio"] - 0.5)
+    assert ratio["rel_error"] == ratio["abs_error"] / max(fresh["min_ratio"], 0.5)
+    assert fresh["violations"] == 0
+    assert mismatch["errors"]["violations"] == {"abs_error": 7, "rel_error": 1.0}
+
+
 def test_replay_rejects_unknown_schema(tmp_path):
     out = tmp_path / "records.jsonl"
     out.write_text(json.dumps({"schema_version": 99, "experiment": "signs"}) + "\n")

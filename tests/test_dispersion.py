@@ -9,6 +9,8 @@ from oraclelab.simcore import (
     action_matrix,
     builtin_group,
     child,
+    circuits,
+    densify,
     fwht_normalized,
     group_fourier,
     hadamard_all,
@@ -63,6 +65,38 @@ def test_dense_flat_spectrum_certifies_every_label():
     assert np.max(2 ** (n / 2) - report.per_label_l1) > 1e-12
     assert len(report.achieving_set) == 2**n
     assert report.alpha_achieved == 1.0
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["default-blocks", "blocks-of-3"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: hadamard_all(7),
+        lambda: qft_cyclic(64),
+        lambda: densify(run_random_circuit(6, 120, seed=5)),
+        lambda: run_random_circuit(4, 40, seed=6),
+        lambda: group_fourier(builtin_group("d4")),
+    ],
+    ids=["hadamard-7", "qft-6", "random-matrix-6", "circuit-4", "d4"],
+)
+def test_block_certificate_equals_the_per_label_sums(monkeypatch, make, rows):
+    action = make()
+    n = action.n_qubits
+    if rows is not None:
+        # 2^n is never a multiple of 3.
+        monkeypatch.setattr(circuits, "ROW_BLOCK_AMPLITUDES", rows << n)
+    calls = []
+    original = type(action).adjoint_rows
+
+    def recording(self, labels):
+        calls.append(len(labels))
+        return original(self, labels)
+
+    monkeypatch.setattr(type(action), "adjoint_rows", recording)
+    l1 = certify_dispersing(action, 0.5).per_label_l1
+    assert max(calls) <= circuits.rows_per_block(n) and sum(calls) == 2**n
+    old = np.array([np.sum(np.abs(original(action, [a])[0])) for a in range(2**n)])
+    assert l1.tobytes() == old.tobytes()
 
 
 def test_certify_identity_empty_above_threshold():

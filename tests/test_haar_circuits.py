@@ -124,10 +124,12 @@ def test_hadamard_action_twice_is_identity():
 
 
 def _assert_rows_equal_the_adjoint_action(action, labels):
-    """``adjoint_row(a)`` against the slow path, ``U^dag`` run on the basis vector."""
+    """``adjoint_rows(labels)`` against the slow path, ``U^dag`` run on each basis vector."""
     n = action.n_qubits
-    for a in labels:
-        assert np.array_equal(action.adjoint_row(a), action.apply_adjoint(basis_vector(n, a))), a
+    slow = np.array([action.apply_adjoint(basis_vector(n, a)) for a in labels])
+    assert np.array_equal(action.adjoint_rows(labels), slow)
+    for a, row in zip(labels, slow):
+        assert np.array_equal(action.adjoint_rows([a])[0], row), a
 
 
 @pytest.mark.parametrize("n", [*range(1, 11), 12])
@@ -137,7 +139,7 @@ def test_hadamard_rows_are_the_transform_of_basis_vectors(n):
     _assert_rows_equal_the_adjoint_action(action, labels)
     x = np.arange(2**n)
     for a in labels[:8]:
-        row = action.adjoint_row(a)
+        row = action.adjoint_rows([a])[0]
         parity = np.array([(a & v).bit_count() & 1 for v in x.tolist()])
         assert np.array_equal(row, np.where(parity, -1.0, 1.0) / np.sqrt(2**n))
 

@@ -6,9 +6,12 @@ import pytest
 
 from oraclelab import experiments
 from oraclelab import oracle as oracle_module
+from oraclelab.simcore import circuits
 from oraclelab.dispersion import certify_dispersing, pseudo_search
 from oraclelab.errors import InvalidConfigError, LabelError
 from oraclelab.oracle import (
+    LabelSpec,
+    SingleLevelOracle,
     block_probability,
     build_oracle,
     classical_guess_bound,
@@ -16,7 +19,9 @@ from oraclelab.oracle import (
     prepare_phi,
     simulate_bisection_strategy,
 )
+from oraclelab.signs import best_phase_signs
 from oraclelab.simcore import (
+    FourierMatrix,
     MatrixUnitary,
     builtin_group,
     densify,
@@ -201,6 +206,82 @@ def test_block_oracles_are_pinned(name, f_bits_digest, betas_digest):
     assert hashlib.sha256(oracle.betas.tobytes()).hexdigest() == betas_digest
 
 
+def _reference_oracle(unitary, specs):
+    """The per-label compiler: one label's rows and one ``best_phase_signs`` call at a time."""
+    n = unitary.n_qubits
+    f_bits = np.zeros((len(specs), 2**n), dtype=np.uint8)
+    betas = np.zeros(len(specs))
+    for k, spec in enumerate(specs):
+        rows = np.conj([unitary.adjoint_rows([r])[0] for r in spec.rows])
+        sol = best_phase_signs(rows[0] if spec.psi is None else spec.psi.conj() @ rows)
+        f_bits[k] = ((1 - np.array(sol.theta)) // 2).astype(np.uint8)
+        betas[k] = sol.l1 / 2 ** (n / 2)
+    return f_bits, betas
+
+
+def _d4_psi(fourier):
+    return {
+        label: pseudo_search(fourier, label, 50, stream(52)).best_psi
+        for label in fourier.block_labels()
+        if len(fourier.rows_for_block(*label)) == 2
+    }
+
+
+def _compile_case(kind):
+    """A unitary, labels in an order that is not the basis order, and the ancillas."""
+    if kind == "hadamard":
+        return hadamard_all(5), stream(1).permutation(32).tolist(), None
+    if kind == "qft":
+        return qft_cyclic(64), list(range(64)), None
+    if kind == "random":
+        return densify(run_random_circuit(6, 120, seed=5)), stream(2).permutation(64).tolist(), None
+    if kind == "circuit":
+        return run_random_circuit(4, 40, seed=6), list(range(16)), None
+    d4 = group_fourier(builtin_group("d4"))
+    labels = [0, ("planar", 1), 5, *d4.block_labels()[:4], ("planar", 2), 7, ("planar", 1)]
+    return d4, labels, _d4_psi(d4)
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["default-blocks", "blocks-of-3"])
+@pytest.mark.parametrize("kind", ["hadamard", "qft", "random", "circuit", "d4-blocks"])
+def test_block_compilation_equals_the_per_label_loop(monkeypatch, kind, rows):
+    unitary, labels, psi = _compile_case(kind)
+    if rows is not None:
+        # None of these label counts is a multiple of 3.
+        monkeypatch.setattr(circuits, "ROW_BLOCK_AMPLITUDES", rows << unitary.n_qubits)
+    oracle = build_oracle(unitary, labels, psi)
+    f_bits, betas = _reference_oracle(unitary, oracle.labels)
+    assert np.array_equal(oracle.f_bits, f_bits)
+    assert oracle.betas.tobytes() == betas.tobytes()
+
+
+@pytest.mark.parametrize("rows, sizes", [(3, [3, 3, 2, 3, 2]), (1, [1, 2, 1, 1, 1, 1, 1, 2, 1, 2])])
+def test_oracle_blocks_hold_at_most_the_row_cap(monkeypatch, rows, sizes):
+    # The d4 case's labels have 1, 2, 1, 1, 1, 1, 1, 2, 1 and 2 rows.  Under a
+    # cap of one row, each two-row block is read alone.
+    fourier, labels, psi = _compile_case("d4-blocks")
+    calls = []
+    original = FourierMatrix.adjoint_rows
+
+    def recording(self, rows_read):
+        calls.append(list(rows_read))
+        return original(self, rows_read)
+
+    monkeypatch.setattr(FourierMatrix, "adjoint_rows", recording)
+    monkeypatch.setattr(circuits, "ROW_BLOCK_AMPLITUDES", rows << fourier.n_qubits)
+    oracle = build_oracle(fourier, labels, psi)
+    assert [len(call) for call in calls] == sizes
+    assert sum(calls, []) == [r for spec in oracle.labels for r in spec.rows]
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf, 0.0, 2.0])
+def test_oracle_refuses_betas_outside_the_success_range(beta):
+    with pytest.raises(InvalidConfigError, match="predicted success"):
+        SingleLevelOracle(
+            2, (LabelSpec(0, (0,)),), np.zeros((1, 4), dtype=np.uint8), np.array([beta])
+        )
+
+
 def test_block_labels_need_a_unitary_with_blocks():
     with pytest.raises(LabelError, match="no block"):
         build_oracle(hadamard_all(3), [("chi1", 1)])
@@ -228,7 +309,7 @@ def test_basis_labels_outside_the_register_are_refused_before_compiling(monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("compiled a row before checking the labels")
 
-    monkeypatch.setattr(oracle_module, "best_phase_signs", refuse)
+    monkeypatch.setattr(oracle_module, "compile_rows", refuse)
     with pytest.raises(LabelError, match="outside"):
         build_oracle(hadamard_all(3), labels)
 

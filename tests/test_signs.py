@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oraclelab import signs
 from oraclelab.errors import DegenerateInputError, SizeError
-from oraclelab.signs import _sweep, best_phase_signs, brute_force_signs
+from oraclelab.signs import _sweep, best_phase_signs, brute_force_signs, compile_rows
 from oraclelab.simcore import hadamard_all, qft_cyclic, stream
 
 TWO_OVER_PI = 2.0 / np.pi
@@ -44,6 +45,42 @@ def test_degenerate_inputs():
         best_phase_signs(np.zeros(4, dtype=complex))
     with pytest.raises(DegenerateInputError):
         best_phase_signs([])
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[np.nan, 1.0], [1.0, np.inf], [complex(np.inf, 1.0), 2j], [1.0, complex(0.0, np.nan)]],
+    ids=["nan", "inf", "complex-inf", "complex-nan"],
+)
+def test_non_finite_entries_are_refused_before_any_sweep(monkeypatch, x):
+    def refuse(xv):
+        raise AssertionError("swept a row with a non-finite entry")
+
+    monkeypatch.setattr(signs, "_sweep", refuse)
+    with pytest.raises(DegenerateInputError, match="finite"):
+        best_phase_signs(x)
+    with pytest.raises(DegenerateInputError, match="finite"):
+        compile_rows([[1.0, 1j], x])
+
+
+def test_compile_rows_refuses_a_zero_row_of_a_stack():
+    with pytest.raises(DegenerateInputError, match="nonzero"):
+        compile_rows([[1.0, 1j], [0.0, 0.0]])
+    with pytest.raises(DegenerateInputError, match="nonzero"):
+        compile_rows(np.ones((2, 0)))
+
+
+def test_compile_rows_equals_best_phase_signs_row_by_row():
+    rng = stream(45)
+    rows = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
+    rows[1] = rows[1].real  # real rows among complex ones
+    rows[4] = np.where(rng.random(12) < 0.5, 1.0, -1.0) / np.sqrt(12)
+    rows[5, ::2] = 0.0
+    theta, l1 = compile_rows(rows)
+    for k, row in enumerate(rows):
+        sol = best_phase_signs(row)
+        assert tuple(theta[k].tolist()) == sol.theta, k
+        assert l1[k].tobytes() == np.float64(sol.l1).tobytes(), k
 
 
 def test_random_vectors_sandwich():
@@ -168,7 +205,7 @@ def _real_row_cases():
     cases.append(("imaginary parts +-0", zero_imag))
     for n in range(1, 7):
         h = hadamard_all(n)
-        cases.append((f"hadamard n={n}", [h.adjoint_row(a) for a in range(2**n)]))
+        cases.append((f"hadamard n={n}", [h.adjoint_rows([a])[0] for a in range(2**n)]))
     return [pytest.param(kind, rows, id=kind) for kind, rows in cases]
 
 
