@@ -224,7 +224,9 @@ def _collect_params(args: argparse.Namespace) -> dict:
             if key not in PARAMETERS[args.command]:
                 raise InvalidConfigError(f"{args.command} reads no parameter {key!r}")
         params.update(overrides)
-    if getattr(args, "c_factor", None) is not None and "t" not in params:
+    if getattr(args, "c_factor", None) is not None:
+        if "t" in params:
+            raise InvalidConfigError("--C sets t; it cannot be given together with t")
         n = int(params.get("n", DEFAULT_N[args.command]))
         params["t"] = int(args.c_factor * n**3)
     return params

@@ -1,7 +1,7 @@
 """L1 dispersion of circuit columns and the fourth-moment machinery.
 
 A unitary ``U`` on n qubits disperses a basis label ``a`` when the L1 norm
-of ``U^dag |a>`` is large; the certificate enumerates every label and
+of row ``a`` of ``U`` is large; the certificate enumerates every label and
 collects those meeting ``beta * 2^(n/2)``.  For block-structured unitaries
 (group Fourier transforms) the same question is asked after appending an
 ancilla vector inside the label's block; a randomized search over that
@@ -58,9 +58,9 @@ class PseudoDispersionReport:
 def certify_dispersing(action, beta: float) -> DispersionReport:
     """Enumerate all ``2^n`` labels and certify the dispersion threshold.
 
-    Label ``a``'s L1 norm is that of ``U^dag |a>``.  The action's
-    ``adjoint_rows`` hands over one block of labels at a time, and each row
-    is summed along its contiguous axis, as a lone row would be.
+    Label ``a``'s L1 norm is that of row ``a`` of ``U``.  The action's
+    ``rows`` hands over one block of labels at a time, in its own dtype, and
+    each row is summed along its contiguous axis, as a lone row would be.
     A label achieves when its L1 is at least ``beta * 2^(n/2)`` up to a
     slack of ``2^n * eps * beta * 2^(n/2)``: the norm adds ``2^n`` moduli,
     each rounded, so its rounding grows with ``2^n``, and a flat row must
@@ -74,7 +74,7 @@ def certify_dispersing(action, beta: float) -> DispersionReport:
     l1 = np.empty(dim)
     for start in range(0, dim, step):
         labels = range(start, min(start + step, dim))
-        l1[start : start + len(labels)] = np.abs(action.adjoint_rows(labels)).sum(axis=1)
+        l1[start : start + len(labels)] = np.abs(action.rows(labels)).sum(axis=1)
     threshold = beta * 2 ** (n / 2)
     slack = dim * np.finfo(float).eps * threshold
     achieving = tuple(int(a) for a in np.nonzero(l1 >= threshold - slack)[0])
@@ -105,8 +105,8 @@ def pseudo_search(
     if not rows:
         raise LabelError(f"no block {label} in Fourier matrix")
     order = fourier.group.order
-    # <g | U^dag |row> = conj(matrix[row, g]).
-    block = fourier.matrix[rows, :].conj()  # (d, |G|)
+    # <g | U^dag |row> = conj(U[row, g]).
+    block = fourier.rows(rows).conj()  # (d, |G|)
     d = len(rows)
     coeff = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
     coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)

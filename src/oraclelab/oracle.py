@@ -146,7 +146,7 @@ def build_oracle(unitary, labels, psi: dict | None = None) -> SingleLevelOracle:
     where ``theta`` is the sign pattern maximizing the retained L1 mass of
     the label's row.  The global sign of ``theta`` is not fixed by the
     construction; either choice satisfies the success bound.  Labels are
-    compiled a block at a time: one ``adjoint_rows`` call reads the rows of
+    compiled a block at a time: one ``rows`` call reads the rows of
     every label in the block, and :func:`~oraclelab.signs.compile_rows`
     compiles them together.
     """
@@ -163,10 +163,8 @@ def build_oracle(unitary, labels, psi: dict | None = None) -> SingleLevelOracle:
     betas = np.zeros(len(specs))
     for start, stop in _spec_blocks(specs, rows_per_block(n)):
         block = specs[start:stop]
-        # Row r of U is conj(U^dag |r>); a block's row c_x = <a| <psi| U |x>.
-        # One block of labels' rows is held at a time.
-        rows = unitary.adjoint_rows([r for spec in block for r in spec.rows])
-        np.conj(rows, out=rows)
+        # A block's row is c_x = <a| <psi| U |x>.  One block of labels' rows is held at a time.
+        rows = unitary.rows([r for spec in block for r in spec.rows])
         if any(spec.psi is not None for spec in block):
             parts = np.split(rows, np.cumsum([len(spec.rows) for spec in block[:-1]]))
             rows = np.array(

@@ -135,6 +135,10 @@ def find_simulate(
         raise InvalidConfigError(f"unknown junk mode {junk_mode!r}")
     if not 0 < delta <= 1:
         raise InvalidConfigError("delta must lie in (0, 1]")
+    if m_override is not None and m_override < 1:
+        raise InvalidConfigError("m_override must be at least 1")
+    if junk_mode != "worst" and junk_draws < 1:
+        raise InvalidConfigError("sampled junk mode needs at least one draw")
     inject = dict(inject or {})
     epsilon = (delta / 8.0) ** 2
     m = m_override if m_override is not None else repetition_count(delta)

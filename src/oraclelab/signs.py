@@ -92,13 +92,15 @@ def compile_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """:func:`best_phase_signs` on each row of a ``(k, d)`` stack: its signs and its L1 norm.
 
     Returns the ``(k, d)`` array of ``theta`` and the ``k`` L1 norms, equal
-    bit for bit to the ``theta`` and ``l1`` of the row-by-row calls.  Real
-    rows take the short path together; each complex row is swept alone.
+    bit for bit to the ``theta`` and ``l1`` of the row-by-row calls.  The
+    stack is read in its own dtype: a real stack takes the short path
+    whole; in a complex stack each row with an imaginary part is swept alone.
     """
-    rows = _checked(np.asarray(rows, dtype=complex))
+    rows = _checked(np.asarray(rows))
     theta = _real_signs(rows)
-    for k in np.flatnonzero(np.any(rows.imag, axis=1)):
-        theta[k] = best_phase_signs(rows[k]).theta
+    if np.iscomplexobj(rows):
+        for k in np.flatnonzero(np.any(rows.imag, axis=1)):
+            theta[k] = best_phase_signs(rows[k]).theta
     return theta, _l1(rows)
 
 

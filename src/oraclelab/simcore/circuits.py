@@ -5,14 +5,16 @@ Adjoint convention, fixed package-wide: running a sampled circuit forward
 ``U^dag``.  The unitary ``U`` whose rows downstream modules compile into
 oracles is therefore the adjoint of the sampled gate sequence: applying
 ``U`` means applying the sampled gates' adjoints in reverse order.  Only
-this convention is used anywhere; it makes "the forward run of the circuit
-on a basis state" and "a row of U" the same data.
+this convention is used anywhere; it makes the forward run of the circuit
+on basis state ``a`` the conjugate of row ``a`` of U.
 
-Every unitary action has ``n_qubits``, ``apply``, ``apply_adjoint`` and
-``adjoint_rows(labels)``: the ``(len(labels), 2^n)`` stack of ``U^dag |a>``,
-the conjugates of rows ``a`` of ``U``.  A single row is
-``adjoint_rows([a])[0]``.  Readers of many rows ask for them a block of
-:func:`rows_per_block` labels at a time.
+Every unitary action has three members: ``n_qubits``, ``apply`` (the
+action of ``U`` on a state) and ``rows(labels)``, the ``(len(labels), 2^n)``
+stack of rows ``a`` of ``U`` in the action's own dtype: real for
+:class:`HadamardAll`, complex for :class:`MatrixUnitary`.  A single row is
+``rows([a])[0]``.  Readers of many rows ask for them a block of
+:func:`rows_per_block` labels at a time.  A :class:`RandomCircuit` hands
+over no rows: circuits are read through :func:`densify`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ FUSE_MIN_AMPLITUDES = 2**14
 # identities too, so that building one allocates no identity of its own.
 _EYE = np.eye(1 << FUSED_WIDTH)
 _EYE.setflags(write=False)
-# A block of rows read through ``adjoint_rows`` holds at most this many amplitudes
+# A block of rows read through ``rows`` holds at most this many amplitudes
 # (256 KiB complex), so that reading rows by blocks adds no more than that to memory.
 ROW_BLOCK_AMPLITUDES = 2**14
 
@@ -89,9 +91,10 @@ class RandomCircuit:
     """A length-``t`` sequence of Haar gates on uniformly random qubit pairs.
 
     Gate ``k`` is ``gates[k]`` on qubits ``pairs[k]``; both arrays are
-    read-only.  It is a unitary action: ``apply`` realizes ``U`` and
-    ``apply_adjoint`` realizes ``U^dag``, the forward run.  Regeneration
-    from ``(n_qubits, length, seed)`` is bit-identical.
+    read-only.  ``apply`` realizes ``U`` and ``apply_adjoint`` realizes
+    ``U^dag``, the forward run; the rows of ``U`` are read through
+    :func:`densify`.  Regeneration from ``(n_qubits, length, seed)`` is
+    bit-identical.
     """
 
     n_qubits: int
@@ -122,18 +125,6 @@ class RandomCircuit:
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """Apply the sampled gates in order: the action of ``U^dag``."""
         return _run_fused(vec, self.n_qubits, self.pairs, self.gates)
-
-    def adjoint_rows(self, labels) -> np.ndarray:
-        """``U^dag |a>`` for each label: one forward run per basis state, stacked.
-
-        Not one batched run: a batch of ``FUSE_MIN_AMPLITUDES`` amplitudes
-        would fuse the gates, which sums in another order.
-        """
-        dim = 2**self.n_qubits
-        rows = np.empty((len(labels), dim), dtype=complex)
-        for row, a in zip(rows, labels):
-            row[:] = self.apply_adjoint(basis_vector(self.n_qubits, a))
-        return rows
 
 
 def _checked_supports(supports, n_qubits: int) -> np.ndarray:
@@ -348,23 +339,18 @@ class HadamardAll:
             raise ValueError(f"expected leading dimension {dim}, got shape {np.shape(vec)}")
         return fwht_normalized(vec)
 
-    apply_adjoint = apply
+    def rows(self, labels) -> np.ndarray:
+        """Real rows with no transform: for ``a = hi 2^b + lo``, row ``hi`` times row ``lo``
+        of the two Sylvester factors of :func:`fwht_normalized`, scaled by ``1 / sqrt(2^n)``.
 
-    def adjoint_rows(self, labels) -> np.ndarray:
-        """``U^dag |a>`` with no transform: for ``a = hi 2^b + lo``, row ``hi`` times row ``lo``
-        of the two Sylvester factors of :func:`fwht_normalized`, divided as it divides.
-
-        All labels' outer products come from one broadcast product.  The
-        scale rides on the real factor: every entry is ``+-1``, and numpy's
-        complex quotient ``(+-1 + 0j) / s`` is ``+-(1 / s) + 0j``, which is what
-        ``+-1 * (1 / s)`` cast to complex gives, without a complex division.
+        All labels' outer products come from one broadcast product.
         """
         n = self.n_qubits
         b = n - n // 2
         hi, lo = np.divmod(np.asarray(labels, dtype=np.intp), 1 << b)
         scaled = _sylvester(b)[lo] * (1 / np.sqrt(2**n))
         out = _sylvester(n // 2)[hi][:, :, None] * scaled[:, None, :]
-        return out.reshape(len(hi), 2**n).astype(complex)
+        return out.reshape(len(hi), 2**n)
 
 
 class MatrixUnitary:
@@ -397,14 +383,9 @@ class MatrixUnitary:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
 
-    def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        # conj(M^T conj(v)) equals M^dag v without copying the matrix.
-        return np.conj(self.matrix.T @ np.conj(vec))
-
-    def adjoint_rows(self, labels) -> np.ndarray:
-        """``U^dag |a>`` for each label, the conjugates of rows ``a``: one gather, no product."""
-        rows = self.matrix[np.asarray(labels, dtype=np.intp)]
-        return np.conj(rows, out=rows)
+    def rows(self, labels) -> np.ndarray:
+        """Rows ``labels`` of the matrix: one gather, no product."""
+        return self.matrix[np.asarray(labels, dtype=np.intp)]
 
 
 def hadamard_all(n_qubits: int) -> HadamardAll:

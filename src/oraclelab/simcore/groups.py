@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import InvalidConfigError, InvalidGroupDataError, SizeError
 from .circuits import MAX_DENSE_QUBITS, MatrixUnitary
-from .states import unitarity_defect
+from .states import _sylvester, unitarity_defect
 
 IRREP_UNITARY_TOL = 1e-12
 HOMOMORPHISM_TOL = 1e-10
@@ -228,12 +228,10 @@ def xor_group(n_bits: int) -> GroupSpec:
     idx = np.arange(n, dtype=np.int64)
     table = idx[:, None] ^ idx[None, :]
     table.setflags(write=False)
-    irreps = []
-    for a in range(n):
-        parities = np.array([bin(a & g).count("1") & 1 for g in range(n)])
-        chars = np.where(parities, -1.0, 1.0).astype(complex)
-        irreps.append(Irrep(f"chi{a}", 1, chars.reshape(n, 1, 1)))
-    return GroupSpec(f"XOR{n_bits}", n, table, tuple(irreps))
+    # chi_a(g) = (-1)^{popcount(a & g)}: row a of the Sylvester matrix, built from its two factors.
+    chars = np.kron(_sylvester(n_bits // 2), _sylvester(n_bits - n_bits // 2))
+    irreps = tuple(Irrep(f"chi{a}", 1, row.reshape(n, 1, 1)) for a, row in enumerate(chars))
+    return GroupSpec(f"XOR{n_bits}", n, table, irreps)
 
 
 def qft_cyclic(n: int) -> FourierMatrix:

@@ -162,6 +162,19 @@ def test_c_factor_uses_the_experiments_default_n(monkeypatch):
     assert built == [(8, 512)]
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_c_factor_with_an_explicit_t_is_refused_before_any_work(monkeypatch, tmp_path, route):
+    def refuse(*args):
+        raise AssertionError("ran an experiment")
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "qt", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t": 10}))
+    t_args = ["--t", "10"] if route == "flag" else ["--config", str(cfg)]
+    with pytest.raises(InvalidConfigError, match="--C"):
+        main(["qt", *t_args, "--C", "4"])
+
+
 @pytest.mark.parametrize("kind", ["random", "qft"])
 def test_dense_unitary_above_cap_fails_before_building(monkeypatch, kind):
     def refuse(*args):

@@ -209,6 +209,25 @@ def test_sampled_mode_matches_worst_mode_when_clean():
     assert report.sampled["success_min"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"m_override": 0},
+        {"m_override": -3},
+        {"junk_mode": "sampled", "junk_draws": 0, "rng": stream(5)},
+    ],
+    ids=["m-0", "m-minus-3", "sampled-0-draws"],
+)
+def test_unusable_counts_are_refused_before_any_identify(monkeypatch, kwargs):
+    def refuse(*_args):
+        raise AssertionError("identify called")
+
+    monkeypatch.setattr("oraclelab.rfs.find.identify", refuse)
+    spec = make_rfs_spec(depth=2, n_symbol_bits=2, master_seed=13, alpha_n=2)
+    with pytest.raises(InvalidConfigError):
+        find_simulate(spec, hadamard_all(2), delta=0.2, **kwargs)
+
+
 def test_sampled_mode_requires_rng():
     spec = make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=13)
     with pytest.raises(InvalidConfigError):

@@ -103,8 +103,7 @@ def test_s3_transform_is_refused_by_register_uses_before_any_work(monkeypatch):
         raise AssertionError("ran the order-6 transform before refusing it")
 
     monkeypatch.setattr(FourierMatrix, "apply", refuse)
-    monkeypatch.setattr(FourierMatrix, "apply_adjoint", refuse)
-    monkeypatch.setattr(FourierMatrix, "adjoint_rows", refuse)
+    monkeypatch.setattr(FourierMatrix, "rows", refuse)
     uses = (
         lambda: certify_dispersing(fourier, 1.0),
         lambda: build_oracle(fourier, range(4)),

@@ -205,7 +205,7 @@ def _real_row_cases():
     cases.append(("imaginary parts +-0", zero_imag))
     for n in range(1, 7):
         h = hadamard_all(n)
-        cases.append((f"hadamard n={n}", [h.adjoint_rows([a])[0] for a in range(2**n)]))
+        cases.append((f"hadamard n={n}", [h.rows([a])[0] for a in range(2**n)]))
     return [pytest.param(kind, rows, id=kind) for kind, rows in cases]
 
 
