@@ -26,7 +26,8 @@ SCHEMA_VERSION = 1
 # 6: random-circuit gates fuse into 5-qubit blocks on wide states.
 # 7: the referee reads Z from per-depth frontier counts (rfs replay-log
 # final_z moves by ulps); certification slack scales with 2^n.
-NUMERICS_VERSION = 7
+# 8: identify reads only the label's rows of U (qft and random successes move by ulps).
+NUMERICS_VERSION = 8
 
 
 @dataclass(frozen=True)

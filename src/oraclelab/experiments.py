@@ -171,7 +171,7 @@ def run_oracle(params: dict, seed: int):
         raise InvalidConfigError(f"labels must be at most 2^n = {2**n}, got {labels}")
     action = _build_unitary(params, n, seed)
     oracle = build_oracle(action, range(labels))
-    successes = np.array([identify(action, oracle, k) for k in range(oracle.n_labels)])
+    successes = identify(action, oracle, np.arange(oracle.n_labels))
     margins = successes - oracle.predicted_success
     metrics = {
         "n": n,

@@ -119,18 +119,18 @@ def _label_spec(unitary, ident, psi: dict) -> LabelSpec:
     return LabelSpec(ident, rows, vec)
 
 
-def _spec_blocks(specs, limit: int):
-    """``(start, stop)`` runs of consecutive specs with at most ``limit`` rows between them.
-
-    A spec with more rows than ``limit`` makes a run of its own.
-    """
-    start = held = 0
+def _row_blocks(unitary, specs):
+    """``(start, stop, rows)``: the rows of U of each run of consecutive specs, read by one
+    ``rows`` call.  A run holds at most ``rows_per_block(n)`` rows, or one spec with more."""
+    limit = rows_per_block(unitary.n_qubits)
+    starts, held = [], limit
     for k, spec in enumerate(specs):
-        if held and held + len(spec.rows) > limit:
-            yield start, k
-            start, held = k, 0
+        if held + len(spec.rows) > limit:
+            starts.append(k)
+            held = 0
         held += len(spec.rows)
-    yield start, len(specs)
+    for start, stop in zip(starts, [*starts[1:], len(specs)]):
+        yield start, stop, unitary.rows([r for spec in specs[start:stop] for r in spec.rows])
 
 
 def build_oracle(unitary, labels, psi: dict | None = None) -> SingleLevelOracle:
@@ -161,10 +161,9 @@ def build_oracle(unitary, labels, psi: dict | None = None) -> SingleLevelOracle:
 
     f_bits = np.zeros((len(specs), 2**n), dtype=np.uint8)
     betas = np.zeros(len(specs))
-    for start, stop in _spec_blocks(specs, rows_per_block(n)):
+    for start, stop, rows in _row_blocks(unitary, specs):
         block = specs[start:stop]
         # A block's row is c_x = <a| <psi| U |x>.  One block of labels' rows is held at a time.
-        rows = unitary.rows([r for spec in block for r in spec.rows])
         if any(spec.psi is not None for spec in block):
             parts = np.split(rows, np.cumsum([len(spec.rows) for spec in block[:-1]]))
             rows = np.array(
@@ -189,24 +188,24 @@ def prepare_phi(oracle: SingleLevelOracle, label_index: int) -> PureState:
     return PureState(oracle.n_qubits, oracle.signs(label_index) / np.sqrt(dim))
 
 
-def block_probability(out: np.ndarray, rows) -> float:
-    """Probability that measuring the output state ``out = U |psi>`` lands in ``rows``.
+def identify(unitary, oracle: SingleLevelOracle, label_indices) -> np.ndarray:
+    """Exact probability that one query identifies each label in ``label_indices``, in its shape.
 
-    The one measurement rule of the game: a label is identified when the
-    outcome falls in its block of output rows (a single row when all n bits
-    are measured).  Rounding above 1 is clipped.
+    ``U |phi_a>`` is measured on the label's output rows ``r``: with the oracle's signs
+    ``theta``, ``sum_r |U_r . theta|^2 / 2^n`` clipped at 1, read a block of labels at a time.
     """
-    return min(float(np.sum(np.abs(out[list(rows)]) ** 2)), 1.0)
-
-
-def identify(unitary, oracle: SingleLevelOracle, label_index: int) -> float:
-    """Exact probability that one query identifies the label at ``label_index``.
-
-    The compiled state ``U |phi_a>`` is measured on the label's block of
-    output rows.
-    """
-    out = unitary.apply(prepare_phi(oracle, label_index).amplitudes)
-    return block_probability(out, oracle.labels[label_index].rows)
+    index = np.asarray(label_indices)
+    if np.any((index < 0) | (index >= oracle.n_labels)):
+        raise LabelError(f"label indices outside [0, {oracle.n_labels})")
+    flat = index.ravel()
+    specs = [oracle.labels[k] for k in flat.tolist()]
+    success = np.empty(len(specs))
+    for start, stop, rows in _row_blocks(unitary, specs):
+        counts = [len(spec.rows) for spec in specs[start:stop]]
+        theta = np.repeat(oracle.signs(flat[start:stop]), counts, axis=0)
+        per_row = np.abs(np.einsum("ij,ij->i", rows, theta)) ** 2 / 2**oracle.n_qubits
+        success[start:stop] = np.add.reduceat(per_row, np.cumsum([0, *counts[:-1]]))
+    return np.minimum(success, 1.0).reshape(index.shape)
 
 
 def classical_guess_bound(q: int, alpha_n: float) -> float:

@@ -34,8 +34,8 @@ from itertools import product
 import numpy as np
 
 from ..errors import CertificationError, InvalidConfigError, SizeError
-from ..oracle import block_probability, identify, prepare_phi
-from ..simcore import action_matrix, hadamard_all, run_gates
+from ..oracle import identify, prepare_phi
+from ..simcore import hadamard_all, run_gates
 from .core import RecursiveOracleSpec, level_secrets, secret_at
 
 MAX_MODEL_NODES = 100_000
@@ -157,11 +157,9 @@ def find_simulate(
             injected[len(path)][np.ravel_multi_index(path, (dim,) * len(path))] += eps
 
     used = np.zeros(spec.n_labels, dtype=bool)
-    for level in labels:
-        used[level] = True
+    used[np.concatenate(labels)] = True
     exact = np.zeros(spec.n_labels)
-    for label in np.flatnonzero(used).tolist():
-        exact[label] = identify(unitary, oracle, label)
+    exact[used] = identify(unitary, oracle, np.flatnonzero(used))
     failed = used & (exact < delta - 1e-12)
     if failed.any():
         # The first failing node of each depth, as (path, label).  In post-order a
@@ -232,14 +230,14 @@ def find_simulate(
                 c = float(np.mean((1.0 - kids) + oracle.signs(label) * kids))
                 eps_unc = max(0.0, (1.0 - c * c) / 4.0)
             phi = prepare_phi(oracle, label).amplitudes
-            rows = oracle.labels[label].rows
-            fail = 1.0
-            for _copy in range(m):
-                tilde = phi if eps_unc == 0.0 else (
-                    math.sqrt(1.0 - 4.0 * eps_unc) * phi
-                    + math.sqrt(4.0 * eps_unc) * _haar_perp(rng, phi)
-                )
-                fail *= max(0.0, 1.0 - block_probability(unitary.apply(tilde), rows))
+            keep, junk = math.sqrt(1.0 - 4.0 * eps_unc), math.sqrt(4.0 * eps_unc)
+            tildes = np.array([
+                phi if eps_unc == 0.0 else keep * phi + junk * _haar_perp(rng, phi)
+                for _copy in range(m)
+            ])
+            # The m copies' successes on the label's rows, from one product.
+            amps = unitary.rows(oracle.labels[label].rows) @ tildes.T
+            fail = math.prod(max(0.0, 1.0 - s) for s in np.sum(np.abs(amps) ** 2, axis=0).tolist())
             return min(1.0, fail + float(injected[k][i]))
 
         draws = np.array([1.0 - sampled_fail(0, 0) for _ in range(junk_draws)])
@@ -394,6 +392,8 @@ def find_coherent_tiny(
     depth = spec.depth
     m = m_override
     inject = dict(inject or {})
+    if m < 1:
+        raise InvalidConfigError("m_override must be at least 1")
     if n > 2 or depth > 2 or m > 3:
         raise SizeError("coherent run capped at n <= 2, depth <= 2, m <= 3")
 
@@ -446,8 +446,8 @@ def find_coherent_tiny(
     def secret_ident(path: tuple[int, ...]) -> int:
         return int(idents[secret_at(spec, path)])
 
-    h_layer = action_matrix(hadamard_all(n))
-    u_matrix = action_matrix(unitary)
+    h_layer = hadamard_all(n).rows(range(dim_sym))
+    u_matrix = unitary.rows(range(dim_sym))
 
     def ancestors_of(inst: tuple[int, ...]) -> list:
         return [("sym", inst[:j], inst[j]) for j in range(len(inst))]

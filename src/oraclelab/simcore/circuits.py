@@ -8,13 +8,13 @@ oracles is therefore the adjoint of the sampled gate sequence: applying
 this convention is used anywhere; it makes the forward run of the circuit
 on basis state ``a`` the conjugate of row ``a`` of U.
 
-Every unitary action has three members: ``n_qubits``, ``apply`` (the
-action of ``U`` on a state) and ``rows(labels)``, the ``(len(labels), 2^n)``
-stack of rows ``a`` of ``U`` in the action's own dtype: real for
-:class:`HadamardAll`, complex for :class:`MatrixUnitary`.  A single row is
-``rows([a])[0]``.  Readers of many rows ask for them a block of
-:func:`rows_per_block` labels at a time.  A :class:`RandomCircuit` hands
-over no rows: circuits are read through :func:`densify`.
+Every unitary action has two members: ``n_qubits`` and ``rows(labels)``,
+the ``(len(labels), 2^n)`` stack of rows ``a`` of ``U`` in the action's own
+dtype: real for :class:`HadamardAll`, complex for :class:`MatrixUnitary`.
+A single row is ``rows([a])[0]``; a label outside the register is refused.
+Readers of many rows ask for them a block of :func:`rows_per_block` labels
+at a time.  A :class:`RandomCircuit` is run, not read: it hands over no
+rows, and :func:`densify` makes it a :class:`MatrixUnitary`.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InvalidConfigError, InvalidPlacementError, SizeError
+from ..errors import InvalidConfigError, InvalidPlacementError, LabelError, SizeError
 from .rng import stream
-from .states import UNITARY_TOL, TwoQubitGate, _sylvester, fwht_normalized, unitarity_defect
+from .states import UNITARY_TOL, TwoQubitGate, _sylvester, unitarity_defect
 
 MAX_QUBITS = 14
 # A dense 2^12 x 2^12 complex matrix takes 256 MiB.
@@ -333,12 +333,6 @@ class HadamardAll:
             raise SizeError(f"Hadamard actions capped at {MAX_QUBITS} qubits")
         self.n_qubits = n_qubits
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        dim = 2**self.n_qubits
-        if np.shape(vec)[:1] != (dim,):
-            raise ValueError(f"expected leading dimension {dim}, got shape {np.shape(vec)}")
-        return fwht_normalized(vec)
-
     def rows(self, labels) -> np.ndarray:
         """Real rows with no transform: for ``a = hi 2^b + lo``, row ``hi`` times row ``lo``
         of the two Sylvester factors of :func:`fwht_normalized`, scaled by ``1 / sqrt(2^n)``.
@@ -347,7 +341,7 @@ class HadamardAll:
         """
         n = self.n_qubits
         b = n - n // 2
-        hi, lo = np.divmod(np.asarray(labels, dtype=np.intp), 1 << b)
+        hi, lo = np.divmod(_checked_labels(labels, 2**n), 1 << b)
         scaled = _sylvester(b)[lo] * (1 / np.sqrt(2**n))
         out = _sylvester(n // 2)[hi][:, :, None] * scaled[:, None, :]
         return out.reshape(len(hi), 2**n)
@@ -380,12 +374,17 @@ class MatrixUnitary:
             raise InvalidConfigError(f"dimension {dim} is not a power of two: no qubit register")
         return dim.bit_length() - 1
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
     def rows(self, labels) -> np.ndarray:
         """Rows ``labels`` of the matrix: one gather, no product."""
-        return self.matrix[np.asarray(labels, dtype=np.intp)]
+        return self.matrix[_checked_labels(labels, len(self.matrix))]
+
+
+def _checked_labels(labels, dim: int) -> np.ndarray:
+    """``labels`` as an index array, refused if one lies outside ``[0, dim)``."""
+    labels = np.asarray(labels, dtype=np.intp)
+    if np.any((labels < 0) | (labels >= dim)):
+        raise LabelError(f"labels outside [0, {dim})")
+    return labels
 
 
 def hadamard_all(n_qubits: int) -> HadamardAll:
@@ -393,14 +392,14 @@ def hadamard_all(n_qubits: int) -> HadamardAll:
     return HadamardAll(n_qubits)
 
 
-def action_matrix(action) -> np.ndarray:
-    """Dense matrix of a unitary action (columns ``U|x>``), for small n."""
-    dim = 2**action.n_qubits
-    return action.apply(np.eye(dim, dtype=complex))
+def action_matrix(circuit: RandomCircuit) -> np.ndarray:
+    """A circuit's matrix ``U`` (columns ``U|x>``): the circuit run on the identity."""
+    dim = 2**circuit.n_qubits
+    return circuit.apply(np.eye(dim, dtype=complex))
 
 
-def densify(action) -> MatrixUnitary:
-    """The action as an explicit dense matrix; at most ``MAX_DENSE_QUBITS`` qubits."""
-    if action.n_qubits > MAX_DENSE_QUBITS:
+def densify(circuit: RandomCircuit) -> MatrixUnitary:
+    """The circuit as an explicit dense matrix; at most ``MAX_DENSE_QUBITS`` qubits."""
+    if circuit.n_qubits > MAX_DENSE_QUBITS:
         raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
-    return MatrixUnitary(action_matrix(action))
+    return MatrixUnitary(action_matrix(circuit))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oraclelab.errors import SizeError
+from oraclelab.errors import InvalidConfigError, SizeError
 from oraclelab.rfs import find_coherent_tiny, find_simulate, make_rfs_spec
 from oraclelab.simcore import hadamard_all, stream
 
@@ -74,6 +74,13 @@ def test_size_guards():
     big = make_rfs_spec(depth=2, n_symbol_bits=3, master_seed=1, alpha_n=2)
     with pytest.raises(SizeError):
         find_coherent_tiny(big, hadamard_all(3), m_override=1)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_copy_counts_below_one_are_refused(m):
+    spec = make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=3, alpha_n=2)
+    with pytest.raises(InvalidConfigError, match="m_override"):
+        find_coherent_tiny(spec, hadamard_all(2), m_override=m)
 
 
 def test_depth_one_two_labels_narrow_answer_register():

@@ -6,7 +6,6 @@ from oraclelab.errors import DegenerateInputError, InvalidConfigError
 from oraclelab.paulichain import collision_statistics
 from oraclelab.simcore import (
     MatrixUnitary,
-    action_matrix,
     builtin_group,
     child,
     circuits,
@@ -61,7 +60,7 @@ def test_dense_flat_spectrum_certifies_every_label():
     n = 11
     w = np.exp(2j * np.pi * stream(0).uniform())
     phases = np.cumprod(np.full(2**n, w))
-    report = certify_dispersing(MatrixUnitary(action_matrix(hadamard_all(n)) * phases), beta=1.0)
+    report = certify_dispersing(MatrixUnitary(fwht_normalized(np.eye(2**n, dtype=complex)) * phases), beta=1.0)
     assert np.max(2 ** (n / 2) - report.per_label_l1) > 1e-12
     assert len(report.achieving_set) == 2**n
     assert report.alpha_achieved == 1.0

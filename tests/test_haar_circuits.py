@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oraclelab.errors import InvalidConfigError, InvalidPlacementError, SizeError
+from oraclelab.errors import InvalidConfigError, InvalidPlacementError, LabelError, SizeError
 from oraclelab.simcore import circuits
 from oraclelab.simcore import (
     MAX_DENSE_QUBITS,
+    FourierMatrix,
     HadamardAll,
     MatrixUnitary,
     RandomCircuit,
@@ -18,6 +19,7 @@ from oraclelab.simcore import (
     basis_vector,
     builtin_group,
     densify,
+    fwht_normalized,
     group_fourier,
     hadamard_all,
     qft_cyclic,
@@ -117,11 +119,11 @@ def test_circuit_matrix_against_kron_reference():
 
 
 def test_hadamard_action_twice_is_identity():
-    action = hadamard_all(3)
+    rows = hadamard_all(3).rows(range(8))
     rng = stream(33)
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     vec /= np.linalg.norm(vec)
-    np.testing.assert_allclose(action.apply(action.apply(vec)), vec, atol=1e-12)
+    np.testing.assert_allclose(rows @ (rows @ vec), vec, atol=1e-12)
 
 
 def _hadamard_labels(n):
@@ -130,16 +132,12 @@ def _hadamard_labels(n):
 
 
 def _slow_rows(action, labels):
-    """Rows ``labels`` of U the slow way: H (symmetric) on each basis vector, else the dense matrix.
-
-    The order-6 s3 transform has no qubit register, so ``action_matrix``
-    refuses it and its own matrix is the reference.
-    """
+    """Rows ``labels`` of U the slow way: the FWHT (H is symmetric) of each basis vector,
+    else the dense matrix times the identity."""
     labels = list(labels)
     if isinstance(action, HadamardAll):
-        return np.array([action.apply(basis_vector(action.n_qubits, a)) for a in labels])
-    dim = len(action.matrix)
-    return action.matrix[labels] if dim & (dim - 1) else action_matrix(action)[labels]
+        return np.array([fwht_normalized(basis_vector(action.n_qubits, a)) for a in labels])
+    return (action.matrix @ np.eye(len(action.matrix)))[labels]
 
 
 def _assert_rows_equal(action, labels, slow):
@@ -147,6 +145,15 @@ def _assert_rows_equal(action, labels, slow):
     assert np.array_equal(action.rows(labels), slow)
     for a, row in zip(labels, slow):
         assert np.array_equal(action.rows([a])[0], row), a
+
+
+# What an action holds besides n_qubits and rows: a dense action its matrix, and a
+# group transform also its group, its row index and its measurement blocks.
+_HELD = {
+    HadamardAll: set(),
+    MatrixUnitary: {"matrix"},
+    FourierMatrix: {"matrix", "group", "row_index", "rows_for_block", "block_labels"},
+}
 
 
 @pytest.mark.parametrize(
@@ -165,6 +172,22 @@ def test_rows_are_the_rows_of_u_in_the_actions_own_dtype(make):
     labels = _hadamard_labels(action.n_qubits) if hadamard else range(len(action.matrix))
     assert action.rows(labels).dtype == (np.float64 if hadamard else np.complex128)
     _assert_rows_equal(action, labels, _slow_rows(action, labels))
+    public = {name for name in dir(action) if not name.startswith("_")}
+    assert public == {"n_qubits", "rows"} | _HELD[type(action)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: hadamard_all(3), lambda: qft_cyclic(8), lambda: group_fourier(builtin_group("s3"))],
+    ids=["hadamard-3", "qft-3", "s3"],
+)
+@pytest.mark.parametrize("block", [[-1], ["dim"], [3, "dim", 1], [0, -2, 2]], ids=str)
+def test_rows_refuse_labels_outside_the_register(make, block):
+    # The order-6 s3 transform has no qubit register; its labels are [0, 6).
+    action = make()
+    dim = 2**action.n_qubits if isinstance(action, HadamardAll) else len(action.matrix)
+    with pytest.raises(LabelError, match="outside"):
+        action.rows([dim if a == "dim" else a for a in block])
 
 
 @pytest.mark.parametrize("n", [*range(1, 11), 12])

@@ -173,10 +173,10 @@ def test_fwht_and_hadamard_all_reject_wrong_leading_dimensions():
     for shape in [(6,), (6, 2), (0,), ()]:
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             fwht_normalized(np.ones(shape))
-    action = HadamardAll(3)
+    rows = HadamardAll(3).rows(range(8))
     for vec in (np.eye(16)[0], np.ones((4, 2)), np.ones(())):
         with pytest.raises(ValueError):
-            action.apply(vec)
+            rows @ vec
 
 
 def test_pure_state_validation():
