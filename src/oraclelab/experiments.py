@@ -25,7 +25,6 @@ from .rfs import (
     load_query_log,
     load_rfs_spec,
     make_rfs_spec,
-    unitary_for_spec,
     z_referee,
 )
 from .rfs.core import label_bits
@@ -171,7 +170,7 @@ def run_oracle(params: dict, seed: int):
         raise InvalidConfigError(f"labels must be at most 2^n = {2**n}, got {labels}")
     action = _build_unitary(params, n, seed)
     oracle = build_oracle(action, range(labels))
-    successes = identify(action, oracle, np.arange(oracle.n_labels))
+    successes = identify(oracle, np.arange(oracle.n_labels))
     margins = successes - oracle.predicted_success
     metrics = {
         "n": n,
@@ -224,8 +223,7 @@ def run_rfs(params: dict, seed: int):
     def trial_specs(n_k: int):
         """One compiled family per size; trial ``k`` reseeds it to ``seed + k``."""
         base = make_rfs_spec(depth, n_k, seed, alpha_n=alpha_n)
-        specs = [replace(base, master_seed=seed + trial) for trial in range(trials)]
-        return specs, unitary_for_spec(base)
+        return [replace(base, master_seed=seed + trial) for trial in range(trials)]
 
     if mode == "separation":
         n_list = [int(n_k) for n_k in _values(params, "n_list", [4, 6, 8])]
@@ -239,8 +237,8 @@ def run_rfs(params: dict, seed: int):
                 )
         rows = []
         for n_k in n_list:
-            specs, unitary = trial_specs(n_k)
-            find = find_simulate(specs[0], unitary, delta)
+            specs = trial_specs(n_k)
+            find = find_simulate(specs[0], delta)
             rows.append(
                 {
                     "n": n_k,
@@ -259,10 +257,10 @@ def run_rfs(params: dict, seed: int):
             failures.append("quantum query count varies with n")
         return metrics, failures
 
-    specs, unitary = trial_specs(n)
+    specs = trial_specs(n)
 
     def one_trial(spec):
-        find = find_simulate(spec, unitary, delta)
+        find = find_simulate(spec, delta)
         classical = classical_solver(spec)
         trace = z_referee(spec, classical.log)
         return {

@@ -26,6 +26,7 @@ from .simcore import (
     rows_per_block,
     run_random_circuit,
 )
+from .simcore.circuits import _checked_labels
 
 # The named unitaries the game is played on.
 UNITARIES = ("hadamard", "qft", "random")
@@ -44,17 +45,24 @@ class LabelSpec:
 class SingleLevelOracle:
     """Compiled oracle family: one bit-vector of ``f(a, x)`` per label.
 
-    ``betas[k]`` is the achieved L1 over ``2^(n/2)`` for label ``k``.
+    ``betas[k]`` is the achieved L1 over ``2^(n/2)`` for label ``k``, and
+    ``unitary`` is the action whose rows were compiled; :func:`identify`
+    measures with it.
     """
 
     n_qubits: int
     labels: tuple[LabelSpec, ...]
     f_bits: np.ndarray = field(repr=False)  # (len(labels), 2^n) uint8
     betas: np.ndarray = field(repr=False)
+    unitary: object = field(repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) == 0:
             raise InvalidConfigError("oracle needs at least one label")
+        if self.unitary.n_qubits != self.n_qubits:
+            raise InvalidConfigError(
+                f"unitary acts on {self.unitary.n_qubits} qubits, the oracle on {self.n_qubits}"
+            )
         if self.f_bits.shape != (len(self.labels), 2**self.n_qubits):
             raise InvalidConfigError("f_bits shape mismatch")
         p = self.predicted_success
@@ -173,7 +181,9 @@ def build_oracle(unitary, labels, psi: dict | None = None) -> SingleLevelOracle:
         theta, l1 = compile_rows(rows)
         f_bits[start:stop] = (1 - theta) // 2
         betas[start:stop] = l1 / 2 ** (n / 2)
-    return SingleLevelOracle(n_qubits=n, labels=tuple(specs), f_bits=f_bits, betas=betas)
+    return SingleLevelOracle(
+        n_qubits=n, labels=tuple(specs), f_bits=f_bits, betas=betas, unitary=unitary
+    )
 
 
 def prepare_phi(oracle: SingleLevelOracle, label_index: int) -> PureState:
@@ -182,25 +192,23 @@ def prepare_phi(oracle: SingleLevelOracle, label_index: int) -> PureState:
     One oracle sweep in superposition; query accounting charges it as a
     single query.
     """
-    if not 0 <= label_index < oracle.n_labels:
-        raise LabelError(f"label index {label_index} out of range")
+    index = _checked_labels(label_index, oracle.n_labels)
     dim = 2**oracle.n_qubits
-    return PureState(oracle.n_qubits, oracle.signs(label_index) / np.sqrt(dim))
+    return PureState(oracle.n_qubits, oracle.signs(index) / np.sqrt(dim))
 
 
-def identify(unitary, oracle: SingleLevelOracle, label_indices) -> np.ndarray:
+def identify(oracle: SingleLevelOracle, label_indices) -> np.ndarray:
     """Exact probability that one query identifies each label in ``label_indices``, in its shape.
 
-    ``U |phi_a>`` is measured on the label's output rows ``r``: with the oracle's signs
-    ``theta``, ``sum_r |U_r . theta|^2 / 2^n`` clipped at 1, read a block of labels at a time.
+    ``U |phi_a>``, with U the oracle's own unitary, is measured on the label's output rows
+    ``r``: with the oracle's signs ``theta``, ``sum_r |U_r . theta|^2 / 2^n`` clipped at 1,
+    read a block of labels at a time.
     """
-    index = np.asarray(label_indices)
-    if np.any((index < 0) | (index >= oracle.n_labels)):
-        raise LabelError(f"label indices outside [0, {oracle.n_labels})")
+    index = _checked_labels(label_indices, oracle.n_labels)
     flat = index.ravel()
     specs = [oracle.labels[k] for k in flat.tolist()]
     success = np.empty(len(specs))
-    for start, stop, rows in _row_blocks(unitary, specs):
+    for start, stop, rows in _row_blocks(oracle.unitary, specs):
         counts = [len(spec.rows) for spec in specs[start:stop]]
         theta = np.repeat(oracle.signs(flat[start:stop]), counts, axis=0)
         per_row = np.abs(np.einsum("ij,ij->i", rows, theta)) ** 2 / 2**oracle.n_qubits

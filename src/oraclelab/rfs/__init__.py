@@ -12,7 +12,6 @@ from .core import (
     oracle_query,
     save_query_log,
     secret_at,
-    unitary_for_spec,
 )
 from .find import (
     CoherentReport,
@@ -60,7 +59,6 @@ __all__ = [
     "repetition_count",
     "save_query_log",
     "secret_at",
-    "unitary_for_spec",
     "z_referee",
     "z_weight",
 ]

@@ -218,36 +218,27 @@ def make_rfs_spec(
     ``kind`` selects the compiled unitary: ``hadamard`` (labels are the first
     ``2^alpha_n`` basis indices; every label's success is exactly 1) or
     ``random-circuit`` (dense matrix of a seeded circuit).  ``alpha_n``
-    defaults to ``ceil(n/2)`` label bits.
+    defaults to ``ceil(n/2)`` label bits.  The unitary is built once; the
+    compiled oracle carries it.
     """
     alpha_n = label_bits(n_symbol_bits, alpha_n)
     if not 1 <= alpha_n <= n_symbol_bits:
         raise InvalidConfigError("alpha_n must lie in [1, n]")
+    if kind not in _DESCRIPTOR_KINDS:
+        raise InvalidConfigError(f"descriptor kind {kind!r} names no rebuildable unitary")
     descriptor = {"kind": kind, "n": n_symbol_bits, "alpha_n": alpha_n}
     if kind == "random-circuit":
         if circuit_length is None or circuit_seed is None:
             raise InvalidConfigError("random-circuit kind needs circuit_length and circuit_seed")
         descriptor.update(t=circuit_length, circuit_seed=circuit_seed)
-    oracle = build_oracle(_descriptor_unitary(n_symbol_bits, descriptor), range(2**alpha_n))
+    unitary = build_unitary(_DESCRIPTOR_KINDS[kind], n_symbol_bits, circuit_length, circuit_seed)
     return RecursiveOracleSpec(
         depth=depth,
         n_symbol_bits=n_symbol_bits,
-        oracle=oracle,
+        oracle=build_oracle(unitary, range(2**alpha_n)),
         master_seed=master_seed,
         descriptor=descriptor,
     )
-
-
-def _descriptor_unitary(n_symbol_bits: int, desc: dict):
-    kind = _DESCRIPTOR_KINDS.get(desc.get("kind"))
-    if kind is None:
-        raise InvalidConfigError(f"descriptor carries no rebuildable unitary: {desc!r}")
-    return build_unitary(kind, n_symbol_bits, desc.get("t"), desc.get("circuit_seed"))
-
-
-def unitary_for_spec(spec: RecursiveOracleSpec):
-    """Rebuild the identification unitary recorded in the spec descriptor."""
-    return _descriptor_unitary(spec.n_symbol_bits, spec.descriptor)
 
 
 def load_rfs_spec(path) -> RecursiveOracleSpec:

@@ -14,9 +14,10 @@ between the prepared state and the ideally-phased one, hence an uncompute
 error ``eps_unc = (1 - c^2)/4``.  Each copy then identifies the node's label
 with probability at least ``p_exact - 4 sqrt(eps_unc)`` (pure-state trace
 distance), and ``m`` copies push the failure probability down to
-``(1 - s)^m``.  Worst-case mode propagates these bounds with adversarial
-junk; sampled mode draws the junk direction at random and Monte-Carlos the
-same pipeline, visiting the nodes in post-order (children first).
+``(1 - s)^m``.  These bounds are propagated with adversarial junk.  Given a
+random stream, the same pipeline is also sampled with the junk direction
+drawn at random, visiting the nodes in post-order (children first).  Both
+read U from the spec's compiled oracle.
 
 ``find_coherent_tiny`` instead allocates every register of the recursion
 explicitly (symbol, test, flag and answer registers for each copy at each
@@ -67,7 +68,6 @@ class FindReport:
     epsilon: float
     m: int
     depth: int
-    junk_mode: str
     levels: tuple[LevelStats, ...]
     final_failure_sq: float
     bounds_hold: bool
@@ -109,9 +109,8 @@ def _haar_perp(rng: np.random.Generator, anchor: np.ndarray) -> np.ndarray:
 
 def find_simulate(
     spec: RecursiveOracleSpec,
-    unitary,
     delta: float,
-    junk_mode: str = "worst",
+    *,
     m_override: int | None = None,
     inject: dict | None = None,
     junk_draws: int = 100,
@@ -119,26 +118,25 @@ def find_simulate(
 ) -> FindReport:
     """Simulate the recursion level by level and account errors and queries.
 
-    ``junk_mode`` is ``worst`` (interval propagation with the adversarial
-    trace-distance penalty), ``sampled`` (Haar-random junk, Monte Carlo over
-    ``junk_draws`` draws; requires ``rng``), or ``both``.  ``inject`` maps a
-    node path to an extra failure weight added to that node's output, a hook
-    for cross-validating against the coherent simulator.  ``m_override``
-    replaces the repetition count derived from ``delta`` (same hook).
+    The bounds always come from interval propagation with the adversarial
+    trace-distance penalty.  Given ``rng``, the report's ``sampled`` entry
+    also holds a Monte Carlo over ``junk_draws`` draws of Haar-random junk.
+    ``inject`` maps a node path to an extra failure weight added to that
+    node's output, a hook for cross-validating against the coherent
+    simulator.  ``m_override`` replaces the repetition count derived from
+    ``delta`` (same hook).
 
     Each distinct label is identified once.  Raises
     :class:`CertificationError` naming the first node in post-order (children
     before their parent, siblings in symbol order) whose label's exact
     single-level success falls below ``delta``.
     """
-    if junk_mode not in ("worst", "sampled", "both"):
-        raise InvalidConfigError(f"unknown junk mode {junk_mode!r}")
     if not 0 < delta <= 1:
         raise InvalidConfigError("delta must lie in (0, 1]")
     if m_override is not None and m_override < 1:
         raise InvalidConfigError("m_override must be at least 1")
-    if junk_mode != "worst" and junk_draws < 1:
-        raise InvalidConfigError("sampled junk mode needs at least one draw")
+    if rng is not None and junk_draws < 1:
+        raise InvalidConfigError("sampled junk needs at least one draw")
     inject = dict(inject or {})
     epsilon = (delta / 8.0) ** 2
     m = m_override if m_override is not None else repetition_count(delta)
@@ -159,7 +157,7 @@ def find_simulate(
     used = np.zeros(spec.n_labels, dtype=bool)
     used[np.concatenate(labels)] = True
     exact = np.zeros(spec.n_labels)
-    exact[used] = identify(unitary, oracle, np.flatnonzero(used))
+    exact[used] = identify(oracle, np.flatnonzero(used))
     failed = used & (exact < delta - 1e-12)
     if failed.any():
         # The first failing node of each depth, as (path, label).  In post-order a
@@ -177,7 +175,7 @@ def find_simulate(
             f"{exact[label]:.6f} < delta {delta}"
         )
 
-    # Worst mode, bottom up: the failure weights of depth k + 1, reshaped to
+    # The bounds, bottom up: the failure weights of depth k + 1, reshaped to
     # (dim^k, dim), are the children of depth k.  The deepest nodes have no
     # children, so their overlap is c = 1 and their uncompute error 0.
     levels = []
@@ -215,11 +213,9 @@ def find_simulate(
     )
 
     sampled_stats = None
-    if junk_mode in ("sampled", "both"):
-        if rng is None:
-            raise InvalidConfigError("sampled junk mode requires an rng stream")
+    if rng is not None:
         if n_nodes * m * junk_draws > 5_000_000:
-            raise SizeError("sampled junk mode too large; shrink the tree or draws")
+            raise SizeError("sampled junk too large; shrink the tree or draws")
 
         def sampled_fail(k: int, i: int) -> float:
             """Sampled failure weight of node ``i`` of depth ``k``; its children draw first."""
@@ -236,7 +232,7 @@ def find_simulate(
                 for _copy in range(m)
             ])
             # The m copies' successes on the label's rows, from one product.
-            amps = unitary.rows(oracle.labels[label].rows) @ tildes.T
+            amps = oracle.unitary.rows(oracle.labels[label].rows) @ tildes.T
             fail = math.prod(max(0.0, 1.0 - s) for s in np.sum(np.abs(amps) ** 2, axis=0).tolist())
             return min(1.0, fail + float(injected[k][i]))
 
@@ -253,7 +249,6 @@ def find_simulate(
         epsilon=epsilon,
         m=m,
         depth=depth,
-        junk_mode=junk_mode,
         levels=levels,
         final_failure_sq=root_eps,
         bounds_hold=bounds_hold,
@@ -370,7 +365,6 @@ class _AdjointBlock:
 
 def find_coherent_tiny(
     spec: RecursiveOracleSpec,
-    unitary,
     m_override: int = 1,
     inject: dict | None = None,
 ) -> CoherentReport:
@@ -385,8 +379,9 @@ def find_coherent_tiny(
     program (so the inverse call undoes the rotation but not its
     entanglement with the conditioned phase, exactly like a noisy child).
 
-    Returns the exact success probability of the root identification plus
-    the norms left behind in child blocks after each uncompute step.
+    U is the spec's compiled oracle's unitary.  Returns the exact success
+    probability of the root identification plus the norms left behind in
+    child blocks after each uncompute step.
     """
     n = spec.n_symbol_bits
     depth = spec.depth
@@ -447,7 +442,7 @@ def find_coherent_tiny(
         return int(idents[secret_at(spec, path)])
 
     h_layer = hadamard_all(n).rows(range(dim_sym))
-    u_matrix = unitary.rows(range(dim_sym))
+    u_matrix = oracle.unitary.rows(range(dim_sym))
 
     def ancestors_of(inst: tuple[int, ...]) -> list:
         return [("sym", inst[:j], inst[j]) for j in range(len(inst))]

@@ -91,10 +91,10 @@ class RandomCircuit:
     """A length-``t`` sequence of Haar gates on uniformly random qubit pairs.
 
     Gate ``k`` is ``gates[k]`` on qubits ``pairs[k]``; both arrays are
-    read-only.  ``apply`` realizes ``U`` and ``apply_adjoint`` realizes
-    ``U^dag``, the forward run; the rows of ``U`` are read through
-    :func:`densify`.  Regeneration from ``(n_qubits, length, seed)`` is
-    bit-identical.
+    read-only.  Running the gates in order realizes ``U^dag``;
+    :func:`action_matrix` runs their adjoints in reverse order, which is
+    ``U``, and the rows of ``U`` are read through :func:`densify`.
+    Regeneration from ``(n_qubits, length, seed)`` is bit-identical.
     """
 
     n_qubits: int
@@ -116,15 +116,6 @@ class RandomCircuit:
     def placements(self) -> tuple[tuple[int, int, TwoQubitGate], ...]:
         """The gates as ``(i, j, TwoQubitGate)`` triples, built on each call."""
         return tuple((i, j, TwoQubitGate(g)) for (i, j), g in zip(self.pairs.tolist(), self.gates))
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the adjoint gates in reverse order: the action of ``U``."""
-        adjoints = (g.conj().T for g in self.gates[::-1])
-        return _run_fused(vec, self.n_qubits, self.pairs[::-1], adjoints)
-
-    def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the sampled gates in order: the action of ``U^dag``."""
-        return _run_fused(vec, self.n_qubits, self.pairs, self.gates)
 
 
 def _checked_supports(supports, n_qubits: int) -> np.ndarray:
@@ -380,11 +371,16 @@ class MatrixUnitary:
 
 
 def _checked_labels(labels, dim: int) -> np.ndarray:
-    """``labels`` as an index array, refused if one lies outside ``[0, dim)``."""
-    labels = np.asarray(labels, dtype=np.intp)
-    if np.any((labels < 0) | (labels >= dim)):
-        raise LabelError(f"labels outside [0, {dim})")
-    return labels
+    """``labels`` as an index array, refused unless every one is an integer in ``[0, dim)``.
+
+    A float is refused, not truncated; an empty list, which numpy reads as float, is an
+    empty index.
+    """
+    labels = np.asarray(labels)
+    integral = labels.size == 0 or np.issubdtype(labels.dtype, np.integer)
+    if not integral or np.any((labels < 0) | (labels >= dim)):
+        raise LabelError(f"labels outside the integers of [0, {dim})")
+    return labels.astype(np.intp, copy=False)
 
 
 def hadamard_all(n_qubits: int) -> HadamardAll:
@@ -393,9 +389,11 @@ def hadamard_all(n_qubits: int) -> HadamardAll:
 
 
 def action_matrix(circuit: RandomCircuit) -> np.ndarray:
-    """A circuit's matrix ``U`` (columns ``U|x>``): the circuit run on the identity."""
-    dim = 2**circuit.n_qubits
-    return circuit.apply(np.eye(dim, dtype=complex))
+    """A circuit's matrix ``U`` (columns ``U|x>``): the adjoint gates run in reverse order on
+    the identity."""
+    adjoints = (g.conj().T for g in circuit.gates[::-1])
+    eye = np.eye(2**circuit.n_qubits, dtype=complex)
+    return _run_fused(eye, circuit.n_qubits, circuit.pairs[::-1], adjoints)
 
 
 def densify(circuit: RandomCircuit) -> MatrixUnitary:

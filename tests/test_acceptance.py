@@ -89,7 +89,7 @@ def test_criterion_03_flat_transform_identifies_exactly():
         action = hadamard_all(n)
         oracle = build_oracle(action, range(2**n))
         for a in range(2**n):
-            worst = min(worst, identify(action, oracle, a))
+            worst = min(worst, identify(oracle, a))
     check(3, abs(worst - 1.0) <= 1e-9, f"min success over n<=10: {worst:.12f}")
 
 
@@ -99,7 +99,7 @@ def test_criterion_04_compiled_success_bound():
     oracle = build_oracle(fourier, labels)
     floor = (2.0 / np.pi) ** 2
     qft_min = min(
-        identify(fourier, oracle, k) for k in range(oracle.n_labels)
+        identify(oracle, k) for k in range(oracle.n_labels)
     )
     ok_qft = qft_min >= floor - 1e-9
 
@@ -110,7 +110,7 @@ def test_criterion_04_compiled_success_bound():
         action = densify(circ)
         compiled = build_oracle(action, range(2**n))
         for k in range(compiled.n_labels):
-            measured = identify(action, compiled, k)
+            measured = identify(compiled, k)
             worst_margin = min(worst_margin, measured - compiled.predicted_success[k])
     ok_random = worst_margin >= -1e-9
     check(
@@ -221,7 +221,7 @@ def test_criterion_11_recursion_accounting():
     q0 = None
     for seed in range(50):
         spec = make_rfs_spec(depth=2, n_symbol_bits=4, master_seed=seed, alpha_n=2)
-        report = find_simulate(spec, hadamard_all(4), delta=delta)
+        report = find_simulate(spec, delta=delta)
         q0 = report.queries_total
         correct += report.answer == spec.b_root
         floors_ok &= all(lv.copy_success_min >= delta / 2 for lv in report.levels)
@@ -237,19 +237,16 @@ def test_criterion_11_recursion_accounting():
 
 def test_criterion_12_coherent_cross_check():
     spec = make_rfs_spec(depth=2, n_symbol_bits=2, master_seed=42, alpha_n=2)
-    unitary = hadamard_all(2)
     worst = 0.0
     cases = [({}, 0)]
     for eps in (0.05, 0.1, 0.2):
         for x in range(4):
             cases.append(({(x,): eps}, x))
     for idx, (inject, _x) in enumerate(cases):
-        coherent = find_coherent_tiny(spec, unitary, m_override=1, inject=inject)
+        coherent = find_coherent_tiny(spec, m_override=1, inject=inject)
         model = find_simulate(
             spec,
-            unitary,
             delta=0.2,
-            junk_mode="sampled",
             m_override=1,
             inject=inject,
             junk_draws=100,
@@ -257,10 +254,9 @@ def test_criterion_12_coherent_cross_check():
         )
         worst = max(worst, abs(coherent.success_prob - model.sampled["success_mean"]))
     shallow = make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=7, alpha_n=2)
-    coherent = find_coherent_tiny(shallow, unitary, m_override=1)
+    coherent = find_coherent_tiny(shallow, m_override=1)
     model = find_simulate(
-        shallow, unitary, delta=0.2, junk_mode="sampled", m_override=1,
-        junk_draws=100, rng=child(1212, 99),
+        shallow, delta=0.2, m_override=1, junk_draws=100, rng=child(1212, 99),
     )
     worst = max(worst, abs(coherent.success_prob - model.sampled["success_mean"]))
     check(12, worst <= 0.05, f"worst |coherent - sampled model| = {worst:.4f} <= 0.05")
@@ -316,7 +312,7 @@ def test_criterion_14_separation_table():
             for seed in range(10)
         ]
         spec = make_rfs_spec(depth=2, n_symbol_bits=n, master_seed=0)
-        report = find_simulate(spec, hadamard_all(n), delta=delta)
+        report = find_simulate(spec, delta=delta)
         rows.append((n, float(np.mean(counts)), report.queries_total))
     table = io.StringIO()
     table.write("n,classical_queries_mean,find_q0\n")

@@ -336,6 +336,29 @@ def test_rfs_compiles_one_family_per_size(monkeypatch, params, builds):
     assert len(calls) == builds
 
 
+@pytest.mark.parametrize(
+    "params, sizes",
+    [
+        ({"l": 2, "n": 4, "trials": 3}, [4]),
+        ({"mode": "separation", "n_list": [4, 6], "trials": 3}, [4, 6]),
+    ],
+)
+def test_rfs_builds_one_unitary_per_size(monkeypatch, params, sizes):
+    from oraclelab.rfs import core
+
+    calls = []
+    original = core.build_unitary
+
+    def counting(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(core, "build_unitary", counting)
+    _metrics, failures = experiments.run_rfs(params, 0)
+    assert not failures
+    assert calls == [("hadamard", n) for n in sizes]
+
+
 @pytest.mark.parametrize("mode", ["simulate", "separation"])
 def test_rfs_rejects_fewer_than_one_trial(monkeypatch, mode):
     from oraclelab.rfs import core

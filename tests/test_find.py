@@ -19,15 +19,14 @@ from oraclelab.rfs import (
     query_count_closed_form,
     repetition_count,
     secret_at,
-    unitary_for_spec,
 )
 from oraclelab.rfs.core import level_secrets
 from oraclelab.rfs.find import _haar_perp
-from oraclelab.simcore import MatrixUnitary, fwht_normalized, hadamard_all, stream
+from oraclelab.simcore import MatrixUnitary, fwht_normalized, stream
 from test_oracle import dense_block_probability
 
 
-def reference_walk(spec, unitary, delta, m, inject=None, junk_draws=0, rng=None):
+def reference_walk(spec, delta, m, inject=None, junk_draws=0, rng=None):
     """The recursion model as a recursive post-order walk: the reference for ``find_simulate``.
 
     Returns the root failure weight, the per-depth statistics and, when
@@ -43,7 +42,7 @@ def reference_walk(spec, unitary, delta, m, inject=None, junk_draws=0, rng=None)
 
     def exact_success(label: int, path) -> float:
         if label not in exact_cache:
-            p = identify(unitary, oracle, label)
+            p = identify(oracle, label)
             if p < delta - 1e-12:
                 raise CertificationError(
                     f"label {label} at node {path} identifies with probability "
@@ -97,7 +96,7 @@ def reference_walk(spec, unitary, delta, m, inject=None, junk_draws=0, rng=None)
                 math.sqrt(1.0 - 4.0 * eps_unc) * phi
                 + math.sqrt(4.0 * eps_unc) * _haar_perp(rng, phi)
             )
-            fail *= max(0.0, 1.0 - dense_block_probability(unitary, tilde, rows))
+            fail *= max(0.0, 1.0 - dense_block_probability(oracle.unitary, tilde, rows))
         return min(1.0, fail + inject.get(path, 0.0))
 
     draws = np.array([1.0 - walk((), sampled_out) for _ in range(junk_draws)])
@@ -129,7 +128,7 @@ def test_query_count_example():
 
 def test_depth_one_accounting():
     spec = make_rfs_spec(depth=1, n_symbol_bits=3, master_seed=3, alpha_n=2)
-    report = find_simulate(spec, hadamard_all(3), delta=0.2)
+    report = find_simulate(spec, delta=0.2)
     assert report.queries_total == 2 * report.m
     assert report.answer == spec.b_root
     assert report.final_failure_sq == 0.0
@@ -138,7 +137,7 @@ def test_depth_one_accounting():
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_hadamard_specs_are_error_free(depth):
     spec = make_rfs_spec(depth=depth, n_symbol_bits=3, master_seed=11, alpha_n=2)
-    report = find_simulate(spec, hadamard_all(3), delta=0.2)
+    report = find_simulate(spec, delta=0.2)
     assert report.bounds_hold
     assert report.answer == spec.b_root
     for level in report.levels:
@@ -151,17 +150,15 @@ def test_hadamard_specs_are_error_free(depth):
 
 
 def test_random_circuit_report_is_pinned():
-    # Both junk modes, with two copies so that the sampled successes lie inside (0, 1);
-    # taken while identify measured one label per call.  Moving it must bump
+    # Bounds and sampled junk, with two copies so that the sampled successes lie inside
+    # (0, 1); taken while identify measured one label per call, and retaken without the
+    # report's junk_mode key, the only entry that changed.  Moving it must bump
     # cli.NUMERICS_VERSION.
     spec = make_rfs_spec(2, 4, 7, kind="random-circuit", circuit_length=256, circuit_seed=0)
-    report = find_simulate(
-        spec, unitary_for_spec(spec), 0.2, junk_mode="both", m_override=2, junk_draws=3,
-        rng=stream(5),
-    )
+    report = find_simulate(spec, 0.2, m_override=2, junk_draws=3, rng=stream(5))
     assert 0 < report.sampled["success_min"] < report.sampled["success_max"] < 1
     digest = hashlib.sha256(json.dumps(dataclasses.asdict(report), sort_keys=True).encode())
-    assert digest.hexdigest() == "502b31396bb7ec3f0b7770f8443b1323bb61df2c353dfc25ff71e6617c76a239"
+    assert digest.hexdigest() == "299d640f80c3d22f4c3b99d4d90111d6ae8d17612d4498e3c507d2f105907af0"
 
 
 def test_certification_error_names_the_label():
@@ -177,17 +174,16 @@ def test_certification_error_names_the_label():
         descriptor={"kind": "custom"},
     )
     with pytest.raises(CertificationError) as err:
-        find_simulate(spec, identity, delta=0.2)
+        find_simulate(spec, delta=0.2)
     assert "label" in str(err.value)
 
 
 def test_injected_error_propagates_through_bounds():
     spec = make_rfs_spec(depth=2, n_symbol_bits=2, master_seed=42, alpha_n=2)
-    unitary = hadamard_all(2)
     eps = 0.04
     corrupted = None
     for x in range(4):
-        report = find_simulate(spec, unitary, delta=0.2, inject={(x,): eps})
+        report = find_simulate(spec, delta=0.2, inject={(x,): eps})
         level1 = report.levels[1]
         assert level1.eps_out_max >= eps
         root = report.levels[0]
@@ -203,9 +199,7 @@ def test_injected_error_propagates_through_bounds():
 
 def test_sampled_mode_matches_worst_mode_when_clean():
     spec = make_rfs_spec(depth=2, n_symbol_bits=2, master_seed=13, alpha_n=2)
-    report = find_simulate(
-        spec, hadamard_all(2), delta=0.2, junk_mode="both", junk_draws=20, rng=stream(5)
-    )
+    report = find_simulate(spec, delta=0.2, junk_draws=20, rng=stream(5))
     assert report.sampled["success_mean"] == 1.0
     assert report.sampled["success_min"] == 1.0
 
@@ -215,7 +209,7 @@ def test_sampled_mode_matches_worst_mode_when_clean():
     [
         {"m_override": 0},
         {"m_override": -3},
-        {"junk_mode": "sampled", "junk_draws": 0, "rng": stream(5)},
+        {"junk_draws": 0, "rng": stream(5)},
     ],
     ids=["m-0", "m-minus-3", "sampled-0-draws"],
 )
@@ -226,13 +220,7 @@ def test_unusable_counts_are_refused_before_any_identify(monkeypatch, kwargs):
     monkeypatch.setattr("oraclelab.rfs.find.identify", refuse)
     spec = make_rfs_spec(depth=2, n_symbol_bits=2, master_seed=13, alpha_n=2)
     with pytest.raises(InvalidConfigError):
-        find_simulate(spec, hadamard_all(2), delta=0.2, **kwargs)
-
-
-def test_sampled_mode_requires_rng():
-    spec = make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=13)
-    with pytest.raises(InvalidConfigError):
-        find_simulate(spec, hadamard_all(2), delta=0.2, junk_mode="sampled")
+        find_simulate(spec, delta=0.2, **kwargs)
 
 
 def test_epsilon_bounds_hold_at_every_level():
@@ -246,7 +234,7 @@ def test_epsilon_bounds_hold_at_every_level():
         inject[(x,)] = epsilon * 0.5
         for y in range(4):
             inject[(x, y)] = epsilon * 0.5
-    report = find_simulate(spec, hadamard_all(2), delta=delta, inject=inject)
+    report = find_simulate(spec, delta=delta, inject=inject)
     for level in report.levels:
         assert level.eps_out_max <= epsilon + 1e-15
         assert level.copy_success_min >= delta / 2
@@ -255,18 +243,18 @@ def test_epsilon_bounds_hold_at_every_level():
 
 @functools.cache
 def _phased_oracle(n):
-    """Hadamard times random column phases on ``n`` qubits, its oracle over ``2^ceil(n/2)``
+    """The oracle of Hadamard times random column phases on ``n`` qubits over ``2^ceil(n/2)``
     labels, and a delta just below the smallest exact success, so that every label certifies."""
     phases = np.exp(2j * np.pi * stream(n).random(2**n))
     unitary = MatrixUnitary(fwht_normalized(np.eye(2**n, dtype=complex)) * phases)
     oracle = build_oracle(unitary, range(2 ** ((n + 1) // 2)))
-    delta = 0.9 * min(identify(unitary, oracle, k) for k in range(oracle.n_labels))
-    return unitary, oracle, delta
+    delta = 0.9 * min(identify(oracle, k) for k in range(oracle.n_labels))
+    return oracle, delta
 
 
 def _phased_spec(depth, n, seed):
-    unitary, oracle, delta = _phased_oracle(n)
-    return RecursiveOracleSpec(depth, n, oracle, seed, {"kind": "custom"}), unitary, delta
+    oracle, delta = _phased_oracle(n)
+    return RecursiveOracleSpec(depth, n, oracle, seed, {"kind": "custom"}), delta
 
 
 def _injections(depth, n, seed):
@@ -281,11 +269,11 @@ def _injections(depth, n, seed):
 @pytest.mark.parametrize("variant", ["plain", "inject", "m_override", "both"])
 def test_level_sweep_equals_the_recursive_walk(depth, n, variant):
     for seed in (0, 5, 2**64 - 1):
-        spec, unitary, delta = _phased_spec(depth, n, seed)
+        spec, delta = _phased_spec(depth, n, seed)
         inject = _injections(depth, n, seed) if variant in ("inject", "both") else None
         m_override = 2 if variant in ("m_override", "both") else None
-        report = find_simulate(spec, unitary, delta, m_override=m_override, inject=inject)
-        root_eps, levels, _ = reference_walk(spec, unitary, delta, report.m, inject)
+        report = find_simulate(spec, delta, m_override=m_override, inject=inject)
+        root_eps, levels, _ = reference_walk(spec, delta, report.m, inject)
         assert report.final_failure_sq == root_eps
         assert report.levels == levels
         for new, old in zip(report.levels, levels):
@@ -295,15 +283,10 @@ def test_level_sweep_equals_the_recursive_walk(depth, n, variant):
 
 @pytest.mark.parametrize("depth, n", [(2, 2), (3, 2), (2, 4)])
 def test_sampled_mode_keeps_the_post_order_draws(depth, n):
-    spec, unitary, delta = _phased_spec(depth, n, 3)
+    spec, delta = _phased_spec(depth, n, 3)
     inject = _injections(depth, n, 3)
-    report = find_simulate(
-        spec, unitary, delta, junk_mode="both", m_override=2, inject=inject, junk_draws=4,
-        rng=stream(9),
-    )
-    root_eps, levels, sampled = reference_walk(
-        spec, unitary, delta, 2, inject, junk_draws=4, rng=stream(9)
-    )
+    report = find_simulate(spec, delta, m_override=2, inject=inject, junk_draws=4, rng=stream(9))
+    root_eps, levels, sampled = reference_walk(spec, delta, 2, inject, junk_draws=4, rng=stream(9))
     assert (report.final_failure_sq, report.levels, report.sampled) == (root_eps, levels, sampled)
     assert 0 < sampled["success_min"] < 1
 
@@ -325,7 +308,7 @@ def _two_failing_labels(depth, seed):
     matrix[:6, :6] = np.exp(2j * np.pi / 6) ** np.outer(range(6), range(6)) / np.sqrt(6)
     unitary = MatrixUnitary(matrix)
     oracle = build_oracle(unitary, range(8))
-    return RecursiveOracleSpec(depth, 3, oracle, seed, {"kind": "custom"}), unitary
+    return RecursiveOracleSpec(depth, 3, oracle, seed, {"kind": "custom"})
 
 
 @pytest.mark.parametrize(
@@ -338,13 +321,13 @@ def _two_failing_labels(depth, seed):
     ],
 )
 def test_certification_error_names_the_first_node_of_the_post_order_walk(depth, seed, label, path):
-    spec, unitary = _two_failing_labels(depth, seed)
+    spec = _two_failing_labels(depth, seed)
     levels = level_secrets(spec)
     assert {6, 7} <= {int(x) for level in levels for x in level}
     assert 7 in levels[-1] or 7 in levels[0]  # another failing node, not first in post-order
     with pytest.raises(CertificationError) as expected:
-        reference_walk(spec, unitary, 0.3, 74)
+        reference_walk(spec, 0.3, 74)
     with pytest.raises(CertificationError) as err:
-        find_simulate(spec, unitary, 0.3)
+        find_simulate(spec, 0.3)
     message = f"label {label} at node {path} identifies with probability 0.125000 < delta 0.3"
     assert str(err.value) == str(expected.value) == message

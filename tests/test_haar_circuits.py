@@ -69,13 +69,15 @@ def test_run_random_circuit_deterministic():
         assert (i1, j1) == (i2, j2)
         np.testing.assert_array_equal(g1.entries, g2.entries)
     np.testing.assert_array_equal(
-        a.apply_adjoint(basis_vector(4, 3)), b.apply_adjoint(basis_vector(4, 3))
+        run_gates(basis_vector(4, 3), 4, a.pairs, a.gates),
+        run_gates(basis_vector(4, 3), 4, b.pairs, b.gates),
     )
 
 
 def test_zero_length_circuit_is_identity():
     circ = run_random_circuit(3, 0, seed=5)
-    np.testing.assert_array_equal(circ.apply_adjoint(basis_vector(3, 6)), basis_vector(3, 6))
+    forward = run_gates(basis_vector(3, 6), 3, circ.pairs, circ.gates)
+    np.testing.assert_array_equal(forward, basis_vector(3, 6))
 
 
 def test_two_qubit_circuit_always_uses_the_only_pair():
@@ -95,7 +97,7 @@ def test_circuit_action_adjoint_pair():
     rng = stream(22)
     vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     vec /= np.linalg.norm(vec)
-    roundtrip = action.apply(action.apply_adjoint(vec))
+    roundtrip = action_matrix(action) @ run_gates(vec, 4, action.pairs, action.gates)
     np.testing.assert_allclose(roundtrip, vec, atol=1e-12)
 
 
@@ -114,7 +116,7 @@ def test_circuit_matrix_against_kron_reference():
     np.testing.assert_allclose(mat_u.conj().T, ref, atol=1e-11)
     for a in range(dim):
         np.testing.assert_allclose(
-            circ.apply_adjoint(basis_vector(3, a)), ref[:, a], atol=1e-12
+            run_gates(basis_vector(3, a), 3, circ.pairs, circ.gates), ref[:, a], atol=1e-12
         )
 
 
@@ -181,9 +183,10 @@ def test_rows_are_the_rows_of_u_in_the_actions_own_dtype(make):
     [lambda: hadamard_all(3), lambda: qft_cyclic(8), lambda: group_fourier(builtin_group("s3"))],
     ids=["hadamard-3", "qft-3", "s3"],
 )
-@pytest.mark.parametrize("block", [[-1], ["dim"], [3, "dim", 1], [0, -2, 2]], ids=str)
+@pytest.mark.parametrize("block", [[-1], ["dim"], [3, "dim", 1], [0, -2, 2], [1.7]], ids=str)
 def test_rows_refuse_labels_outside_the_register(make, block):
-    # The order-6 s3 transform has no qubit register; its labels are [0, 6).
+    # The order-6 s3 transform has no qubit register; its labels are [0, 6).  A float
+    # label is refused, not truncated to row 1.
     action = make()
     dim = 2**action.n_qubits if isinstance(action, HadamardAll) else len(action.matrix)
     with pytest.raises(LabelError, match="outside"):
@@ -291,7 +294,7 @@ def _dense_reference(vec, n, gates):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_run_gates_equals_the_dense_reference_bitwise(n):
     # Every ordered pair, adjacent or not, once with a C-ordered gate and once
-    # with the transposed view that RandomCircuit.apply passes.
+    # with the transposed view that action_matrix passes.
     pairs = list(itertools.permutations(range(n), 2))
     stack = sample_haar_stack(stream(70 + n), 2 * len(pairs))
     gates = [(i, j, g) for (i, j), g in zip(pairs, stack[: len(pairs)])]
@@ -347,7 +350,9 @@ def test_circuit_outputs_are_pinned():
     adjoints = [g.conj().T for g in circ.gates[::-1]]
     matrix = run_gates(np.eye(2**6, dtype=complex), 6, circ.pairs[::-1], adjoints)
     assert hashlib.sha256(matrix.tobytes()).hexdigest() == PINNED_ACTION_SHA256
-    vec = run_random_circuit(5, 40, 3).apply(basis_vector(5, 7))
+    narrow = run_random_circuit(5, 40, 3)
+    narrow_adjoints = [g.conj().T for g in narrow.gates[::-1]]
+    vec = run_gates(basis_vector(5, 7), 5, narrow.pairs[::-1], narrow_adjoints)
     assert hashlib.sha256(vec.tobytes()).hexdigest() == PINNED_APPLY_SHA256
     fused = action_matrix(run_random_circuit(7, 200, 3))
     assert hashlib.sha256(fused.tobytes()).hexdigest() == PINNED_FUSED_ACTION_SHA256
@@ -398,8 +403,6 @@ def test_circuit_path_builds_no_gate_objects(monkeypatch):
 
     monkeypatch.setattr(TwoQubitGate, "__post_init__", counting_check)
     circ = run_random_circuit(4, 30, 5)
-    circ.apply(basis_vector(4, 1))
-    circ.apply_adjoint(basis_vector(4, 1))
     action_matrix(circ)
     assert not built
     assert len(circ.placements) == len(built) == 30  # the counter does see gate objects
@@ -461,8 +464,10 @@ def _assert_fused_matches_the_reference(circ, vec):
     forward = list(zip(circ.pairs[:, 0], circ.pairs[:, 1], circ.gates))
     adjoints = [(i, j, g.conj().T) for i, j, g in reversed(forward)]
     tol = {"rtol": 0, "atol": 1e-13}
-    np.testing.assert_allclose(circ.apply_adjoint(vec), _dense_reference(vec, n, forward), **tol)
-    np.testing.assert_allclose(circ.apply(vec), _dense_reference(vec, n, adjoints), **tol)
+    run_forward = circuits._run_fused(vec, n, circ.pairs, circ.gates)
+    run_adjoint = circuits._run_fused(vec, n, circ.pairs[::-1], [g for _i, _j, g in adjoints])
+    np.testing.assert_allclose(run_forward, _dense_reference(vec, n, forward), **tol)
+    np.testing.assert_allclose(run_adjoint, _dense_reference(vec, n, adjoints), **tol)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 7, 300])
@@ -495,4 +500,5 @@ def test_fused_action_is_unitary():
     circ = run_random_circuit(8, 300, 96)
     eye = np.eye(2**8)
     assert eye.size >= circuits.FUSE_MIN_AMPLITUDES
-    np.testing.assert_allclose(action_matrix(circ) @ circ.apply_adjoint(eye), eye, rtol=0, atol=1e-13)
+    forward = circuits._run_fused(eye, 8, circ.pairs, circ.gates)
+    np.testing.assert_allclose(action_matrix(circ) @ forward, eye, rtol=0, atol=1e-13)

@@ -45,10 +45,10 @@ def dense_block_probability(unitary, state, rows) -> float:
     return min(float(np.sum(np.abs(out[list(rows)]) ** 2)), 1.0)
 
 
-def dense_identify(unitary, oracle, label_index: int) -> float:
-    """``identify`` through the dense reference: U applied to the whole signed state."""
+def dense_identify(oracle, label_index: int) -> float:
+    """``identify`` through the dense reference: the oracle's U applied to the signed state."""
     state = prepare_phi(oracle, label_index).amplitudes
-    return dense_block_probability(unitary, state, oracle.labels[label_index].rows)
+    return dense_block_probability(oracle.unitary, state, oracle.labels[label_index].rows)
 
 
 def test_hadamard_oracle_bits_are_parities_up_to_complement():
@@ -94,8 +94,8 @@ def _oracle_metrics_digest(params) -> str:
 def test_oracle_metrics_are_pinned(monkeypatch, params, digest):
     # Taken while identify applied U to the whole signed state, one label per
     # call (numerics version 7); that dense reference path keeps them.
-    def dense(unitary, oracle, labels):
-        return np.array([dense_identify(unitary, oracle, k) for k in labels])
+    def dense(oracle, labels):
+        return np.array([dense_identify(oracle, k) for k in labels])
 
     monkeypatch.setattr(experiments, "identify", dense)
     assert _oracle_metrics_digest(params) == digest
@@ -126,7 +126,7 @@ def test_identity_oracle_prediction():
     beta = 2 ** (-n / 2)
     assert abs(oracle.betas[0] - beta) <= 1e-12
     assert abs(oracle.predicted_success[0] - (2 * beta / np.pi) ** 2) <= 1e-12
-    assert identify(action, oracle, 0) >= oracle.predicted_success[0] - 1e-12
+    assert identify(oracle, 0) >= oracle.predicted_success[0] - 1e-12
 
 
 def test_cyclic_qft_oracle_meets_bound():
@@ -135,7 +135,7 @@ def test_cyclic_qft_oracle_meets_bound():
     oracle = build_oracle(fourier, labels)
     floor = (2 / np.pi) ** 2
     for k in range(16):
-        assert identify(fourier, oracle, k) >= floor - 1e-9
+        assert identify(oracle, k) >= floor - 1e-9
 
 
 def test_prepare_phi_shapes():
@@ -171,18 +171,20 @@ def test_hadamard_identification_exact_and_phi_inverts():
         phi = prepare_phi(oracle, a)
         recovered = np.abs(fwht_normalized(phi.amplitudes)) ** 2
         assert abs(recovered[a] - 1.0) <= 1e-9
-        assert abs(identify(action, oracle, a) - 1.0) <= 1e-9
+        assert abs(identify(oracle, a) - 1.0) <= 1e-9
 
 
-def _block_probabilities(unitary, oracle, label_index: int) -> np.ndarray:
+def _block_probabilities(oracle, label_index: int) -> np.ndarray:
     """Probability of every label's measurement block on ``U |phi_a>``."""
     state = prepare_phi(oracle, label_index).amplitudes
-    return np.array([dense_block_probability(unitary, state, spec.rows) for spec in oracle.labels])
+    return np.array(
+        [dense_block_probability(oracle.unitary, state, spec.rows) for spec in oracle.labels]
+    )
 
 
 def _identify_case(kind, n=None):
-    """A unitary and its oracle over every label: basis labels on n qubits, or the blocks of
-    the d4 or q8 transform with ``pseudo_search`` ancillas on the two-row blocks."""
+    """An oracle over every label: basis labels on n qubits, or the blocks of the d4 or q8
+    transform with ``pseudo_search`` ancillas on the two-row blocks."""
     if kind in ("d4", "q8"):
         fourier = group_fourier(builtin_group(kind))
         blocks = fourier.block_labels()
@@ -191,14 +193,14 @@ def _identify_case(kind, n=None):
             for label in blocks
             if len(fourier.rows_for_block(*label)) == 2
         }
-        return fourier, build_oracle(fourier, blocks, psi=psi)
+        return build_oracle(fourier, blocks, psi=psi)
     if kind == "hadamard":
         unitary = hadamard_all(n)
     elif kind == "qft":
         unitary = qft_cyclic(2**n)
     else:
         unitary = densify(run_random_circuit(n, 20 * n, seed=n))
-    return unitary, build_oracle(unitary, range(2**n))
+    return build_oracle(unitary, range(2**n))
 
 
 # How far the row product may round from the dense reference, which applies U to
@@ -217,36 +219,36 @@ IDENTIFY_BOUND = 1e-13
     ],
 )
 def test_identify_equals_the_dense_reference(kind, n):
-    unitary, oracle = _identify_case(kind, n)
-    measured = identify(unitary, oracle, np.arange(oracle.n_labels))
-    reference = [dense_identify(unitary, oracle, k) for k in range(oracle.n_labels)]
+    oracle = _identify_case(kind, n)
+    measured = identify(oracle, np.arange(oracle.n_labels))
+    reference = [dense_identify(oracle, k) for k in range(oracle.n_labels)]
     assert np.max(np.abs(measured - reference)) <= IDENTIFY_BOUND
 
 
 @pytest.mark.parametrize("rows", [None, 3], ids=["default-blocks", "blocks-of-3"])
 @pytest.mark.parametrize("kind, n", [("hadamard", 7), ("qft", 6), ("random", 6), ("d4", None)])
 def test_one_block_call_equals_its_per_label_calls_bitwise(monkeypatch, kind, n, rows):
-    unitary, oracle = _identify_case(kind, n)
+    oracle = _identify_case(kind, n)
     if rows is not None:
-        monkeypatch.setattr(circuits, "ROW_BLOCK_AMPLITUDES", rows << unitary.n_qubits)
+        monkeypatch.setattr(circuits, "ROW_BLOCK_AMPLITUDES", rows << oracle.n_qubits)
     labels = stream(3).permutation(oracle.n_labels)
-    block = identify(unitary, oracle, labels)
-    assert block.tobytes() == np.array([identify(unitary, oracle, k) for k in labels]).tobytes()
+    block = identify(oracle, labels)
+    assert block.tobytes() == np.array([identify(oracle, k) for k in labels]).tobytes()
 
 
 def test_identify_takes_the_shape_of_its_index():
-    unitary, oracle = _identify_case("qft", 3)
-    every = identify(unitary, oracle, np.arange(8))
-    scalar = identify(unitary, oracle, 5)
+    oracle = _identify_case("qft", 3)
+    every = identify(oracle, np.arange(8))
+    scalar = identify(oracle, 5)
     assert np.shape(scalar) == () and scalar == every[5]
-    assert np.array_equal(identify(unitary, oracle, [[0, 1], [2, 3]]), every[:4].reshape(2, 2))
-    assert identify(unitary, oracle, []).shape == (0,)
+    assert np.array_equal(identify(oracle, [[0, 1], [2, 3]]), every[:4].reshape(2, 2))
+    assert identify(oracle, []).shape == (0,)
 
 
 def test_outcome_distribution_sums_to_one():
     fourier = qft_cyclic(8)
     oracle = build_oracle(fourier, [(f"chi{j}", 1) for j in range(8)])
-    dist = _block_probabilities(fourier, oracle, 3)
+    dist = _block_probabilities(oracle, 3)
     assert abs(dist.sum() - 1.0) <= 1e-9
 
 
@@ -256,7 +258,7 @@ def test_random_circuit_predicted_vs_measured():
         action = densify(circ)
         oracle = build_oracle(action, range(16))
         for k in range(16):
-            measured = identify(action, oracle, k)
+            measured = identify(oracle, k)
             assert measured >= oracle.predicted_success[k] - 1e-9
 
 
@@ -272,9 +274,9 @@ def test_group_block_oracle_with_ancilla(name):
         psi[label] = report.best_psi
     oracle = build_oracle(fourier, blocks, psi=psi)
     for k, label in enumerate(blocks):
-        measured = identify(fourier, oracle, k)
+        measured = identify(oracle, k)
         assert measured >= oracle.predicted_success[k] - 1e-9
-    dist = _block_probabilities(fourier, oracle, 0)
+    dist = _block_probabilities(oracle, 0)
     assert abs(dist.sum() - 1.0) <= 1e-9
 
 
@@ -378,7 +380,17 @@ def test_oracle_blocks_hold_at_most_the_row_cap(monkeypatch, rows, sizes):
 def test_oracle_refuses_betas_outside_the_success_range(beta):
     with pytest.raises(InvalidConfigError, match="predicted success"):
         SingleLevelOracle(
-            2, (LabelSpec(0, (0,)),), np.zeros((1, 4), dtype=np.uint8), np.array([beta])
+            2, (LabelSpec(0, (0,)),), np.zeros((1, 4), dtype=np.uint8), np.array([beta]),
+            hadamard_all(2),
+        )
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_oracle_refuses_a_unitary_on_another_register(n):
+    with pytest.raises(InvalidConfigError, match="unitary acts on"):
+        SingleLevelOracle(
+            2, (LabelSpec(0, (0,)),), np.zeros((1, 4), dtype=np.uint8), np.array([0.5]),
+            hadamard_all(n),
         )
 
 
@@ -397,11 +409,12 @@ def test_group_block_oracle_requires_psi_for_wide_blocks():
 
 def test_unknown_label_raises():
     oracle = build_oracle(hadamard_all(2), range(4))
-    with pytest.raises(LabelError):
-        prepare_phi(oracle, 7)
-    for index in (-1, 4, [0, 4], [[1], [-1]]):
+    for index in (7, 1.5):
         with pytest.raises(LabelError):
-            identify(hadamard_all(2), oracle, index)
+            prepare_phi(oracle, index)
+    for index in (-1, 4, [0, 4], [[1], [-1]], 1.5):
+        with pytest.raises(LabelError):
+            identify(oracle, index)
 
 
 @pytest.mark.parametrize("labels", [[-1, 2], [0, 8], [7, 8]])

@@ -143,6 +143,27 @@ def test_bad_spec_kind():
             make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=0, kind=kind)
 
 
+@pytest.mark.parametrize(
+    "kind, extra",
+    [("hadamard", {}), ("random-circuit", {"circuit_length": 30, "circuit_seed": 3})],
+)
+def test_spec_oracle_carries_the_unitary_it_compiled_from(monkeypatch, kind, extra):
+    from oraclelab.rfs import core
+
+    built = []
+    original = core.build_unitary
+
+    def recording(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(core, "build_unitary", recording)
+    spec = make_rfs_spec(depth=2, n_symbol_bits=3, master_seed=0, kind=kind, alpha_n=2, **extra)
+    assert len(built) == 1
+    assert spec.oracle.unitary is built[0]
+    assert replace(spec, master_seed=8).oracle.unitary is built[0]
+
+
 def test_reseeded_spec_answer_bit_follows_the_seed():
     base = make_rfs_spec(depth=2, n_symbol_bits=3, master_seed=0, alpha_n=2)
     bits = set()
