@@ -27,7 +27,9 @@ SCHEMA_VERSION = 1
 # 7: the referee reads Z from per-depth frontier counts (rfs replay-log
 # final_z moves by ulps); certification slack scales with 2^n.
 # 8: identify reads only the label's rows of U (qft and random successes move by ulps).
-NUMERICS_VERSION = 8
+# 9: a gate joins a fused block past the gates it commutes with (random circuits at
+# n >= 7 move by ulps).
+NUMERICS_VERSION = 9
 
 
 @dataclass(frozen=True)

@@ -142,98 +142,127 @@ def run_gates(vec: np.ndarray, n_qubits: int, supports, blocks) -> np.ndarray:
     index; all rows are checked before anything is copied or allocated.
     ``blocks`` yields ``t`` matrices of size ``2^width`` and may be lazy; each
     is drawn only after the previous one was applied.  ``vec`` has leading
-    dimension ``2**n_qubits``; trailing dimensions are a batch.  Besides the
-    copy, the loop allocates two state-sized buffers once and nothing per
-    block: each block gathers its ``(local index, rest)`` view of the state
-    into one buffer, multiplies it into the other and scatters the product back.
+    dimension ``2**n_qubits``; trailing dimensions are a batch.  The loop holds
+    the state and one scratch array, both state-sized, and allocates nothing
+    per block.  The state keeps one axis per qubit, in an order the loop
+    tracks: each block copies the state into scratch once, with the block's
+    qubits leading, and multiplies scratch back into the state, whose axes
+    are then the block's qubits followed by the rest.  One last copy restores
+    the order of the index bits.
     """
     dim = 2**n_qubits
     if np.shape(vec)[:1] != (dim,):
         raise ValueError(f"expected leading dimension {dim}, got shape {np.shape(vec)}")
     supports = _checked_supports(supports, n_qubits)
     width = supports.shape[1]
-    # C order, so that every view below is a view of ``out`` and not a copy.
-    out = np.array(vec, dtype=complex, order="C")
-    batch = out.size // dim
-    gathered, product = np.empty((2, 1 << width, out.size >> width), dtype=complex)
-    rest = list(range(0, 2 * width + 1, 2))
+    state = np.array(vec, dtype=complex, order="C")
+    shape, batch = state.shape, state.size // dim
+    # Axis k < n_qubits is the bit of qubit order[k], most significant first; the
+    # last axis is the batch.  Gathering always goes from state into scratch, never
+    # back, so that numpy never needs a hidden temporary for overlapping arrays.
+    state = state.reshape((2,) * n_qubits + (batch,))
+    scratch = np.empty_like(state)
+    rows = (1 << width, state.size >> width)
+    canonical = list(range(n_qubits - 1, -1, -1))
+    order = canonical
     blocks = iter(blocks)
     for support in supports:
         matrix = next(blocks, None)
         if matrix is None:
             raise ValueError(f"fewer blocks than the {len(supports)} supports")
         qubits = support.tolist()
-        ordered = sorted(qubits, reverse=True)
-        # Axes (a, b_1, m_1, b_2, ..., b_width, r) of the index x in mixed radix, most
-        # significant first, with b_k the bit of the k-th largest qubit; the batch
-        # index rides with r.
-        shape = [dim >> (ordered[0] + 1)]
-        for hi, lo in zip(ordered, ordered[1:]):
-            shape += (2, 1 << (hi - lo - 1))
-        shape += (2, batch << ordered[-1])
-        bits = [1 + 2 * ordered.index(q) for q in qubits]
-        view = out.reshape(shape).transpose(bits + rest)
-        np.copyto(gathered.reshape(view.shape), view)
-        np.matmul(matrix, gathered, out=product)
+        rest = [q for q in order if q not in qubits]
+        np.copyto(scratch, state.transpose([order.index(q) for q in qubits + rest] + [n_qubits]))
+        np.matmul(matrix, scratch.reshape(rows), out=state.reshape(rows))
+        order = qubits + rest
         # Released before the next block is drawn, so that a block built on demand
         # is never built while the previous one is still alive.
         del matrix
-        np.copyto(view, product.reshape(view.shape))
     if next(blocks, None) is not None:
         raise ValueError(f"more blocks than the {len(supports)} supports")
-    return out
+    if order != canonical:
+        np.copyto(scratch, state.transpose([order.index(q) for q in canonical] + [n_qubits]))
+        state = scratch
+    return state.reshape(shape)
 
 
-def _fusion_plan(pairs: np.ndarray, n_qubits: int, width: int) -> tuple[np.ndarray, list[int]]:
-    """Greedy gate fusion: the supports of the blocks and the number of gates in each.
+def _fusion_plan(pairs: np.ndarray, n_qubits: int, width: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Commutation-aware gate fusion: the blocks' supports, their gates and how many each holds.
 
-    Consecutive gates join one block while their qubits together number at
-    most ``width``.  Each support is padded with the lowest unused qubits to
-    exactly ``width`` qubits and listed in descending order.
+    A block starts at the first gate not yet placed and scans the later ones
+    in order.  A gate joins the block when the block's qubits and its own
+    number at most ``width`` together and it touches no qubit of a gate it
+    skipped, so that it commutes with every gate it moves ahead of; gates that
+    share a qubit keep their order.  The scan stops as soon as no later gate
+    can join.  Each support is padded with the lowest unused qubits to exactly
+    ``width`` qubits and listed in descending order.  The gates of every
+    block, in circuit order, follow each other in one index array, so that
+    the plan takes a few bytes per gate.
     """
-    masks, counts = [], []
-    for i, j in pairs:
-        gate = (1 << int(i)) | (1 << int(j))
-        if counts and (masks[-1] | gate).bit_count() <= width:
-            masks[-1] |= gate
-            counts[-1] += 1
-        else:
-            masks.append(gate)
-            counts.append(1)
-    supports = np.empty((len(masks), width), dtype=np.intp)
-    for row, mask in zip(supports, masks):
-        for q in range(n_qubits):
-            if mask.bit_count() == width:
+    masks = [(1 << i) | (1 << j) for i, j in pairs.tolist()]
+    placed = [False] * len(masks)
+    every = (1 << n_qubits) - 1
+    supports, order, counts = [], [], []
+    for start, first in enumerate(masks):
+        if placed[start]:
+            continue
+        block, skipped, group = first, 0, [start]
+        for k in range(start + 1, len(masks)):
+            if placed[k]:
+                continue
+            gate = masks[k]
+            if not gate & skipped and (block | gate).bit_count() <= width:
+                block |= gate
+                group.append(k)
+                placed[k] = True
+                continue
+            skipped |= gate
+            # A gate that can still join needs two unskipped qubits, and as many of
+            # them inside the block as the block has no room for.
+            free = every & ~skipped
+            room = width - block.bit_count()
+            if free.bit_count() < 2 or (block & free).bit_count() < 2 - min(room, 2):
                 break
-            mask |= 1 << q
-        row[:] = [q for q in reversed(range(n_qubits)) if mask >> q & 1]
-    return supports, counts
+        for q in range(n_qubits):
+            if block.bit_count() == width:
+                break
+            block |= 1 << q
+        supports.append([q for q in reversed(range(n_qubits)) if block >> q & 1])
+        order += group
+        counts.append(len(group))
+    return np.array(supports, dtype=np.intp).reshape(-1, width), np.array(order, dtype=np.intp), counts
 
 
-def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates) -> np.ndarray:
+def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates, adjoint: bool = False) -> np.ndarray:
     """Apply two-qubit gates as :func:`run_gates` does, fused into blocks on wide states.
 
-    On a state of at least ``FUSE_MIN_AMPLITUDES`` amplitudes, consecutive
-    gates fuse into blocks of at most ``FUSED_WIDTH`` qubits.  Each block is
-    built when the runner draws it, by running its gates on an identity, so
-    memory does not grow with the circuit length.  Narrower states, and
-    circuits on two qubits, run gate by gate.
+    ``gates`` is a stack of ``len(pairs)`` matrices; with ``adjoint`` set, the
+    run is that of the gates' adjoints in reverse order, each gate
+    conjugate-transposed only when its block is built.  On a state of at least
+    ``FUSE_MIN_AMPLITUDES`` amplitudes, gates fuse into blocks of at most
+    ``FUSED_WIDTH`` qubits by :func:`_fusion_plan`.  Each block is built when
+    the runner draws it, by running its gates on an identity, so memory does
+    not grow with the circuit length.  Narrower states, and circuits on two
+    qubits, run gate by gate.
     """
+    pairs, gates = np.asarray(pairs), np.asarray(gates)
+    if adjoint:
+        pairs, gates = pairs[::-1], gates[::-1].transpose(0, 2, 1)
     width = min(FUSED_WIDTH, n_qubits)
     if np.size(vec) < FUSE_MIN_AMPLITUDES or width <= 2:
-        return run_gates(vec, n_qubits, pairs, gates)
-    supports, counts = _fusion_plan(pairs, n_qubits, width)
+        return run_gates(vec, n_qubits, pairs, (g.conj() if adjoint else g for g in gates))
+    supports, order, counts = _fusion_plan(pairs, n_qubits, width)
 
     def blocks():
-        gate_iter = iter(gates)
         local = np.empty(n_qubits, dtype=np.intp)
         ranks = np.arange(width - 1, -1, -1)
         eye = _EYE[: 1 << width, : 1 << width]
         start = 0
         for support, count in zip(supports, counts):
+            group = order[start : start + count]
             local[support] = ranks
-            local_pairs = local[pairs[start : start + count]]
-            yield run_gates(eye, width, local_pairs, itertools.islice(gate_iter, count))
+            block_gates = (gates[k].conj() if adjoint else gates[k] for k in group)
+            yield run_gates(eye, width, local[pairs[group]], block_gates)
             start += count
 
     return run_gates(vec, n_qubits, supports, blocks())
@@ -390,14 +419,13 @@ def hadamard_all(n_qubits: int) -> HadamardAll:
 
 def action_matrix(circuit: RandomCircuit) -> np.ndarray:
     """A circuit's matrix ``U`` (columns ``U|x>``): the adjoint gates run in reverse order on
-    the identity."""
-    adjoints = (g.conj().T for g in circuit.gates[::-1])
+    the identity.  Refused above ``MAX_DENSE_QUBITS`` qubits before anything is allocated."""
+    if circuit.n_qubits > MAX_DENSE_QUBITS:
+        raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
     eye = np.eye(2**circuit.n_qubits, dtype=complex)
-    return _run_fused(eye, circuit.n_qubits, circuit.pairs[::-1], adjoints)
+    return _run_fused(eye, circuit.n_qubits, circuit.pairs, circuit.gates, adjoint=True)
 
 
 def densify(circuit: RandomCircuit) -> MatrixUnitary:
     """The circuit as an explicit dense matrix; at most ``MAX_DENSE_QUBITS`` qubits."""
-    if circuit.n_qubits > MAX_DENSE_QUBITS:
-        raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
     return MatrixUnitary(action_matrix(circuit))

@@ -284,6 +284,20 @@ def test_matrix_above_dense_cap_fails_before_allocating():
     assert peak < dim * 16  # less than one 13-qubit state vector
 
 
+@pytest.mark.parametrize("build", [action_matrix, densify], ids=["action_matrix", "densify"])
+def test_circuit_above_dense_cap_fails_before_allocating(build):
+    n = MAX_DENSE_QUBITS + 1
+    circ = run_random_circuit(n, 20, 97)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError):
+            build(circ)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**n * 16  # less than one 13-qubit state vector
+
+
 def _dense_reference(vec, n, gates):
     out = np.array(vec, dtype=complex)
     for i, j, matrix in gates:
@@ -337,12 +351,12 @@ def test_run_gates_rejects_bad_states_and_pairs():
 
 
 # SHA-256 of circuit outputs, taken before run_gates applied gates in place; the
-# first is the gate-by-gate action matrix.  The fused pin was taken when circuits
-# began to fuse their gates on wide states.  Bit-exact for a given numpy/BLAS
-# build, like replay.
+# first is the gate-by-gate action matrix.  The fused pin was retaken when gates
+# began to join a block past the gates they commute with (numerics version 9).
+# Bit-exact for a given numpy/BLAS build, like replay.
 PINNED_ACTION_SHA256 = "5bb24a941be0f84f03784aa3d2a2f83857f894085474e9bb9242e71525cf4b7f"
 PINNED_APPLY_SHA256 = "c78d88be58078c779eb78ce6aa824da1388cf7fcb9e9f7f22a8a281f8502bdf6"
-PINNED_FUSED_ACTION_SHA256 = "064ab2fb23706bfcd852d34e69ba66a3ab4704b95d31a5ae3719ce3bb740eb9a"
+PINNED_FUSED_ACTION_SHA256 = "27d2bb442a98204d4096b8e133ba31cf3bd92d471e209d87a243b2de5f084d97"
 
 
 def test_circuit_outputs_are_pinned():
@@ -359,9 +373,9 @@ def test_circuit_outputs_are_pinned():
 
 
 def test_action_matrix_memory_does_not_grow_with_circuit_length():
-    # The identity, its copy and the runner's two buffers, whatever t is.
+    # The identity and the runner's state and scratch arrays, whatever t is.
     n = 8
-    bound = 4 * 4**n * 16 + 64 * 1024
+    bound = 3 * 4**n * 16 + 64 * 1024
     peaks = []
     for length in (8, 512):
         circ = run_random_circuit(n, length, 100 + length)
@@ -491,9 +505,55 @@ def test_a_circuit_on_few_qubits_fuses_into_one_block():
     qubits = np.array([6, 1, 4, 3, 7])
     source = run_random_circuit(len(qubits), t, 94)
     circ = RandomCircuit(n, t, 94, qubits[source.pairs], source.gates)
-    supports, counts = circuits._fusion_plan(circ.pairs, n, circuits.FUSED_WIDTH)
+    supports, _order, counts = circuits._fusion_plan(circ.pairs, n, circuits.FUSED_WIDTH)
     assert counts == [t] and supports.tolist() == [[7, 6, 4, 3, 1]]
     _assert_fused_matches_the_reference(circ, _wide_state(n, 95))
+
+
+def _consecutive_block_count(pairs, width):
+    """Blocks of the fusion that joins only consecutive gates, for comparison."""
+    blocks, mask = 0, 0
+    for i, j in pairs.tolist():
+        gate = (1 << i) | (1 << j)
+        if not blocks or (mask | gate).bit_count() > width:
+            blocks, mask = blocks + 1, 0
+        mask |= gate
+    return blocks
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_fusion_plan_places_every_gate_once_and_keeps_dependent_orders(n):
+    width = min(circuits.FUSED_WIDTH, n)
+    for seed in range(3):
+        circ = run_random_circuit(n, 40 * n, 1000 * n + seed)
+        supports, order, counts = circuits._fusion_plan(circ.pairs, n, width)
+        assert sorted(order.tolist()) == list(range(circ.length))
+        assert len(supports) == len(counts) and sum(counts) == circ.length
+        # Rank of each gate in the fused run; two gates sharing a qubit keep their order.
+        rank = np.empty(circ.length, dtype=np.intp)
+        rank[order] = np.arange(circ.length)
+        last = {}
+        for k, (i, j) in enumerate(circ.pairs.tolist()):
+            for q in (i, j):
+                if q in last:
+                    assert rank[last[q]] < rank[k]
+                last[q] = k
+        start = 0
+        for support, count in zip(supports, counts):
+            assert len(set(support.tolist())) == width
+            assert sorted(support.tolist(), reverse=True) == support.tolist()
+            group = order[start : start + count]
+            assert group.tolist() == sorted(group.tolist())
+            assert set(circ.pairs[group].ravel().tolist()) <= set(support.tolist())
+            start += count
+
+
+def test_fusion_plan_needs_fewer_blocks_than_consecutive_fusion():
+    # The circuit that `oracle --unitary random --n 8` densifies at seed 0.
+    n, t = 8, 2048
+    circ = run_random_circuit(n, t, 0)
+    _supports, _order, counts = circuits._fusion_plan(circ.pairs, n, circuits.FUSED_WIDTH)
+    assert (len(counts), _consecutive_block_count(circ.pairs, circuits.FUSED_WIDTH)) == (383, 548)
 
 
 def test_fused_action_is_unitary():

@@ -119,6 +119,14 @@ def test_oracle_metrics_on_the_row_path_are_pinned(params, digest):
     assert _oracle_metrics_digest(params) == digest
 
 
+def test_oracle_metrics_on_the_fused_path_are_pinned():
+    # At n = 8 the circuit is densified through fused blocks, each joined by the gates
+    # that commute past the gates they skip (numerics version 9).  Moving this must
+    # bump cli.NUMERICS_VERSION.
+    digest = "b4ae2ec8549ad5cf892e4e58a3ac19a69b509f27d61ea4a2e9a5a05eab40087c"
+    assert _oracle_metrics_digest({"unitary": "random", "n": 8}) == digest
+
+
 def test_identity_oracle_prediction():
     n = 4
     action = MatrixUnitary(np.eye(2**n, dtype=complex))
