@@ -16,7 +16,7 @@ import numpy as np
 
 from . import paulichain
 from .dispersion import certify_dispersing, pseudo_search
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, SizeError
 from .oracle import build_oracle, build_unitary, identify
 from .rfs import (
     bound_trend_table,
@@ -38,6 +38,8 @@ MODES = {
     "rfs": ("simulate", "separation", "replay-log", "bound-table"),
     "markov": ("gap", "stationary", "lumped-vs-full", "moments"),
 }
+# ``markov --mode stationary`` histograms the walkers over all 4^n strings: 8 MiB at n = 10.
+MAX_STATIONARY_N = 10
 
 
 def _mode(params: dict, experiment: str) -> str:
@@ -332,6 +334,8 @@ def run_markov(params: dict, seed: int):
         n = int(params.get("n", 3))
         steps = int(params.get("t", 150))
         walkers = _count(params, "trials", 100000)
+        if n > MAX_STATIONARY_N:
+            raise SizeError(f"stationary histogram capped at n={MAX_STATIONARY_N}")
         codes = paulichain.walk_ensemble(n, steps, walkers, child(seed, 0))
         values = np.zeros(walkers, dtype=np.int64)
         for site in range(n):
@@ -351,11 +355,11 @@ def run_markov(params: dict, seed: int):
         n = int(params.get("n", 3))
         steps = int(params.get("t", 20))
         walkers = _count(params, "trials", 100000)
+        chain = paulichain.lumped_matrix(n)
         codes = paulichain.walk_ensemble(n, steps, walkers, child(seed, 0))
         weights = (codes != 0).sum(axis=1)
         emp = np.bincount(weights, minlength=n + 1)[1:].astype(float)
         emp /= emp.sum()
-        chain = paulichain.lumped_matrix(n)
         dist = np.zeros(n)
         dist[0] = 1.0
         for _ in range(steps):
@@ -369,6 +373,8 @@ def run_markov(params: dict, seed: int):
     n = int(params.get("n", 2))
     circuits = _count(params, "trials", 2000)
     t_list = _values(params, "t_list", [int(params.get("t", 5))])
+    if not all(0 <= int(t) <= paulichain.MAX_MOMENT_STEPS for t in t_list):
+        raise InvalidConfigError(f"every t must lie in [0, {paulichain.MAX_MOMENT_STEPS}], got {t_list}")
     tvs = {}
     for idx, t in enumerate(t_list):
         res = paulichain.moment_compare(n, int(t), circuits, child(seed, idx))
@@ -406,6 +412,10 @@ def run_qt(params: dict, seed: int):
     # The standard error of the collision mean needs two circuits.
     circuits = _count(params, "trials", 200, least=2)
     beta = _beta(params, 0.25)
+    if n > paulichain.MAX_COLLISION_N:
+        raise SizeError(f"collision statistics capped at n={paulichain.MAX_COLLISION_N}")
+    if n < 2 or steps < 0:
+        raise InvalidConfigError(f"qt needs n >= 2 and t >= 0, got n = {n}, t = {steps}")
 
     # Each trial is an independent (circuit, input label) pair on its own stream.
     rngs = [child(seed, k) for k in range(circuits)]

@@ -44,6 +44,8 @@ NONZERO_PAIRS = np.array(
 MAX_WEIGHT_CHAIN_N = 64
 RATIONAL_ASSEMBLY_MAX_N = 8
 MAX_FULL_CHAIN_N = 4
+MAX_MOMENT_STEPS = 50
+MAX_COLLISION_N = 12
 
 
 @dataclass(frozen=True)
@@ -267,8 +269,8 @@ def moment_compare(
     """
     if n > MAX_FULL_CHAIN_N:
         raise SizeError(f"moment comparison capped at n={MAX_FULL_CHAIN_N}")
-    if steps > 50:
-        raise InvalidConfigError("step count capped at 50")
+    if steps > MAX_MOMENT_STEPS:
+        raise InvalidConfigError(f"step count capped at {MAX_MOMENT_STEPS}")
     # Every circuit draws from the one stream: at each step, circuit by circuit.
     starts = np.tile(basis_vector(n, a), (circuits, 1))
     states = run_pair_circuits(starts, n, steps, [rng] * circuits)
@@ -423,8 +425,8 @@ def collision_statistics(n: int, steps: int, rngs, inputs) -> tuple[np.ndarray, 
     and gates from ``rngs[c]``; all circuits step together.  Returns the
     arrays ``sum_x |amp(x)|^4`` and ``sum_x |amp(x)|``.
     """
-    if n > 12:
-        raise SizeError("collision statistics capped at n=12")
+    if n > MAX_COLLISION_N:
+        raise SizeError(f"collision statistics capped at n={MAX_COLLISION_N}")
     states = np.zeros((len(inputs), 2**n), dtype=complex)
     states[np.arange(len(inputs)), inputs] = 1.0
     probs = np.abs(run_pair_circuits(states, n, steps, rngs)) ** 2

@@ -21,23 +21,25 @@ read U from the spec's compiled oracle.
 
 ``find_coherent_tiny`` instead allocates every register of the recursion
 explicitly (symbol, test, flag and answer registers for each copy at each
-level) and runs the full state-vector program, including uncomputation.  It
-is the ground truth the model is cross-checked against, and is capped at a
-couple of qubits per register.
+level) and runs the full state-vector program, including uncomputation.  The
+program is a list of plain steps ``step(state, adjoint) -> state``; a child's
+inverse is its own list run backwards.  Each basis state's ancestor symbols
+read as one node index of ``level_secrets``' layout, so a step looks up its
+labels and phases with one gather per depth.  It is the ground truth the model
+is cross-checked against, and is capped at a couple of qubits per register.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from ..errors import CertificationError, InvalidConfigError, SizeError
 from ..oracle import identify, prepare_phi
 from ..simcore import hadamard_all, run_gates
-from .core import RecursiveOracleSpec, level_secrets, secret_at
+from .core import RecursiveOracleSpec, level_secrets
 
 MAX_MODEL_NODES = 100_000
 MAX_COHERENT_QUBITS = 22
@@ -277,90 +279,11 @@ class CoherentReport:
     answer_register_consistent: bool = True
 
 
-class _RegisterUnitary:
-    def __init__(self, qubits: tuple[int, ...], matrix: np.ndarray):
-        self.qubits = qubits
-        self.matrix = matrix
-
-    def run(self, state, total, adjoint):
-        mat = self.matrix.conj().T if adjoint else self.matrix
-        return run_gates(state, total, [self.qubits], [mat])
-
-
-class _Diagonal:
-    """Real signature diagonal (entries +-1): self-adjoint."""
-
-    def __init__(self, signs: np.ndarray):
-        self.signs = signs
-
-    def run(self, state, total, adjoint):
-        return state * self.signs
-
-
-class _ConditionalXor:
-    """Permutation ``i -> i ^ x(i)`` on a condition set not touching ``x`` bits."""
-
-    def __init__(self, cond: np.ndarray, xor_values: np.ndarray):
-        self.cond = cond
-        self.xor_values = xor_values
-
-    def run(self, state, total, adjoint):
-        out = state.copy()
-        src = np.nonzero(self.cond)[0]
-        out[src ^ self.xor_values[src]] = state[src]
-        return out
-
-
-class _ControlledRY:
-    def __init__(self, flag_bit: int, cond: np.ndarray, angle: float):
-        self.flag_bit = flag_bit
-        self.cond = cond
-        self.angle = angle
-
-    def run(self, state, total, adjoint):
-        angle = -self.angle if adjoint else self.angle
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        mask = 1 << self.flag_bit
-        idx0 = np.nonzero(self.cond & ((np.arange(state.shape[0]) & mask) == 0))[0]
-        idx1 = idx0 | mask
-        out = state.copy()
-        out[idx0] = c * state[idx0] - s * state[idx1]
-        out[idx1] = s * state[idx0] + c * state[idx1]
-        return out
-
-
-class _Probe:
-    """Measurement-free diagnostic: norm outside a register block's |0> slice."""
-
-    def __init__(self, bits: list[int], sink: list):
-        mask = 0
-        for b in bits:
-            mask |= 1 << b
-        self.mask = mask
-        self.sink = sink
-
-    def run(self, state, total, adjoint):
-        if not adjoint:
-            idx = np.arange(state.shape[0])
-            residual = float(np.linalg.norm(state[(idx & self.mask) != 0]))
-            self.sink.append(residual)
-        return state
-
-
-def _run_ops(state, total, ops, adjoint=False):
-    for op in reversed(ops) if adjoint else ops:
-        state = op.run(state, total, adjoint)
+def _run(program, state, adjoint=False):
+    """Run the steps ``step(state, adjoint) -> state`` in order, or their adjoints in reverse."""
+    for step in reversed(program) if adjoint else program:
+        state = step(state, adjoint)
     return state
-
-
-class _AdjointBlock:
-    """Wrap a sub-list of ops as one inverse step."""
-
-    def __init__(self, ops: list):
-        self.ops = ops
-
-    def run(self, state, total, adjoint):
-        return _run_ops(state, total, self.ops, adjoint=not adjoint)
 
 
 def find_coherent_tiny(
@@ -372,12 +295,15 @@ def find_coherent_tiny(
 
     Every copy at every level gets a symbol register, a child block (below
     the last level), and a test qubit; each instance ends with a flag qubit
-    and an answer register.  The child invocation and its inverse are the
-    same op-list run forwards and backwards, so uncomputation is literal.
-    ``inject`` maps a node path to an extra failure weight; it is realized
-    as a rotation on that instance's flag qubit inside the instance's
-    program (so the inverse call undoes the rotation but not its
-    entanglement with the conditioned phase, exactly like a noisy child).
+    and an answer register.  A program is a list of steps
+    ``step(state, adjoint) -> state``; a child's inverse is the same program
+    run backwards with every step adjoint, so uncomputation is literal.
+    ``inject`` maps the path of a node below the root to an extra failure
+    weight; it is realized as a rotation on that instance's flag qubit inside
+    the instance's program (so the inverse call undoes the rotation but not
+    its entanglement with the conditioned phase, exactly like a noisy child).
+    A key naming no such node (the root, a path of length ``depth`` or more,
+    a symbol outside ``[0, 2^n)``) is refused before any register exists.
 
     U is the spec's compiled oracle's unitary.  Returns the exact success
     probability of the root identification plus the norms left behind in
@@ -391,150 +317,149 @@ def find_coherent_tiny(
         raise InvalidConfigError("m_override must be at least 1")
     if n > 2 or depth > 2 or m > 3:
         raise SizeError("coherent run capped at n <= 2, depth <= 2, m <= 3")
+    dim_sym = 2**n
+    for path in inject:
+        if not 0 < len(path) < depth or not all(0 <= x < dim_sym for x in path):
+            raise InvalidConfigError(
+                f"inject key {path} names no node below the root of a depth-{depth} tree "
+                f"on {dim_sym} symbols"
+            )
 
     oracle = spec.oracle
     idents = [s.ident for s in oracle.labels]
     if not all(isinstance(i, int) for i in idents):
         raise InvalidConfigError("coherent run needs integer basis labels")
     ans_bits = max(1, int(max(idents)).bit_length())
-    dim_sym = 2**n
+    # Per depth, over its nodes (paths read as base-2^n numbers): each node's
+    # label as a basis index, and its label's phases by symbol.
+    levels = level_secrets(spec)
+    keys = [np.array(idents)[level] for level in levels]
+    phases = [oracle.signs(level) for level in levels]
 
-    # --- register layout, allocated depth-first ---
-    regs: dict = {}
-
-    def alloc(level: int, inst: tuple[int, ...], cursor: int) -> int:
-        for c in range(m):
-            regs[("sym", inst, c)] = (cursor, n)
-            cursor += n
-            if level + 1 < depth:
-                cursor = alloc(level + 1, inst + (c,), cursor)
-            regs[("test", inst, c)] = (cursor, 1)
-            cursor += 1
-        regs[("flag", inst)] = (cursor, 1)
-        cursor += 1
-        regs[("ans", inst)] = (cursor, ans_bits)
-        cursor += ans_bits
-        return cursor
-
-    total = alloc(0, (), 0)
+    # An instance's block, depth-first: per copy a symbol register, the child
+    # block and a test qubit; then the flag qubit and the answer register.
+    total = 0
+    for _ in range(depth):
+        total = m * (n + total + 1) + 1 + ans_bits
     if total > MAX_COHERENT_QUBITS:
         raise SizeError(f"{total} qubits exceed the coherent cap {MAX_COHERENT_QUBITS}")
     dim = 2**total
     idx = np.arange(dim)
 
-    def reg_val(key) -> np.ndarray:
-        off, width = regs[key]
+    def field(off: int, width: int) -> np.ndarray:
         return (idx >> off) & ((1 << width) - 1)
 
-    def reg_qubits(key) -> tuple[int, ...]:
-        off, width = regs[key]
-        return tuple(range(off + width - 1, off - 1, -1))
+    def register(off: int, matrix: np.ndarray):
+        qubits = tuple(range(off + n - 1, off - 1, -1))
+        return lambda state, adjoint: run_gates(
+            state, total, [qubits], [matrix.conj().T if adjoint else matrix]
+        )
 
-    def block_bits(inst: tuple[int, ...]) -> list[int]:
-        bits = []
-        for key, (off, width) in regs.items():
-            owner = key[1]
-            if owner[: len(inst)] == inst and len(owner) >= len(inst):
-                bits.extend(range(off, off + width))
-        return bits
+    def diagonal(signs: np.ndarray):
+        """Real signature diagonal (entries +-1): self-adjoint."""
+        return lambda state, adjoint: state * signs
 
-    def secret_ident(path: tuple[int, ...]) -> int:
-        return int(idents[secret_at(spec, path)])
+    def xor(cond: np.ndarray, bits):
+        """The permutation ``i -> i ^ bits`` on ``cond``, which reads no flipped bit: self-inverse."""
+        src = np.flatnonzero(cond)
+        dst = (idx ^ bits)[src]
+
+        def step(state, adjoint):
+            out = state.copy()
+            out[dst] = state[src]
+            return out
+
+        return step
+
+    def rotation(flag: int, cond: np.ndarray, angle: float):
+        """RY(angle) on the flag qubit where ``cond`` holds."""
+        idx0 = np.flatnonzero(cond & (field(flag, 1) == 0))
+        idx1 = idx0 | (1 << flag)
+
+        def step(state, adjoint):
+            a = -angle if adjoint else angle
+            c, s = math.cos(a / 2.0), math.sin(a / 2.0)
+            out = state.copy()
+            out[idx0] = c * state[idx0] - s * state[idx1]
+            out[idx1] = s * state[idx0] + c * state[idx1]
+            return out
+
+        return step
+
+    def probe(lo: int, hi: int):
+        """Measurement-free diagnostic: the norm outside the |0> slice of qubits [lo, hi)."""
+        mask = (1 << hi) - (1 << lo)
+
+        def step(state, adjoint):
+            if not adjoint:
+                residuals.append(float(np.linalg.norm(state[(idx & mask) != 0])))
+            return state
+
+        return step
 
     h_layer = hadamard_all(n).rows(range(dim_sym))
     u_matrix = oracle.unitary.rows(range(dim_sym))
-
-    def ancestors_of(inst: tuple[int, ...]) -> list:
-        return [("sym", inst[:j], inst[j]) for j in range(len(inst))]
-
-    def ancestor_mask(inst: tuple[int, ...], combo: tuple[int, ...]) -> np.ndarray:
-        mask = np.ones(dim, dtype=bool)
-        for key, val in zip(ancestors_of(inst), combo):
-            mask &= reg_val(key) == val
-        return mask
-
+    u_dagger = u_matrix.conj().T
     residuals: list[float] = []
 
-    def build(level: int, inst: tuple[int, ...]) -> list:
-        k = len(inst)
-        ops: list = []
-        anc_combos = list(product(range(dim_sym), repeat=k))
-        for c in range(m):
-            sym_key = ("sym", inst, c)
-            ops.append(_RegisterUnitary(reg_qubits(sym_key), h_layer))
-            child_program: list = []
-            if level + 1 < depth:
-                child_program = build(level + 1, inst + (c,))
+    def build(k: int, node: np.ndarray, cursor: int):
+        """The program of a depth-``k`` instance whose block starts at qubit ``cursor``.
+
+        ``node`` holds each basis state's node index at depth ``k``, its
+        ancestors' symbol registers read as one base-2^n number.  Returns the
+        program and the offsets of its flag and answer registers, the block's last.
+        """
+        program: list = []
+        syms, tests = [], []
+        for _c in range(m):
+            syms.append(cursor)
+            sym = field(cursor, n)
+            program.append(register(cursor, h_layer))
+            cursor += n
+            # Data-bit phase, keyed on the child's answer when one exists.
+            signs = phases[k][node, sym]
+            if k + 1 < depth:
+                kid = node * dim_sym + sym
+                child, flag, ans = build(k + 1, kid, cursor)
                 for path, eps in inject.items():
                     # A noisy child carries its rotation inside its own
                     # program: the inverse call undoes the rotation itself
                     # but not the phase it conditioned in between.
-                    if len(path) == level + 1 and eps > 0.0:
-                        cond = ancestor_mask(inst + (c,), tuple(path))
-                        angle = 2.0 * math.asin(math.sqrt(eps))
-                        child_program.append(
-                            _ControlledRY(regs[("flag", inst + (c,))][0], cond, angle)
-                        )
-                ops.extend(child_program)
-            # Data-bit phase, keyed on the child's answer when one exists.
-            signs = np.ones(dim)
-            sym_vals = reg_val(sym_key)
-            for combo in anc_combos:
-                label = secret_at(spec, combo)
-                sign_by_x = oracle.signs(label)
-                where = ancestor_mask(inst, combo)
-                if level + 1 < depth:
-                    key_by_x = np.array(
-                        [secret_ident(combo + (x,)) for x in range(dim_sym)]
-                    )
-                    where = where & (reg_val(("flag", inst + (c,))) == 0)
-                    where = where & (reg_val(("ans", inst + (c,))) == key_by_x[sym_vals])
-                signs = np.where(where, sign_by_x[sym_vals], signs)
-            ops.append(_Diagonal(signs))
-            if level + 1 < depth:
-                ops.append(_AdjointBlock(child_program))
+                    if len(path) == k + 1 and eps > 0.0:
+                        at = kid == np.ravel_multi_index(path, (dim_sym,) * len(path))
+                        child.append(rotation(flag, at, 2.0 * math.asin(math.sqrt(eps))))
+                answered = (field(flag, 1) == 0) & (field(ans, ans_bits) == keys[k + 1][kid])
+                program.extend(child)
+                program.append(diagonal(np.where(answered, signs, 1.0)))
+                program.append(lambda state, adjoint, child=child: _run(child, state, not adjoint))
                 if k == 0:
-                    ops.append(_Probe(block_bits(inst + (c,)), residuals))
-        for c in range(m):
-            sym_key = ("sym", inst, c)
-            ops.append(_RegisterUnitary(reg_qubits(sym_key), u_matrix))
-            flip = np.zeros(dim, dtype=np.int64)
-            cond = np.zeros(dim, dtype=bool)
-            sym_vals = reg_val(sym_key)
-            for combo in anc_combos:
-                here = ancestor_mask(inst, combo) & (sym_vals == secret_ident(combo))
-                cond |= here
-            flip[:] = 1 << regs[("test", inst, c)][0]
-            ops.append(_ConditionalXor(cond, flip))
-            ops.append(_RegisterUnitary(reg_qubits(sym_key), u_matrix.conj().T))
-        all_fail = np.ones(dim, dtype=bool)
-        for c in range(m):
-            all_fail &= reg_val(("test", inst, c)) == 0
-        ops.append(
-            _ConditionalXor(all_fail, np.full(dim, 1 << regs[("flag", inst)][0]))
-        )
-        ans_off = regs[("ans", inst)][0]
-        flag_ok = reg_val(("flag", inst)) == 0
-        xor_vals = np.zeros(dim, dtype=np.int64)
-        cond = np.zeros(dim, dtype=bool)
-        for combo in anc_combos:
-            here = ancestor_mask(inst, combo) & flag_ok
-            cond |= here
-            xor_vals[here] = secret_ident(combo) << ans_off
-        ops.append(_ConditionalXor(cond, xor_vals))
-        return ops
+                    program.append(probe(cursor, ans + ans_bits))
+                cursor = ans + ans_bits
+            else:
+                program.append(diagonal(signs))
+            tests.append(cursor)
+            cursor += 1
+        key = keys[k][node]
+        for sym, test in zip(syms, tests):
+            program.append(register(sym, u_matrix))
+            program.append(xor(field(sym, n) == key, 1 << test))
+            program.append(register(sym, u_dagger))
+        flag, ans = cursor, cursor + 1
+        all_fail = np.logical_and.reduce([field(test, 1) == 0 for test in tests])
+        program.append(xor(all_fail, 1 << flag))
+        program.append(xor(field(flag, 1) == 0, key << ans))
+        return program, flag, ans
 
-    program = build(0, ())
+    program, flag, ans = build(0, np.zeros(dim, dtype=np.intp), 0)
     state = np.zeros(dim, dtype=complex)
     state[0] = 1.0
-    state = _run_ops(state, total, program)
+    state = _run(program, state)
 
-    flag_vals = reg_val(("flag", ()))
-    ans_vals = reg_val(("ans", ()))
+    flag_vals = field(flag, 1)
     probs = np.abs(state) ** 2
     success = float(np.sum(probs[flag_vals == 0]))
     success_with_ans = float(
-        np.sum(probs[(flag_vals == 0) & (ans_vals == secret_ident(()))])
+        np.sum(probs[(flag_vals == 0) & (field(ans, ans_bits) == keys[0][0])])
     )
     return CoherentReport(
         answer=spec.b_root,

@@ -203,6 +203,42 @@ def test_hadamard_above_qubit_cap_fails_before_allocating(monkeypatch):
     assert peak < 2**15 * 16  # less than one 15-qubit state vector
 
 
+@pytest.mark.parametrize(
+    "params, error",
+    [
+        ({"n": paulichain.MAX_COLLISION_N + 1}, SizeError),
+        ({"n": 1}, InvalidConfigError),
+        ({"t": -1}, InvalidConfigError),
+    ],
+)
+def test_qt_refuses_its_sizes_before_building_streams(monkeypatch, params, error):
+    def refuse(*args):
+        raise AssertionError("built a child stream before checking the sizes")
+
+    monkeypatch.setattr(experiments, "child", refuse)
+    with pytest.raises(error):
+        experiments.run_qt({**params, "trials": 200_000}, 0)
+
+
+@pytest.mark.parametrize(
+    "params, error",
+    [
+        ({"mode": "stationary", "n": experiments.MAX_STATIONARY_N + 1}, SizeError),
+        ({"mode": "lumped-vs-full", "n": paulichain.MAX_WEIGHT_CHAIN_N + 1}, SizeError),
+        ({"mode": "moments", "t_list": [5, paulichain.MAX_MOMENT_STEPS + 1]}, InvalidConfigError),
+        ({"mode": "moments", "t_list": [5, -1]}, InvalidConfigError),
+    ],
+)
+def test_markov_refuses_its_sizes_before_walking(monkeypatch, params, error):
+    def refuse(*args):
+        raise AssertionError("walked or ran circuits before checking the sizes")
+
+    monkeypatch.setattr(experiments.paulichain, "walk_ensemble", refuse)
+    monkeypatch.setattr(experiments.paulichain, "moment_compare", refuse)
+    with pytest.raises(error):
+        experiments.run_markov(params, 0)
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(experiment="nope")

@@ -106,3 +106,52 @@ def test_depth_one_matches_exact_identification_for_generic_unitary():
     for m in (1, 2, 3):
         report = find_coherent_tiny(spec, m_override=m)
         assert abs(report.success_prob - (1.0 - (1.0 - p) ** m)) <= 1e-9
+
+
+# ``success_prob`` and ``uncompute_residuals`` as float hex, recorded from the
+# op-class implementation with per-combination mask loops: the step-list
+# program must reproduce its arithmetic bit for bit, which the 1e-9 checks
+# above cannot tell from a reordered sum.
+@pytest.mark.parametrize(
+    "depth, n, kind, seed, m, inject, success_hex, residuals_hex",
+    [
+        (1, 2, "hadamard", 3, 1, {}, "0x1.0000000000000p+0", ()),
+        (1, 2, "hadamard", 8, 3, {}, "0x1.0000000000000p+0", ()),
+        (1, 2, "random-circuit", 9, 1, {}, "0x1.2f77490d1b846p-1", ()),
+        (1, 2, "random-circuit", 9, 2, {}, "0x1.ab10c6d933f36p-1", ()),
+        (1, 2, "random-circuit", 9, 3, {}, "0x1.dd6822e3ba834p-1", ()),
+        (2, 1, "hadamard", 5, 2, {}, "0x1.fffffffffffd6p-1",
+         ("0x1.5d3d623346ab2p-55", "0x1.45cb5a612be72p-55")),
+        (2, 1, "hadamard", 5, 2, {(1,): 0.1}, "0x1.fae147ae14780p-1",
+         ("0x1.b27247aff1486p-2", "0x1.b27247aff147dp-2")),
+        (2, 1, "hadamard", 6, 1, {(0,): 0.2}, "0x1.ffffffffffff3p-1", ("0x1.4caef8a7bfe5cp-54",)),
+        (2, 2, "hadamard", 42, 1, {}, "0x1.0000000000000p+0", ("0x0.0p+0",)),
+        (2, 2, "hadamard", 42, 1, {(1,): 0.1}, "0x1.0000000000000p+0", ("0x0.0p+0",)),
+        (2, 2, "hadamard", 42, 1, {(0,): 0.05, (3,): 0.2}, "0x1.b333333333334p-1",
+         ("0x1.9999999999999p-2",)),
+        (2, 2, "random-circuit", 9, 1, {}, "0x1.a7747323c47e0p-2", ("0x1.973b4a99ae956p-1",)),
+        (2, 2, "random-circuit", 9, 1, {(2,): 0.2}, "0x1.64e43713a7e87p-2",
+         ("0x1.b0d01bed34f3fp-1",)),
+    ],
+)
+def test_coherent_outputs_are_pinned_bitwise(
+    depth, n, kind, seed, m, inject, success_hex, residuals_hex
+):
+    circuit = {"circuit_length": 6, "circuit_seed": 4} if kind == "random-circuit" else {}
+    spec = make_rfs_spec(depth, n, seed, kind=kind, alpha_n=n, **circuit)
+    report = find_coherent_tiny(spec, m_override=m, inject=inject)
+    assert report.success_prob.hex() == success_hex
+    assert tuple(r.hex() for r in report.uncompute_residuals) == residuals_hex
+
+
+@pytest.mark.parametrize("depth, key", [(2, ()), (1, (0,)), (2, (0, 1)), (2, (4,)), (2, (-1,))])
+def test_inject_keys_naming_no_child_node_are_refused_before_any_work(monkeypatch, depth, key):
+    from oraclelab.rfs import find
+
+    def refuse(*args):
+        raise AssertionError("derived labels before checking inject")
+
+    spec = make_rfs_spec(depth=depth, n_symbol_bits=2, master_seed=42, alpha_n=2)
+    monkeypatch.setattr(find, "level_secrets", refuse)
+    with pytest.raises(InvalidConfigError, match="inject"):
+        find_coherent_tiny(spec, m_override=1, inject={key: 0.1})
