@@ -192,6 +192,9 @@ def run_oracle(params: dict, seed: int):
 def run_rfs(params: dict, seed: int):
     mode = _mode(params, "rfs")
     if mode == "replay-log":
+        for key in ("spec_file", "log_file"):
+            if key not in params:
+                raise InvalidConfigError(f"rfs replay-log needs {key}")
         spec = load_rfs_spec(params["spec_file"])
         log = load_query_log(params["log_file"])
         trace = z_referee(spec, log)
@@ -337,10 +340,7 @@ def run_markov(params: dict, seed: int):
         if n > MAX_STATIONARY_N:
             raise SizeError(f"stationary histogram capped at n={MAX_STATIONARY_N}")
         codes = paulichain.walk_ensemble(n, steps, walkers, child(seed, 0))
-        values = np.zeros(walkers, dtype=np.int64)
-        for site in range(n):
-            values = values * 4 + codes[:, site]
-        hist = np.bincount(values, minlength=4**n).astype(float)
+        hist = np.bincount(paulichain.string_index(codes), minlength=4**n).astype(float)
         dist = hist / hist.sum()
         nonzero = 4**n - 1
         tv = 0.5 * float(np.sum(np.abs(dist[1:] - 1.0 / nonzero))) + 0.5 * dist[0]

@@ -11,13 +11,19 @@ exactly at any ``n``.
 
 Site codes: 0 is the identity, 1 the phase flip, 2 the bit flip, 3 their
 product (so codes 0 and 1 are the diagonal Paulis).
+
+Every array over strings is laid out by ``string_index``: a string is its
+base-4 index, site 0 the most significant digit.  A string's matrix acts
+with site ``k`` on bit ``k`` of the basis index.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lgamma
 
 import numpy as np
 
@@ -30,15 +36,9 @@ from .simcore import (
     unitarity_defect,
 )
 
-PAULI_1Q = (
-    np.eye(2, dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),  # code 1: sigma_z
-    np.array([[0, 1], [1, 0]], dtype=complex),  # code 2: sigma_x
-    np.array([[0, -1j], [1j, 0]], dtype=complex),  # code 3: sigma_y
-)
-
-NONZERO_PAIRS = np.array(
-    [(a, b) for a in range(4) for b in range(4) if (a, b) != (0, 0)], dtype=np.uint8
+# Codes 0..3: identity, sigma_z, sigma_x, sigma_y.
+PAULI_1Q = np.array(
+    [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]], dtype=complex
 )
 
 MAX_WEIGHT_CHAIN_N = 64
@@ -48,22 +48,18 @@ MAX_MOMENT_STEPS = 50
 MAX_COLLISION_N = 12
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A length-``n`` string of single-site codes in {0, 1, 2, 3}."""
+def string_index(codes) -> np.ndarray:
+    """Base-4 index of each string in ``codes`` (shape ``(..., n)``), as int64."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return codes @ 4 ** np.arange(codes.shape[-1] - 1, -1, -1)
 
-    codes: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(c not in (0, 1, 2, 3) for c in self.codes):
-            raise InvalidConfigError("site codes must be 0..3")
+def _strings(n: int) -> np.ndarray:
+    """Digit table, shape ``(4^n, n)``: row ``k`` holds the site codes of string ``k``."""
+    return np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
 
-    def matrix(self) -> np.ndarray:
-        out = np.array([[1.0 + 0j]])
-        # Site k is bit k of the basis index, so it is the last kron factor.
-        for code in reversed(self.codes):
-            out = np.kron(out, PAULI_1Q[code])
-        return out
+
+NONZERO_PAIRS = _strings(2)[1:].astype(np.uint8)
 
 
 def walk_ensemble(
@@ -144,18 +140,11 @@ def lumped_matrix(n: int) -> WeightChain:
     num = Fraction if n <= RATIONAL_ASSEMBLY_MAX_N else float
     trans = np.array([[float(q) for q in row] for row in _lumped_rows(n, num)])
     weights = np.arange(1, n + 1)
-    log_pi = (
-        np.array([_log_binomial(n, int(w)) for w in weights]) + weights * np.log(3.0)
-    )
+    log_binomial = [lgamma(n + 1) - lgamma(w + 1) - lgamma(n - w + 1) for w in range(1, n + 1)]
+    log_pi = np.array(log_binomial) + weights * np.log(3.0)
     pi = np.exp(log_pi - log_pi.max())
     pi /= pi.sum()
     return WeightChain(n, trans, pi)
-
-
-def _log_binomial(n: int, k: int) -> float:
-    from math import lgamma
-
-    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
 def exact_gap(n: int) -> float:
@@ -163,15 +152,11 @@ def exact_gap(n: int) -> float:
 
     Reversibility makes the similarity-transformed matrix symmetric, so the
     spectrum is real and a symmetric eigensolver applies.  At ``n = 2`` both
-    rows of the chain coincide, giving the closed form ``lambda_2 = trace - 1
-    = 0`` exactly: the gap is exactly 1.
+    rows of the chain coincide, so ``lambda_2 = 0`` and the gap is exactly 1.
     """
     chain = lumped_matrix(n)
     if n == 2:
-        trace = Fraction(0)
-        for k, row in enumerate(lumped_matrix_rational(2)):
-            trace += row[k]
-        return float(1 - (trace - 1))
+        return 1.0
     d = np.sqrt(chain.stationary)
     sym = (d[:, None] * chain.transition) / d[None, :]
     eigs = np.sort(np.linalg.eigvalsh(0.5 * (sym + sym.T)))
@@ -192,43 +177,43 @@ def gap_table(ns) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def all_strings(n: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(4), repeat=n))
-
-
 def full_transition_matrix(n: int) -> np.ndarray:
-    """Dense ``4^n x 4^n`` chain matrix (row-stochastic), for small ``n``."""
+    """Dense ``4^n x 4^n`` chain matrix (row-stochastic), for small ``n``.
+
+    Each step sends every row to one column, so entries add their terms in
+    pair order, then in ``NONZERO_PAIRS`` order.
+    """
     if n > MAX_FULL_CHAIN_N:
         raise SizeError(f"full chain capped at n={MAX_FULL_CHAIN_N}")
-    strings = all_strings(n)
-    index = {s: k for k, s in enumerate(strings)}
-    size = len(strings)
+    digits = _strings(n)
+    rows = np.arange(4**n)
     pairs = list(itertools.combinations(range(n), 2))
-    trans = np.zeros((size, size))
-    for s, row in zip(strings, range(size)):
-        for i, j in pairs:
-            if s[i] == 0 and s[j] == 0:
-                trans[row, row] += 1.0 / len(pairs)
-                continue
-            for a, b in NONZERO_PAIRS:
-                t = list(s)
-                t[i], t[j] = int(a), int(b)
-                trans[row, index[tuple(t)]] += 1.0 / (len(pairs) * 15.0)
+    trans = np.zeros((4**n, 4**n))
+    for i, j in pairs:
+        idle = (digits[:, i] == 0) & (digits[:, j] == 0)
+        trans[rows[idle], rows[idle]] += 1.0 / len(pairs)
+        place_i, place_j = 4 ** (n - 1 - i), 4 ** (n - 1 - j)
+        moved = rows[~idle]
+        cleared = moved - digits[~idle, i] * place_i - digits[~idle, j] * place_j
+        for a, b in NONZERO_PAIRS.tolist():
+            trans[moved, cleared + a * place_i + b * place_j] += 1.0 / (len(pairs) * 15.0)
     return trans
 
 
-_SIGMA_STACK_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def sigma_stack(n: int) -> np.ndarray:
-    """All ``4^n`` Pauli-string matrices, stacked; cached per ``n``."""
-    if n not in _SIGMA_STACK_CACHE:
-        if n > MAX_FULL_CHAIN_N:
-            raise SizeError(f"Pauli bookkeeping capped at n={MAX_FULL_CHAIN_N}")
-        _SIGMA_STACK_CACHE[n] = np.array(
-            [PauliString(codes).matrix() for codes in all_strings(n)]
-        )
-    return _SIGMA_STACK_CACHE[n]
+    """All ``4^n`` Pauli-string matrices, stacked by string index; cached, read-only."""
+    if n > MAX_FULL_CHAIN_N:
+        raise SizeError(f"Pauli bookkeeping capped at n={MAX_FULL_CHAIN_N}")
+    # Each site is a new leading string digit and the last kron factor so far;
+    # entries multiply old x Pauli, as in np.kron(out, pauli), from a complex 1.
+    out = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):
+        side = 2 * out.shape[1]
+        out = out[None, :, :, None, :, None] * PAULI_1Q[:, None, None, :, None, :]
+        out = out.reshape(-1, side, side)
+    out.flags.writeable = False
+    return out
 
 
 def gamma_squared(state: PureState) -> np.ndarray:
@@ -239,17 +224,13 @@ def gamma_squared(state: PureState) -> np.ndarray:
     return np.abs(coeffs) ** 2
 
 
-def initial_gamma_squared(n: int, a: int = 0) -> np.ndarray:
-    """Squared Pauli coefficients of a computational basis state ``|a>``.
+def initial_gamma_squared(n: int) -> np.ndarray:
+    """Squared Pauli coefficients of any computational basis state.
 
     Mass ``2^-n`` on each of the ``2^n`` diagonal strings (codes 0 and 1),
     zero elsewhere.
     """
-    out = np.zeros(4**n)
-    for k, codes in enumerate(all_strings(n)):
-        if all(c in (0, 1) for c in codes):
-            out[k] = 2.0**-n
-    return out
+    return np.where((_strings(n) <= 1).all(axis=1), 2.0**-n, 0.0)
 
 
 def moment_compare(
@@ -257,12 +238,11 @@ def moment_compare(
     steps: int,
     circuits: int,
     rng: np.random.Generator,
-    a: int = 0,
 ) -> dict:
     """Total-variation gap between circuit-averaged and chain-evolved moments.
 
     The left side applies ``circuits`` independent random gate sequences of
-    length ``steps`` to ``|a>`` and averages the squared Pauli coefficients;
+    length ``steps`` to ``|0>`` and averages the squared Pauli coefficients;
     the right side evolves the basis state's coefficient distribution with
     the exact chain matrix.  Matching expectations make the gap pure Monte
     Carlo error.
@@ -272,14 +252,14 @@ def moment_compare(
     if steps > MAX_MOMENT_STEPS:
         raise InvalidConfigError(f"step count capped at {MAX_MOMENT_STEPS}")
     # Every circuit draws from the one stream: at each step, circuit by circuit.
-    starts = np.tile(basis_vector(n, a), (circuits, 1))
+    starts = np.tile(basis_vector(n, 0), (circuits, 1))
     states = run_pair_circuits(starts, n, steps, [rng] * circuits)
     acc = np.zeros(4**n)
     for vec in states:
         acc += gamma_squared(PureState(n, vec))
     lhs = acc / circuits
     chain = full_transition_matrix(n)
-    rhs = initial_gamma_squared(n, a)
+    rhs = initial_gamma_squared(n)
     for _ in range(steps):
         rhs = rhs @ chain
     tv = 0.5 * float(np.sum(np.abs(lhs - rhs)))
@@ -317,19 +297,22 @@ def _transfer_complex(gates: np.ndarray) -> np.ndarray:
     return np.moveaxis(left, 0, 1).reshape(gates.shape[:-2] + (16, 16)) / 4.0
 
 
+# The index of ``(p, p)`` among the 16 x 16 pairs of two-site strings.
+_DOUBLED = 17 * np.arange(16)
+
+
 def two_copy_target() -> np.ndarray:
     """The exact gate average of the doubled transfer matrix.
 
     Rank-two projector: the identity string's corner plus the maximally
     correlated combination of the 15 nonzero strings.
     """
-    e00 = np.zeros(16)
-    e00[0] = 1.0
+    corner = np.zeros(256)
+    corner[_DOUBLED[0]] = 1.0
     xi = np.zeros(256)
-    for k in range(1, 16):
-        xi[k * 16 + k] = 1.0
+    xi[_DOUBLED[1:]] = 1.0
     xi /= np.sqrt(15.0)
-    return np.outer(np.kron(e00, e00), np.kron(e00, e00)) + np.outer(xi, xi)
+    return np.outer(corner, corner) + np.outer(xi, xi)
 
 
 def verify_mean_ad2(samples: int, rng: np.random.Generator) -> dict:
@@ -402,11 +385,10 @@ def two_copy_finalize(chunks) -> dict:
         acc += c["acc"]
     mean = acc / total
     target = two_copy_target()
-    doubled = [p * 16 + p for p in range(16)]
     return {
         "samples": total,
         "frobenius_distance_full": _frobenius(mean - target),
-        "frobenius_distance_moment_rows": _frobenius(mean[doubled, :] - target[doubled, :]),
+        "frobenius_distance_moment_rows": _frobenius(mean[_DOUBLED] - target[_DOUBLED]),
         "max_orthogonality_defect": max(c["max_orth"] for c in chunks),
         "max_imag_part": max(c["max_imag"] for c in chunks),
         "max_corner_defect": max(c["max_corner"] for c in chunks),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DepthError, InvalidConfigError, ProtocolError
+from ..errors import DepthError, IntegrityError, InvalidConfigError, ProtocolError
 from ..oracle import SingleLevelOracle, build_oracle, build_unitary
 from ..simcore import mix64
 
@@ -66,12 +66,15 @@ def save_query_log(records, path) -> None:
 
 
 def load_query_log(path) -> list[QueryRecord]:
+    """The records of a JSONL query log; a malformed line raises ``IntegrityError``."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(QueryRecord.from_json_dict(json.loads(line)))
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    records.append(QueryRecord.from_json_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise IntegrityError(f"query log line {number} is malformed: {exc!r}") from exc
     return records
 
 

@@ -98,6 +98,14 @@ def query_count_closed_form(m: int, depth: int) -> int:
     return sum((2 * m) ** j for j in range(1, depth + 1))
 
 
+def _checked_inject(inject: dict | None) -> dict:
+    """A copy of ``inject``, refused when a weight is NaN or outside [0, 1]."""
+    inject = dict(inject or {})
+    if not all(0.0 <= eps <= 1.0 for eps in inject.values()):
+        raise InvalidConfigError(f"inject weights must lie in [0, 1], got {inject}")
+    return inject
+
+
 def _haar_perp(rng: np.random.Generator, anchor: np.ndarray) -> np.ndarray:
     """A Haar-random unit vector orthogonal to ``anchor``."""
     dim = anchor.shape[0]
@@ -123,8 +131,8 @@ def find_simulate(
     The bounds always come from interval propagation with the adversarial
     trace-distance penalty.  Given ``rng``, the report's ``sampled`` entry
     also holds a Monte Carlo over ``junk_draws`` draws of Haar-random junk.
-    ``inject`` maps a node path to an extra failure weight added to that
-    node's output, a hook for cross-validating against the coherent
+    ``inject`` maps a node path to an extra failure weight in [0, 1] added to
+    that node's output, a hook for cross-validating against the coherent
     simulator.  ``m_override`` replaces the repetition count derived from
     ``delta`` (same hook).
 
@@ -139,7 +147,7 @@ def find_simulate(
         raise InvalidConfigError("m_override must be at least 1")
     if rng is not None and junk_draws < 1:
         raise InvalidConfigError("sampled junk needs at least one draw")
-    inject = dict(inject or {})
+    inject = _checked_inject(inject)
     epsilon = (delta / 8.0) ** 2
     m = m_override if m_override is not None else repetition_count(delta)
     depth = spec.depth
@@ -299,11 +307,12 @@ def find_coherent_tiny(
     ``step(state, adjoint) -> state``; a child's inverse is the same program
     run backwards with every step adjoint, so uncomputation is literal.
     ``inject`` maps the path of a node below the root to an extra failure
-    weight; it is realized as a rotation on that instance's flag qubit inside
-    the instance's program (so the inverse call undoes the rotation but not
-    its entanglement with the conditioned phase, exactly like a noisy child).
-    A key naming no such node (the root, a path of length ``depth`` or more,
-    a symbol outside ``[0, 2^n)``) is refused before any register exists.
+    weight in [0, 1]; it is realized as a rotation on that instance's flag
+    qubit inside the instance's program (so the inverse call undoes the
+    rotation but not its entanglement with the conditioned phase, exactly
+    like a noisy child).  A key naming no such node (the root, a path of
+    length ``depth`` or more, a symbol outside ``[0, 2^n)``) or a weight
+    outside [0, 1] is refused before any register exists.
 
     U is the spec's compiled oracle's unitary.  Returns the exact success
     probability of the root identification plus the norms left behind in
@@ -312,7 +321,7 @@ def find_coherent_tiny(
     n = spec.n_symbol_bits
     depth = spec.depth
     m = m_override
-    inject = dict(inject or {})
+    inject = _checked_inject(inject)
     if m < 1:
         raise InvalidConfigError("m_override must be at least 1")
     if n > 2 or depth > 2 or m > 3:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import IntegrityError, ProtocolError
+from ..errors import IntegrityError, InvalidConfigError, ProtocolError
 from .core import FAIL, QueryRecord, RecursiveOracleSpec, oracle_query
 
 _EPS = float(np.finfo(float).eps)
@@ -225,6 +225,8 @@ def bound_trend_table(ns=(16, 64, 256), c: float = 0.25) -> list[dict]:
     ``n^(c log2 n)``; as ``n`` grows the budget stays quasi-polynomial while
     both cap terms vanish, so the value column falls to 1/2.
     """
+    if any(n < 2 for n in ns):
+        raise InvalidConfigError(f"bound table needs every n >= 2, got {ns}")
     rows = []
     for n in ns:
         card_a = 2.0 ** (n / 2)

@@ -304,6 +304,18 @@ def test_cli_rfs_replay_log(tmp_path, capsys):
     assert "final_z: 1.0" in out
 
 
+@pytest.mark.parametrize("missing", ["spec_file", "log_file"])
+def test_rfs_replay_log_names_a_missing_file_key(tmp_path, missing):
+    params = {
+        "mode": "replay-log",
+        "spec_file": str(tmp_path / "spec.json"),
+        "log_file": str(tmp_path / "log.jsonl"),
+    }
+    del params[missing]
+    with pytest.raises(InvalidConfigError, match=missing):
+        experiments.run_rfs(params, 0)
+
+
 def test_cli_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "beta": 1.0, "unitary": "hadamard"}))
@@ -464,6 +476,8 @@ def test_too_few_samples_rejected_before_any_work(monkeypatch, experiment, param
         ("signs", {"d_min": 0}),
         ("signs", {"d_min": 9, "d_max": 8}),
         ("signs", {"d_min": 18, "d_max": 24, "brute_max": 22}),
+        ("rfs", {"mode": "bound-table", "n_list": [0]}),
+        ("rfs", {"mode": "bound-table", "n_list": [-4]}),
     ],
 )
 def test_out_of_range_parameters_rejected_before_any_work(monkeypatch, experiment, params):

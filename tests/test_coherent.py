@@ -155,3 +155,22 @@ def test_inject_keys_naming_no_child_node_are_refused_before_any_work(monkeypatc
     monkeypatch.setattr(find, "level_secrets", refuse)
     with pytest.raises(InvalidConfigError, match="inject"):
         find_coherent_tiny(spec, m_override=1, inject={key: 0.1})
+
+
+@pytest.mark.parametrize("weight", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("simulator", ["coherent", "model"])
+def test_inject_weights_outside_the_unit_interval_are_refused_before_any_work(
+    monkeypatch, simulator, weight
+):
+    from oraclelab.rfs import find
+
+    def refuse(*args):
+        raise AssertionError("derived labels before checking inject")
+
+    spec = make_rfs_spec(depth=2, n_symbol_bits=2, master_seed=42, alpha_n=2)
+    monkeypatch.setattr(find, "level_secrets", refuse)
+    with pytest.raises(InvalidConfigError, match="inject weights"):
+        if simulator == "coherent":
+            find_coherent_tiny(spec, m_override=1, inject={(0,): weight})
+        else:
+            find_simulate(spec, delta=0.2, inject={(0,): weight})

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ from oraclelab.errors import InvalidConfigError, SizeError
 from oraclelab.paulichain import (
     NONZERO_PAIRS,
     TWO_COPY_BLOCK,
+    _strings,
     _transfer_complex,
     circuit_collision_sample,
     collision_statistics,
@@ -20,6 +22,8 @@ from oraclelab.paulichain import (
     lumped_matrix,
     lumped_matrix_rational,
     moment_compare,
+    sigma_stack,
+    string_index,
     two_copy_chunk,
     two_copy_target,
     verify_mean_ad2,
@@ -144,7 +148,7 @@ def test_gamma_initial_distribution():
         np.testing.assert_allclose(g0[g0 > 0], 2.0**-n)
     # Agrees with the direct Pauli expansion of a basis state.
     state = PureState(2, basis_vector(2, 3))
-    np.testing.assert_allclose(gamma_squared(state), initial_gamma_squared(2, 3), atol=1e-12)
+    np.testing.assert_allclose(gamma_squared(state), initial_gamma_squared(2), atol=1e-12)
 
 
 def test_gamma_squared_sums_to_one():
@@ -302,3 +306,45 @@ def test_qt_metrics_are_pinned():
     assert metrics["mean_q"] == pytest.approx(0.1321609027816559, rel=1e-12)
     assert metrics["stderr_q"] == pytest.approx(0.008978544604115114, rel=1e-12)
     assert metrics["tail_fraction"] == 0.0 and metrics["bad_l1_fraction"] == 0.0
+
+
+def _sha16(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+# First 16 hex digits of each array's SHA-256, taken from the per-string
+# implementation (tuple strings, one kron chain per string) before the
+# base-4 index became the one string layout.
+PINNED_ARRAYS = [
+    (lambda: sigma_stack(1), "398d43cc9a82be6e"),
+    (lambda: sigma_stack(2), "239faf631f8812c9"),
+    (lambda: sigma_stack(3), "c91557d74ff47b9b"),
+    (lambda: sigma_stack(4), "12086eb5ac0919e9"),
+    (lambda: full_transition_matrix(2), "37af8701fd992367"),
+    (lambda: full_transition_matrix(3), "66559a85f0325944"),
+    (lambda: full_transition_matrix(4), "f80142b4c151de40"),
+    (lambda: initial_gamma_squared(1), "88de41a53cd5f9e3"),
+    (lambda: initial_gamma_squared(2), "2817d2cfb68cf4e0"),
+    (lambda: initial_gamma_squared(3), "b40d441c14a172d2"),
+    (lambda: initial_gamma_squared(4), "8ccae5eb2e7b1d25"),
+    (two_copy_target, "6803edae257cc40f"),
+]
+
+
+@pytest.mark.parametrize("build, digest", PINNED_ARRAYS)
+def test_pauli_chain_arrays_are_pinned_bytewise(build, digest):
+    assert _sha16(build()) == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_string_index_inverts_the_digit_table(n):
+    digits = _strings(n)
+    assert digits.tolist() == [list(s) for s in itertools.product(range(4), repeat=n)]
+    np.testing.assert_array_equal(string_index(digits), np.arange(4**n))
+    assert string_index(digits).dtype == np.int64
+
+
+def test_sigma_stack_is_cached_read_only():
+    assert sigma_stack(2) is sigma_stack(2)
+    with pytest.raises(ValueError):
+        sigma_stack(2)[0, 0, 0] = 0.0

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from oraclelab.errors import IntegrityError
+from oraclelab.errors import IntegrityError, InvalidConfigError
 from oraclelab.rfs import (
     FAIL,
     QueryRecord,
@@ -153,6 +153,16 @@ def test_bound_trend_table_falls_to_half():
     assert abs(bounds[-1] - 0.5) <= 1e-7  # quasi-polynomial budgets buy nothing
     # Label bits and depth follow the scaling regime.
     assert rows[-1]["log2_card_a"] == 128.0 and rows[-1]["l"] == 8
+
+
+@pytest.mark.parametrize("ns", [(0,), (-4,), (1,), (16, 1)])
+def test_bound_trend_table_refuses_n_below_two_before_any_row(monkeypatch, ns):
+    def refuse(*args):
+        raise AssertionError("built a row before checking n")
+
+    monkeypatch.setattr(referee, "lower_bound", refuse)
+    with pytest.raises(InvalidConfigError, match="n >= 2"):
+        referee.bound_trend_table(ns)
 
 
 def test_referee_rejects_records_the_oracle_cannot_produce():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oraclelab.errors import DepthError, InvalidConfigError, ProtocolError
+from oraclelab.errors import DepthError, IntegrityError, InvalidConfigError, ProtocolError
 from oraclelab.rfs import (
     FAIL,
     derive_answer_bit,
@@ -107,6 +107,26 @@ def test_query_log_round_trip(tmp_path):
     loaded = load_query_log(path)
     assert loaded == log
     assert [rec.index for rec in loaded] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{"index": 1, "path": [1, 2], "guess": null, "result": 0',  # not JSON
+        '{"index": 1, "path": [1, 2], "guess": null}',  # no result
+        '{"index": 1, "path": ["x", 2], "guess": null, "result": 0}',  # path not integer
+    ],
+)
+def test_malformed_query_log_line_is_an_integrity_error(tmp_path, bad_line):
+    spec = make_rfs_spec(depth=2, n_symbol_bits=2, master_seed=4)
+    log = []
+    oracle_query(spec, (), guess=0, log=log)
+    path = tmp_path / "log.jsonl"
+    save_query_log(log, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    with pytest.raises(IntegrityError, match="line 2"):
+        load_query_log(path)
 
 
 def test_spec_file_round_trip(tmp_path):
