@@ -375,6 +375,7 @@ def run_markov(params: dict, seed: int):
     t_list = _values(params, "t_list", [int(params.get("t", 5))])
     if not all(0 <= int(t) <= paulichain.MAX_MOMENT_STEPS for t in t_list):
         raise InvalidConfigError(f"every t must lie in [0, {paulichain.MAX_MOMENT_STEPS}], got {t_list}")
+    paulichain.check_circuit_amplitudes(circuits, n)
     tvs = {}
     for idx, t in enumerate(t_list):
         res = paulichain.moment_compare(n, int(t), circuits, child(seed, idx))
@@ -416,6 +417,7 @@ def run_qt(params: dict, seed: int):
         raise SizeError(f"collision statistics capped at n={paulichain.MAX_COLLISION_N}")
     if n < 2 or steps < 0:
         raise InvalidConfigError(f"qt needs n >= 2 and t >= 0, got n = {n}, t = {steps}")
+    paulichain.check_circuit_amplitudes(circuits, n)
 
     # Each trial is an independent (circuit, input label) pair on its own stream.
     rngs = [child(seed, k) for k in range(circuits)]

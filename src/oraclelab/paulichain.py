@@ -46,6 +46,16 @@ RATIONAL_ASSEMBLY_MAX_N = 8
 MAX_FULL_CHAIN_N = 4
 MAX_MOMENT_STEPS = 50
 MAX_COLLISION_N = 12
+# Batched circuits hold every state at once, 16 bytes per amplitude: 64 MiB at the cap.
+MAX_CIRCUIT_AMPLITUDES = 2**22
+
+
+def check_circuit_amplitudes(circuits: int, n: int) -> None:
+    """Refuse ``circuits`` states of ``2^n`` amplitudes above ``MAX_CIRCUIT_AMPLITUDES`` in all."""
+    if circuits * 2**n > MAX_CIRCUIT_AMPLITUDES:
+        raise SizeError(
+            f"{circuits} circuits of 2^{n} amplitudes exceed the cap of {MAX_CIRCUIT_AMPLITUDES}"
+        )
 
 
 def string_index(codes) -> np.ndarray:
@@ -251,7 +261,8 @@ def moment_compare(
         raise SizeError(f"moment comparison capped at n={MAX_FULL_CHAIN_N}")
     if steps > MAX_MOMENT_STEPS:
         raise InvalidConfigError(f"step count capped at {MAX_MOMENT_STEPS}")
-    # Every circuit draws from the one stream: at each step, circuit by circuit.
+    check_circuit_amplitudes(circuits, n)
+    # Every circuit draws from the one stream: block by block, circuit by circuit.
     starts = np.tile(basis_vector(n, 0), (circuits, 1))
     states = run_pair_circuits(starts, n, steps, [rng] * circuits)
     acc = np.zeros(4**n)
@@ -404,11 +415,15 @@ def collision_statistics(n: int, steps: int, rngs, inputs) -> tuple[np.ndarray, 
     """Collision probability and L1 norm of random-circuit states, one circuit per stream.
 
     Circuit ``c`` starts from ``|inputs[c]>`` and draws its ``steps`` pairs
-    and gates from ``rngs[c]``; all circuits step together.  Returns the
-    arrays ``sum_x |amp(x)|^4`` and ``sum_x |amp(x)|``.
+    and gates from ``rngs[c]`` in the block layout of ``run_pair_circuits``:
+    per block of ``PAIR_STEPS`` steps, all its pair indices, then all its
+    gates.  So a circuit's result depends only on its own stream, not on the
+    other circuits or on how many there are.  All circuits step together.
+    Returns the arrays ``sum_x |amp(x)|^4`` and ``sum_x |amp(x)|``.
     """
     if n > MAX_COLLISION_N:
         raise SizeError(f"collision statistics capped at n={MAX_COLLISION_N}")
+    check_circuit_amplitudes(len(inputs), n)
     states = np.zeros((len(inputs), 2**n), dtype=complex)
     states[np.arange(len(inputs)), inputs] = 1.0
     probs = np.abs(run_pair_circuits(states, n, steps, rngs)) ** 2

@@ -44,6 +44,11 @@ _EYE.setflags(write=False)
 # A block of rows read through ``rows`` holds at most this many amplitudes
 # (256 KiB complex), so that reading rows by blocks adds no more than that to memory.
 ROW_BLOCK_AMPLITUDES = 2**14
+# ``run_pair_circuits`` draws its circuits' gates PAIR_STEPS steps at a time: this
+# constant is part of the draw layout, and changing it changes every draw.  One
+# block's draws hold at most PAIR_GATE_BUDGET gates; more circuits run in chunks.
+PAIR_STEPS = 32
+PAIR_GATE_BUDGET = 2**12
 
 
 def rows_per_block(n_qubits: int) -> int:
@@ -313,15 +318,24 @@ def _pair_word_index(n_qubits: int) -> np.ndarray:
 def run_pair_circuits(states: np.ndarray, n_qubits: int, steps: int, rngs) -> np.ndarray:
     """Run one random circuit on each row of ``states``, all circuits stepping together.
 
-    At every step, circuit ``c`` draws from ``rngs[c]`` a pair index uniform
-    over ``itertools.combinations(range(n_qubits), 2)``, then a Haar gate,
-    which acts with the pair's smaller qubit as the most-significant local
-    bit; circuits draw in row order.  A stream may serve several rows, which
-    then interleave their draws step by step; a row with a stream of its own
-    sees exactly the draws of a lone circuit on that stream.  The step's
-    gates come from one stacked QR and act through one gather, matmul and
-    scatter; no gate outlives its step, so memory stays O(circuits * 2^n).
-    Returns the final states, one per row.
+    A step of circuit ``c`` applies a Haar gate to a pair drawn uniformly from
+    ``itertools.combinations(range(n_qubits), 2)``, with the pair's smaller
+    qubit as the most-significant local bit.  Draws go by blocks of
+    ``PAIR_STEPS`` steps (the last block may be shorter).  For each block,
+    rows draw in row order: circuit ``c`` takes the block's pair indices from
+    ``rngs[c]`` in one ``integers(pairs, size=block)`` call, then the block's
+    gates as one ``standard_normal`` fill of ``(block, 2, 4, 4)`` normals, the
+    order of :func:`sample_haar_stack`.  A stream may serve several rows,
+    which then draw from it block by block, row after row; a row with a
+    stream of its own sees exactly the draws of a lone circuit on that stream.
+
+    Rows run in chunks: a chunk draws at most ``PAIR_GATE_BUDGET`` gates per
+    block and holds at most :func:`rows_per_block` rows of scratch state, so
+    that scratch does not grow with the circuit count or the length.  The
+    chunks of a block run in row order, so the draws do not depend on the
+    chunking.  A chunk's gates for a block come from one stacked QR; each of
+    its steps is one gather, matmul and scatter.  Returns the final states,
+    one per row.
     """
     if n_qubits < 2:
         raise InvalidConfigError("random circuits need at least 2 qubits")
@@ -331,15 +345,33 @@ def run_pair_circuits(states: np.ndarray, n_qubits: int, steps: int, rngs) -> np
     if out.ndim != 2 or out.shape[1] != 2**n_qubits or len(rngs) != len(out):
         raise ValueError("need one stream per row of 2^n amplitudes")
     index = _pair_word_index(n_qubits)
-    rows = np.arange(len(out))[:, None, None]
-    picks = np.empty(len(out), dtype=np.intp)
-    normals = np.empty((len(out), 2, 4, 4))
-    for _step in range(steps):
-        for c, rng in enumerate(rngs):
-            picks[c] = rng.integers(len(index))
-            rng.standard_normal(out=normals[c])
-        where = (rows, index[picks])
-        out[where] = _haar_unitaries(normals) @ out[where]
+    chunk = max(1, min(PAIR_GATE_BUDGET // PAIR_STEPS, rows_per_block(n_qubits), len(out)))
+    # Scratch for one chunk, reused by every block: draws, then the flat
+    # positions, gathered amplitudes and products of one step.
+    picks = np.empty((chunk, PAIR_STEPS), dtype=np.intp)
+    normals = np.empty((chunk, PAIR_STEPS, 2, 4, 4))
+    offsets = (np.arange(chunk) * out.shape[1])[:, None, None]
+    where = np.empty((chunk,) + index.shape[1:], dtype=np.intp)
+    gathered = np.empty(where.shape, dtype=complex)
+    product = np.empty_like(gathered)
+    for start in range(0, steps, PAIR_STEPS):
+        block = min(PAIR_STEPS, steps - start)
+        for lo in range(0, len(out), chunk):
+            rows = out[lo : lo + chunk]
+            m, flat = len(rows), rows.reshape(-1)
+            for k, rng in enumerate(rngs[lo : lo + m]):
+                picks[k, :block] = rng.integers(len(index), size=block)
+                rng.standard_normal(out=normals[k, :block])
+            gates = _haar_unitaries(normals[:m, :block].reshape(-1, 2, 4, 4)).reshape(m, block, 4, 4)
+            at, amps, moved = where[:m], gathered[:m], product[:m]
+            for s in range(block):
+                np.take(index, picks[:m, s], axis=0, out=at)
+                at += offsets[:m]
+                np.take(flat, at, out=amps)
+                np.matmul(gates[:, s], amps, out=moved)
+                flat[at] = moved
+            # Released before the next chunk draws, so that two chunks' gates never coexist.
+            del gates
     return out
 
 

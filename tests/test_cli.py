@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from oraclelab import experiments, oracle, paulichain
-from oraclelab.cli import NUMERICS_VERSION, ExperimentConfig, main, replay, run
+from oraclelab.cli import NUMERICS_VERSION, ExperimentConfig, entry, main, replay, run
 from oraclelab.errors import InvalidConfigError, SchemaVersionError, SizeError
 from oraclelab.rfs import classical_solver, make_rfs_spec, save_query_log
 from oraclelab.simcore import MAX_QUBITS, hadamard_all
@@ -209,6 +209,8 @@ def test_hadamard_above_qubit_cap_fails_before_allocating(monkeypatch):
         ({"n": paulichain.MAX_COLLISION_N + 1}, SizeError),
         ({"n": 1}, InvalidConfigError),
         ({"t": -1}, InvalidConfigError),
+        # 200,000 states of 2^6 amplitudes: 12.8 million, above MAX_CIRCUIT_AMPLITUDES.
+        ({"n": 6}, SizeError),
     ],
 )
 def test_qt_refuses_its_sizes_before_building_streams(monkeypatch, params, error):
@@ -227,6 +229,7 @@ def test_qt_refuses_its_sizes_before_building_streams(monkeypatch, params, error
         ({"mode": "lumped-vs-full", "n": paulichain.MAX_WEIGHT_CHAIN_N + 1}, SizeError),
         ({"mode": "moments", "t_list": [5, paulichain.MAX_MOMENT_STEPS + 1]}, InvalidConfigError),
         ({"mode": "moments", "t_list": [5, -1]}, InvalidConfigError),
+        ({"mode": "moments", "n": 4, "trials": paulichain.MAX_CIRCUIT_AMPLITUDES // 16 + 1}, SizeError),
     ],
 )
 def test_markov_refuses_its_sizes_before_walking(monkeypatch, params, error):
@@ -249,6 +252,33 @@ def test_cli_main_dispersion_exit_zero(capsys):
     captured = capsys.readouterr()
     assert "alpha_achieved: 1.0" in captured.out
     assert "all checks passed" in captured.out
+
+
+def test_entry_exit_codes_tell_failed_checks_from_refused_configurations(tmp_path, capsys):
+    assert entry(["qt", "--n", "3", "--t", "8", "--trials", "4"]) == 0
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"mean_cap": 0.0}))
+    assert entry(["qt", "--n", "3", "--t", "8", "--trials", "4", "--config", str(cfg)]) == 1
+    assert "FAILED: collision mean above its cap" in capsys.readouterr().out
+    assert entry(["rfs", "--mode", "bound-table", "--n-list", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("oraclelab: error: InvalidConfigError: ") and err.count("\n") == 1
+    # main itself still raises, for callers that want the exception.
+    with pytest.raises(InvalidConfigError):
+        main(["rfs", "--mode", "bound-table", "--n-list", "0"])
+
+
+def test_module_run_exits_2_without_a_traceback():
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "oraclelab.cli", "rfs", "--mode", "bound-table", "--n-list", "0"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "InvalidConfigError" in done.stderr
 
 
 @pytest.mark.parametrize(

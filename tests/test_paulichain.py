@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,11 +35,14 @@ from oraclelab.simcore import (
     PureState,
     basis_vector,
     child,
+    circuits,
     run_gates,
     run_pair_circuits,
+    sample_haar_stack,
     sample_haar_two_qubit,
     stream,
 )
+from oraclelab.simcore.circuits import PAIR_GATE_BUDGET, PAIR_STEPS
 
 
 def test_zero_string_is_absorbing():
@@ -237,19 +241,21 @@ def test_chain_step_needs_two_sites():
 
 
 def _random_gates(n: int, steps: int, rng: np.random.Generator):
-    """Lazy ``(i, j, matrix)`` Haar gates on uniformly random pairs.
+    """Lazy ``(i, j, matrix)`` Haar gates on uniformly random pairs, in the block draw layout.
 
-    Each step draws its pair index, then its gate, from ``rng``.
+    Each block of ``PAIR_STEPS`` steps (the last one shorter) draws all its
+    pair indices, then all its gates, from ``rng``.
     """
     pair_list = list(itertools.combinations(range(n), 2))
-    for _step in range(steps):
-        i, j = pair_list[int(rng.integers(len(pair_list)))]
-        yield i, j, sample_haar_two_qubit(rng).entries
+    for start in range(0, steps, PAIR_STEPS):
+        block = min(PAIR_STEPS, steps - start)
+        picks = rng.integers(len(pair_list), size=block)
+        for pick, gate in zip(picks.tolist(), sample_haar_stack(rng, block)):
+            yield (*pair_list[pick], gate)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_batched_circuits_match_per_circuit_runs(n):
-    circuits, steps = 5, 30
+def _check_batched_against_gate_by_gate(n: int, steps: int) -> None:
+    circuits = 5
     starts = [(3 * c) % 2**n for c in range(circuits)]
     states = np.array([basis_vector(n, a) for a in starts])
     batched = run_pair_circuits(states, n, steps, [child(60 + n, c) for c in range(circuits)])
@@ -260,8 +266,20 @@ def test_batched_circuits_match_per_circuit_runs(n):
         np.testing.assert_allclose(batched[c], single, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_batched_circuits_match_per_circuit_runs(n):
+    _check_batched_against_gate_by_gate(n, 30)
+
+
+@pytest.mark.parametrize(
+    "steps", [0, 1, PAIR_STEPS - 1, PAIR_STEPS, PAIR_STEPS + 1, 2 * PAIR_STEPS + 3]
+)
+def test_batched_circuits_match_per_circuit_runs_at_block_edges(steps):
+    _check_batched_against_gate_by_gate(5, steps)
+
+
 def test_collision_statistics_match_gate_by_gate_runs():
-    n, steps, circuits = 4, 30, 6
+    n, steps, circuits = 4, 2 * PAIR_STEPS + 3, 6
     inputs = [(5 * c) % 2**n for c in range(circuits)]
     q, l1 = collision_statistics(n, steps, [child(70, c) for c in range(circuits)], inputs)
     for c, a in enumerate(inputs):
@@ -269,6 +287,56 @@ def test_collision_statistics_match_gate_by_gate_runs():
         amps = run_gates(basis_vector(n, a), n, [g[:2] for g in gates], [g[2] for g in gates])
         assert q[c] == pytest.approx(np.sum(np.abs(amps) ** 4), rel=0, abs=1e-12)
         assert l1[c] == pytest.approx(np.sum(np.abs(amps)), rel=0, abs=1e-12)
+
+
+def test_rows_sharing_a_stream_draw_block_by_block_in_row_order():
+    n, rows = 3, 3
+    batched = run_pair_circuits(np.eye(rows, 2**n), n, PAIR_STEPS + 3, [stream(80)] * rows)
+    rng = stream(80)
+    pair_list = list(itertools.combinations(range(n), 2))
+    pairs, gates = [[] for _ in range(rows)], [[] for _ in range(rows)]
+    # Block 0 holds steps 0..PAIR_STEPS-1 of every row, block 1 the last 3.
+    for block in (PAIR_STEPS, 3):
+        for row in range(rows):
+            pairs[row] += [pair_list[p] for p in rng.integers(len(pair_list), size=block).tolist()]
+            gates[row] += list(sample_haar_stack(rng, block))
+    for row in range(rows):
+        single = run_gates(basis_vector(n, row), n, pairs[row], gates[row])
+        np.testing.assert_allclose(batched[row], single, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 2 * PAIR_STEPS])
+@pytest.mark.parametrize("shared", [False, True])
+def test_draws_do_not_depend_on_the_row_chunks(monkeypatch, budget, shared):
+    n, rows, steps = 3, 5, 2 * PAIR_STEPS + 3
+
+    def streams():
+        return [stream(90)] * rows if shared else [child(90, c) for c in range(rows)]
+
+    states = np.eye(rows, 2**n)
+    whole = run_pair_circuits(states, n, steps, streams())  # all 5 rows in one chunk
+    # A budget of 1 gate runs one row per chunk; 2 * PAIR_STEPS runs chunks of 2, 2 and 1.
+    monkeypatch.setattr(circuits, "PAIR_GATE_BUDGET", budget)
+    chunked = run_pair_circuits(states, n, steps, streams())
+    assert np.array_equal(whole, chunked)
+
+
+def test_pair_circuit_memory_does_not_grow_with_the_length():
+    # 129 rows take two chunks, the first drawing a full budget of gates per block.
+    n, rows = 4, PAIR_GATE_BUDGET // PAIR_STEPS + 1
+    states = np.eye(rows, 2**n, dtype=complex)
+    peaks = []
+    for steps in (PAIR_STEPS, 20 * PAIR_STEPS):
+        rngs = [child(95, c) for c in range(rows)]
+        tracemalloc.start()
+        try:
+            run_pair_circuits(states, n, steps, rngs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 8 * 1024
+    # A gate of the budget takes 256 B of normals plus a few 256 B stacks for its QR and check.
+    assert max(peaks) < states.nbytes + PAIR_GATE_BUDGET * 2048
 
 
 @pytest.mark.parametrize(
@@ -300,11 +368,12 @@ def test_two_copy_gemm_matches_kron_sum():
 
 
 def test_qt_metrics_are_pinned():
-    # Values taken before the circuits were batched; they pin every circuit's draws.
+    # Values taken when circuits first drew their gates by blocks of PAIR_STEPS steps
+    # (numerics version 10); they pin every circuit's draws.
     metrics, failures = run_qt({"n": 4, "t": 64, "trials": 8}, 5)
     assert not failures
-    assert metrics["mean_q"] == pytest.approx(0.1321609027816559, rel=1e-12)
-    assert metrics["stderr_q"] == pytest.approx(0.008978544604115114, rel=1e-12)
+    assert metrics["mean_q"] == pytest.approx(0.11815087142071473, rel=1e-12)
+    assert metrics["stderr_q"] == pytest.approx(0.004107742308765043, rel=1e-12)
     assert metrics["tail_fraction"] == 0.0 and metrics["bad_l1_fraction"] == 0.0
 
 
