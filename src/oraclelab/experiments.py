@@ -375,6 +375,8 @@ def run_markov(params: dict, seed: int):
     t_list = _values(params, "t_list", [int(params.get("t", 5))])
     if not all(0 <= int(t) <= paulichain.MAX_MOMENT_STEPS for t in t_list):
         raise InvalidConfigError(f"every t must lie in [0, {paulichain.MAX_MOMENT_STEPS}], got {t_list}")
+    if n > paulichain.MAX_FULL_CHAIN_N:
+        raise SizeError(f"moment comparison capped at n={paulichain.MAX_FULL_CHAIN_N}")
     paulichain.check_circuit_amplitudes(circuits, n)
     tvs = {}
     for idx, t in enumerate(t_list):

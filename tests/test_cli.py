@@ -229,6 +229,7 @@ def test_qt_refuses_its_sizes_before_building_streams(monkeypatch, params, error
         ({"mode": "lumped-vs-full", "n": paulichain.MAX_WEIGHT_CHAIN_N + 1}, SizeError),
         ({"mode": "moments", "t_list": [5, paulichain.MAX_MOMENT_STEPS + 1]}, InvalidConfigError),
         ({"mode": "moments", "t_list": [5, -1]}, InvalidConfigError),
+        ({"mode": "moments", "n": paulichain.MAX_FULL_CHAIN_N + 1}, SizeError),
         ({"mode": "moments", "n": 4, "trials": paulichain.MAX_CIRCUIT_AMPLITUDES // 16 + 1}, SizeError),
     ],
 )
