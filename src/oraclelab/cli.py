@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfigError, OracleLabError, SchemaVersionError
-from .experiments import DEFAULT_N, EXPERIMENTS, MODES, PARAMETERS
+from .experiments import EXPERIMENTS, MODES, PARAMETERS
 from .oracle import UNITARIES
 
 SCHEMA_VERSION = 1
@@ -184,7 +184,6 @@ _FLAGS = {
     "labels": {"type": int, "help": "number of labels"},
     "mode": {"help": "what the experiment runs"},
     "alpha_n": {"type": int, "help": "label bits"},
-    "spec_file": {"type": str, "help": "recursive oracle spec (JSON)"},
     "log_file": {"type": str, "help": "classical query log (JSONL)"},
     "n_list": {"type": _int_list, "help": "comma list of n values"},
     "t_list": {"type": _int_list, "help": "comma list of t values"},
@@ -205,10 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                 choices = {"choices": MODES[name]} if key == "mode" else {}
                 flag = "--" + key.replace("_", "-")
                 p.add_argument(flag, dest=key, **_FLAGS[key], **choices)
-        if name in DEFAULT_N:
-            p.add_argument(
-                "--C", dest="c_factor", type=float, help="circuit length factor: t = C n^3"
-            )
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", type=str, help="JSONL output path (append)")
         p.add_argument("--csv", type=str, help="also dump tabular metrics as CSV")
@@ -229,11 +224,6 @@ def _collect_params(args: argparse.Namespace) -> dict:
             if key not in PARAMETERS[args.command]:
                 raise InvalidConfigError(f"{args.command} reads no parameter {key!r}")
         params.update(overrides)
-    if getattr(args, "c_factor", None) is not None:
-        if "t" in params:
-            raise InvalidConfigError("--C sets t; it cannot be given together with t")
-        n = int(params.get("n", DEFAULT_N[args.command]))
-        params["t"] = int(args.c_factor * n**3)
     return params
 
 

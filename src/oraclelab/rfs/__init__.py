@@ -7,7 +7,6 @@ from .core import (
     RecursiveOracleSpec,
     derive_answer_bit,
     load_query_log,
-    load_rfs_spec,
     make_rfs_spec,
     oracle_query,
     save_query_log,
@@ -50,7 +49,6 @@ __all__ = [
     "find_coherent_tiny",
     "find_simulate",
     "load_query_log",
-    "load_rfs_spec",
     "lower_bound",
     "make_rfs_spec",
     "oracle_query",

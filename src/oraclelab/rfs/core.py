@@ -28,8 +28,8 @@ FAIL = "FAIL"
 _SECRET_TAG = 0x5EC4E7
 _ANSWER_TAG = 0xA05BEE
 _SYMBOL_TAG = 0x9E3779B97F4A7C15
-# The unitary kind of ``build_unitary`` that each rebuildable descriptor kind names.
-_DESCRIPTOR_KINDS = {"hadamard": "hadamard", "random-circuit": "random"}
+# The unitary kind of ``build_unitary`` that each instance kind names.
+_UNITARY_KINDS = {"hadamard": "hadamard", "random-circuit": "random"}
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class RecursiveOracleSpec:
     n_symbol_bits: int
     oracle: SingleLevelOracle = field(repr=False)
     master_seed: int
-    descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.depth < 1:
@@ -102,24 +101,6 @@ class RecursiveOracleSpec:
     @property
     def n_labels(self) -> int:
         return self.oracle.n_labels
-
-    @property
-    def alpha_n(self) -> int:
-        return int(np.log2(self.n_labels))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "l": self.depth,
-            "n": self.n_symbol_bits,
-            "alpha_n": self.alpha_n,
-            "master_seed": self.master_seed,
-            "b_root": self.b_root,
-            "oracle_ref": self.descriptor,
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
 
 
 def derive_answer_bit(master_seed: int) -> int:
@@ -227,37 +208,15 @@ def make_rfs_spec(
     alpha_n = label_bits(n_symbol_bits, alpha_n)
     if not 1 <= alpha_n <= n_symbol_bits:
         raise InvalidConfigError("alpha_n must lie in [1, n]")
-    if kind not in _DESCRIPTOR_KINDS:
-        raise InvalidConfigError(f"descriptor kind {kind!r} names no rebuildable unitary")
-    descriptor = {"kind": kind, "n": n_symbol_bits, "alpha_n": alpha_n}
-    if kind == "random-circuit":
-        if circuit_length is None or circuit_seed is None:
-            raise InvalidConfigError("random-circuit kind needs circuit_length and circuit_seed")
-        descriptor.update(t=circuit_length, circuit_seed=circuit_seed)
-    unitary = build_unitary(_DESCRIPTOR_KINDS[kind], n_symbol_bits, circuit_length, circuit_seed)
+    if kind not in _UNITARY_KINDS:
+        raise InvalidConfigError(f"instance kind {kind!r} names no unitary")
+    if kind == "random-circuit" and (circuit_length is None or circuit_seed is None):
+        raise InvalidConfigError("random-circuit kind needs circuit_length and circuit_seed")
+    unitary = build_unitary(_UNITARY_KINDS[kind], n_symbol_bits, circuit_length, circuit_seed)
     return RecursiveOracleSpec(
         depth=depth,
         n_symbol_bits=n_symbol_bits,
         oracle=build_oracle(unitary, range(2**alpha_n)),
         master_seed=master_seed,
-        descriptor=descriptor,
     )
 
-
-def load_rfs_spec(path) -> RecursiveOracleSpec:
-    """Reload a spec file; the oracle is recompiled from its descriptor."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    desc = data["oracle_ref"]
-    spec = make_rfs_spec(
-        depth=int(data["l"]),
-        n_symbol_bits=int(data["n"]),
-        master_seed=int(data["master_seed"]),
-        kind=desc["kind"],
-        alpha_n=int(data["alpha_n"]),
-        circuit_length=desc.get("t"),
-        circuit_seed=desc.get("circuit_seed"),
-    )
-    if spec.b_root != int(data["b_root"]):
-        raise InvalidConfigError("answer bit in file contradicts the seed derivation")
-    return spec

@@ -35,6 +35,8 @@ from ..errors import IntegrityError, InvalidConfigError, ProtocolError
 from .core import FAIL, QueryRecord, RecursiveOracleSpec, oracle_query
 
 _EPS = float(np.finfo(float).eps)
+# ``c`` of the bound table's quasi-polynomial query budget ``n^(c log2 n)``.
+TREND_BUDGET_EXPONENT = 0.25
 
 
 @dataclass(frozen=True)
@@ -218,12 +220,13 @@ class LowerBoundValue:
     degenerate: bool
 
 
-def bound_trend_table(ns=(16, 64, 256), c: float = 0.25) -> list[dict]:
+def bound_trend_table(ns) -> list[dict]:
     """Success-cap rows in the scaling regime where the cap approaches 1/2.
 
     Each row takes ``|A| = 2^(n/2)``, depth ``log2 n`` and a query budget
-    ``n^(c log2 n)``; as ``n`` grows the budget stays quasi-polynomial while
-    both cap terms vanish, so the value column falls to 1/2.
+    ``n^(c log2 n)`` with ``c = TREND_BUDGET_EXPONENT``; as ``n`` grows the
+    budget stays quasi-polynomial while both cap terms vanish, so the value
+    column falls to 1/2.
     """
     if any(n < 2 for n in ns):
         raise InvalidConfigError(f"bound table needs every n >= 2, got {ns}")
@@ -231,7 +234,7 @@ def bound_trend_table(ns=(16, 64, 256), c: float = 0.25) -> list[dict]:
     for n in ns:
         card_a = 2.0 ** (n / 2)
         depth = int(np.log2(n))
-        queries = int(round(n ** (c * np.log2(n))))
+        queries = int(round(n ** (TREND_BUDGET_EXPONENT * np.log2(n))))
         cap = lower_bound(queries, card_a, depth)
         rows.append(
             {

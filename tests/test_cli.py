@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oraclelab import experiments, oracle, paulichain
@@ -145,36 +146,6 @@ def test_metrics_do_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
-class _Stop(Exception):
-    pass
-
-
-def test_c_factor_uses_the_experiments_default_n(monkeypatch):
-    built = []
-
-    def record_circuit(n, t, seed):
-        built.append((n, t))
-        raise _Stop
-
-    monkeypatch.setattr(oracle, "run_random_circuit", record_circuit)
-    with pytest.raises(_Stop):
-        main(["oracle", "--unitary", "random", "--C", "1"])
-    assert built == [(8, 512)]
-
-
-@pytest.mark.parametrize("route", ["flag", "config"])
-def test_c_factor_with_an_explicit_t_is_refused_before_any_work(monkeypatch, tmp_path, route):
-    def refuse(*args):
-        raise AssertionError("ran an experiment")
-
-    monkeypatch.setitem(experiments.EXPERIMENTS, "qt", refuse)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"t": 10}))
-    t_args = ["--t", "10"] if route == "flag" else ["--config", str(cfg)]
-    with pytest.raises(InvalidConfigError, match="--C"):
-        main(["qt", *t_args, "--C", "4"])
-
-
 @pytest.mark.parametrize("kind", ["random", "qft"])
 def test_dense_unitary_above_cap_fails_before_building(monkeypatch, kind):
     def refuse(*args):
@@ -297,6 +268,34 @@ def test_cli_refuses_negative_steps_and_single_qubits(argv):
         main(argv)
 
 
+def test_lumped_vs_full_default_cap_scales_with_the_walker_count():
+    # Exact code reads TV 0.022 here, past the 0.02 a fixed cap allowed.
+    params = {"mode": "lumped-vs-full", "n": 2, "t": 3, "trials": 2000}
+    metrics, failures = experiments.run_markov(params, 0)
+    assert metrics["tv_lumped_vs_full"] > 0.02
+    assert failures == []
+    _, failures = experiments.run_markov({**params, "tv_cap": 0.02}, 0)
+    assert failures == ["lumped and full chains disagree"]
+
+
+def test_lumped_vs_full_default_cap_at_the_canonical_size_is_inside_0_02(monkeypatch):
+    n, steps, walkers = 3, 20, 100_000
+    chain = paulichain.lumped_matrix(n)
+    law = np.zeros(n)
+    law[0] = 1.0
+    for _ in range(steps):
+        law = law @ chain.transition
+    # Walkers whose weight counts sit 0.0199 in TV off the chain's law.
+    counts = np.round(law * walkers).astype(int) + [1990, -1990, 0]
+    counts[-1] = walkers - counts[:-1].sum()
+    weights = np.repeat(np.arange(1, n + 1), counts)
+    codes = (np.arange(n) < weights[:, None]).astype(np.uint8)
+    monkeypatch.setattr(paulichain, "walk_ensemble", lambda *args: codes)
+    metrics, failures = experiments.run_markov({"mode": "lumped-vs-full", "n": n}, 0)
+    assert abs(metrics["tv_lumped_vs_full"] - 0.0199) < 1e-4
+    assert failures == ["lumped and full chains disagree"]
+
+
 def test_cli_markov_gap_csv(tmp_path, capsys):
     csv_path = tmp_path / "gaps.csv"
     code = main(["markov", "--mode", "gap", "--n-list", "4,8", "--csv", str(csv_path)])
@@ -312,39 +311,37 @@ def test_cli_rfs_simulate(capsys):
     assert "q0: 22052" in out
 
 
+def _replay_log_args(log_path, seed):
+    return ["rfs", "--mode", "replay-log", "--l", "2", "--n", "4", "--alpha-n", "3",
+            "--seed", str(seed), "--log-file", str(log_path)]
+
+
 def test_cli_rfs_replay_log(tmp_path, capsys):
     spec = make_rfs_spec(depth=2, n_symbol_bits=4, master_seed=21, alpha_n=3)
-    spec_path = tmp_path / "spec.json"
-    spec.save(spec_path)
-    result = classical_solver(spec)
     log_path = tmp_path / "log.jsonl"
-    save_query_log(result.log, log_path)
-    code = main(
-        [
-            "rfs",
-            "--mode",
-            "replay-log",
-            "--spec-file",
-            str(spec_path),
-            "--log-file",
-            str(log_path),
-        ]
-    )
+    save_query_log(classical_solver(spec).log, log_path)
+    out_path = tmp_path / "records.jsonl"
+    code = main([*_replay_log_args(log_path, 21), "--out", str(out_path)])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "final_z: 1.0" in out
+    assert "final_z: 1.0" in capsys.readouterr().out
+    # The metrics the instance gave when it was read from a spec file.
+    record = json.loads(out_path.read_text())
+    assert record["metrics"] == {"queries": 31, "final_z": 1.0, "p1": 1, "p2": 1, "p3": 1, "p4": 1}
+    assert replay(str(out_path))["all_match"]
 
 
-@pytest.mark.parametrize("missing", ["spec_file", "log_file"])
-def test_rfs_replay_log_names_a_missing_file_key(tmp_path, missing):
-    params = {
-        "mode": "replay-log",
-        "spec_file": str(tmp_path / "spec.json"),
-        "log_file": str(tmp_path / "log.jsonl"),
-    }
-    del params[missing]
+def test_cli_rfs_replay_log_on_another_seed_is_an_integrity_error(tmp_path, capsys):
+    spec = make_rfs_spec(depth=2, n_symbol_bits=4, master_seed=21, alpha_n=3)
+    log_path = tmp_path / "log.jsonl"
+    save_query_log(classical_solver(spec).log, log_path)
+    assert entry(_replay_log_args(log_path, 22)) == 2
+    assert "IntegrityError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["log_file"])
+def test_rfs_replay_log_names_a_missing_file_key(missing):
     with pytest.raises(InvalidConfigError, match=missing):
-        experiments.run_rfs(params, 0)
+        experiments.run_rfs({"mode": "replay-log"}, 0)
 
 
 def test_cli_config_file_overrides(tmp_path, capsys):

@@ -171,7 +171,6 @@ def test_certification_error_names_the_label():
         n_symbol_bits=n,
         oracle=oracle,
         master_seed=0,
-        descriptor={"kind": "custom"},
     )
     with pytest.raises(CertificationError) as err:
         find_simulate(spec, delta=0.2)
@@ -254,7 +253,7 @@ def _phased_oracle(n):
 
 def _phased_spec(depth, n, seed):
     oracle, delta = _phased_oracle(n)
-    return RecursiveOracleSpec(depth, n, oracle, seed, {"kind": "custom"}), delta
+    return RecursiveOracleSpec(depth, n, oracle, seed), delta
 
 
 def _injections(depth, n, seed):
@@ -308,7 +307,7 @@ def _two_failing_labels(depth, seed):
     matrix[:6, :6] = np.exp(2j * np.pi / 6) ** np.outer(range(6), range(6)) / np.sqrt(6)
     unitary = MatrixUnitary(matrix)
     oracle = build_oracle(unitary, range(8))
-    return RecursiveOracleSpec(depth, 3, oracle, seed, {"kind": "custom"})
+    return RecursiveOracleSpec(depth, 3, oracle, seed)
 
 
 @pytest.mark.parametrize(

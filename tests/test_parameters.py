@@ -2,6 +2,8 @@
 and the CLI accepts exactly those: as flags, or through ``--config``."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -34,8 +36,7 @@ class _Reads(dict):
 
 
 def _tiny_runs(tmp_path):
-    spec = make_rfs_spec(depth=1, n_symbol_bits=3, master_seed=3, alpha_n=2)
-    spec.save(tmp_path / "spec.json")
+    spec = make_rfs_spec(depth=1, n_symbol_bits=3, master_seed=0, alpha_n=2)
     save_query_log(classical_solver(spec).log, tmp_path / "log.jsonl")
     return {
         "dispersion": [
@@ -52,7 +53,9 @@ def _tiny_runs(tmp_path):
             {"mode": "bound-table", "n_list": [16]},
             {
                 "mode": "replay-log",
-                "spec_file": str(tmp_path / "spec.json"),
+                "l": 1,
+                "n": 3,
+                "alpha_n": 2,
                 "log_file": str(tmp_path / "log.jsonl"),
             },
         ],
@@ -93,21 +96,20 @@ def test_each_subcommand_offers_a_flag_for_each_flagged_parameter():
     for name, keys in experiments.PARAMETERS.items():
         expected = {"--" + key.replace("_", "-") for key in keys if key not in CONFIG_ONLY}
         expected |= {"--seed", "--out", "--csv", "--config"}
-        if name in experiments.DEFAULT_N:
-            expected.add("--C")
         assert flags[name] == expected, name
-    assert sum(map(len, flags.values())) == 62
+    assert sum(map(len, flags.values())) == 58
 
 
-# Flags every subcommand used to accept although its experiment never read them.
+# Flags every subcommand used to accept although its experiment never read them,
+# and the removed second ways in: ``--C`` for ``t`` and ``--spec-file`` for an rfs instance.
 UNREAD_FLAGS = [
-    ("dispersion", ["--l", "--delta", "--trials", "--labels"]),
+    ("dispersion", ["--l", "--delta", "--trials", "--labels", "--C"]),
     ("signs", ["--n", "--t", "--l", "--delta", "--beta", "--samples", "--group"]),
-    ("oracle", ["--l", "--delta", "--beta", "--samples", "--trials", "--group"]),
-    ("rfs", ["--t", "--beta", "--samples", "--group", "--unitary"]),
+    ("oracle", ["--l", "--delta", "--beta", "--samples", "--trials", "--group", "--C"]),
+    ("rfs", ["--t", "--beta", "--samples", "--group", "--unitary", "--spec-file"]),
     ("markov", ["--l", "--delta", "--beta", "--samples", "--group"]),
     ("ad2", ["--n", "--t", "--l", "--delta", "--beta", "--trials", "--group"]),
-    ("qt", ["--l", "--delta", "--samples", "--group"]),
+    ("qt", ["--l", "--delta", "--samples", "--group", "--C"]),
 ]
 
 
@@ -127,7 +129,21 @@ def test_flags_no_experiment_reads_are_refused(monkeypatch, command, flags):
         with pytest.raises(SystemExit) as exc:
             main([command, flag, values.get(flag, "1")])
         assert exc.value.code == 2, (command, flag)
-    assert sum(len(f) for _, f in UNREAD_FLAGS) == 38
+    assert sum(len(f) for _, f in UNREAD_FLAGS) == 42
+
+
+def _readme_cli_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("oraclelab ")]
+
+
+def test_every_readme_cli_line_parses():
+    lines = _readme_cli_lines()
+    assert len(lines) == 15
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 @pytest.mark.parametrize(

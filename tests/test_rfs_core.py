@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,6 @@ from oraclelab.rfs import (
     FAIL,
     derive_answer_bit,
     load_query_log,
-    load_rfs_spec,
     make_rfs_spec,
     oracle_query,
     save_query_log,
@@ -129,35 +127,8 @@ def test_malformed_query_log_line_is_an_integrity_error(tmp_path, bad_line):
         load_query_log(path)
 
 
-def test_spec_file_round_trip(tmp_path):
-    spec = make_rfs_spec(depth=2, n_symbol_bits=4, master_seed=77, alpha_n=3)
-    path = tmp_path / "spec.json"
-    spec.save(path)
-    reloaded = load_rfs_spec(path)
-    assert reloaded.depth == spec.depth
-    assert reloaded.b_root == spec.b_root
-    np.testing.assert_array_equal(reloaded.oracle.f_bits, spec.oracle.f_bits)
-    assert secret_at(reloaded, (3,)) == secret_at(spec, (3,))
-
-
-def test_random_circuit_spec_round_trip(tmp_path):
-    spec = make_rfs_spec(
-        depth=1,
-        n_symbol_bits=3,
-        master_seed=5,
-        kind="random-circuit",
-        alpha_n=2,
-        circuit_length=40,
-        circuit_seed=13,
-    )
-    path = tmp_path / "spec.json"
-    spec.save(path)
-    reloaded = load_rfs_spec(path)
-    np.testing.assert_array_equal(reloaded.oracle.f_bits, spec.oracle.f_bits)
-
-
 def test_bad_spec_kind():
-    # The experiments' unitary names "qft" and "random" are not descriptor kinds.
+    # The experiments' unitary names "qft" and "random" are not instance kinds.
     for kind in ("nope", "qft", "random"):
         with pytest.raises(InvalidConfigError):
             make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=0, kind=kind)
@@ -192,14 +163,3 @@ def test_reseeded_spec_answer_bit_follows_the_seed():
         assert spec.b_root == derive_answer_bit(seed)
         bits.add(spec.b_root)
     assert bits == {0, 1}
-
-
-def test_spec_file_with_contradicting_answer_bit_rejected(tmp_path):
-    spec = make_rfs_spec(depth=2, n_symbol_bits=3, master_seed=5, alpha_n=2)
-    data = spec.to_json_dict()
-    assert data["b_root"] == derive_answer_bit(5)
-    data["b_root"] = 1 - data["b_root"]
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(InvalidConfigError):
-        load_rfs_spec(path)
