@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import InvalidConfigError, OracleLabError, SchemaVersionError
+from .errors import IntegrityError, InvalidConfigError, OracleLabError, SchemaVersionError
 from .experiments import EXPERIMENTS, MODES, PARAMETERS
 from .oracle import UNITARIES
 
@@ -23,7 +23,7 @@ SCHEMA_VERSION = 1
 # 3: the two-copy average sums by GEMM and takes norms without BLAS.
 # 4: the Walsh-Hadamard transform sums by two Sylvester GEMMs.
 # 5: moment_compare steps its circuits together, drawing step by step.
-# 6: random-circuit gates fuse into 5-qubit blocks on wide states.
+# 6: gates of random circuits fuse into 5-qubit blocks on wide states.
 # 7: the referee reads Z from per-depth frontier counts (rfs replay-log
 # final_z moves by ulps); certification slack scales with 2^n.
 # 8: identify reads only the label's rows of U (qft and random successes move by ulps).
@@ -44,6 +44,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InvalidConfigError(f"unknown experiment {self.experiment!r}")
+        for key in self.parameters:
+            if key not in PARAMETERS[self.experiment]:
+                raise InvalidConfigError(f"{self.experiment} reads no parameter {key!r}")
 
 
 @dataclass(frozen=True)
@@ -99,51 +102,58 @@ def replay(path: str) -> dict:
     both numbers to their ``abs_error`` and ``rel_error``; the relative error
     divides by the larger magnitude of the two.
     """
-    verdicts = []
+    # Every record is read and its parameters checked before the first one reruns.
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            if data.get("schema_version") != SCHEMA_VERSION:
-                raise SchemaVersionError(
-                    f"line {line_no}: schema {data.get('schema_version')} unsupported"
-                )
-            config = ExperimentConfig(
-                experiment=data["experiment"],
-                parameters=data["parameters"],
-                master_seed=int(data["seed"]),
-            )
-            metrics, _failures = EXPERIMENTS[config.experiment](
-                config.parameters, config.master_seed
-            )
-            # Serialize both the same way so 0.1 compares as 0.1, not repr noise.
-            fresh = {k: json.dumps(v, sort_keys=True) for k, v in metrics.items()}
-            reference = {k: json.dumps(v, sort_keys=True) for k, v in data["metrics"].items()}
-            keys = sorted({key for key, _ in fresh.items() ^ reference.items()})
-            errors = {}
-            for key in keys:
-                old, new = data["metrics"].get(key), metrics.get(key)
-                if _is_number(old) and _is_number(new):
-                    error = abs(new - old)
-                    scale = max(abs(old), abs(new))
-                    errors[key] = {"abs_error": error, "rel_error": error / scale if scale else 0.0}
-            verdicts.append(
-                {
-                    "line": line_no,
-                    "experiment": data["experiment"],
-                    "match": not keys,
-                    "keys": keys,
-                    "errors": errors,
-                    "cross_version": data.get("numerics_version", 1) != NUMERICS_VERSION,
-                }
-            )
+        records = [(i, *_read_record(i, line)) for i, line in enumerate(fh, 1) if line.strip()]
+    verdicts = []
+    for line_no, data, config in records:
+        metrics, _failures = EXPERIMENTS[config.experiment](config.parameters, config.master_seed)
+        # Serialize both the same way so 0.1 compares as 0.1, not repr noise.
+        fresh = {k: json.dumps(v, sort_keys=True) for k, v in metrics.items()}
+        reference = {k: json.dumps(v, sort_keys=True) for k, v in data["metrics"].items()}
+        keys = sorted({key for key, _ in fresh.items() ^ reference.items()})
+        errors = {}
+        for key in keys:
+            old, new = data["metrics"].get(key), metrics.get(key)
+            if _is_number(old) and _is_number(new):
+                error = abs(new - old)
+                scale = max(abs(old), abs(new))
+                errors[key] = {"abs_error": error, "rel_error": error / scale if scale else 0.0}
+        verdicts.append(
+            {
+                "line": line_no,
+                "experiment": data["experiment"],
+                "match": not keys,
+                "keys": keys,
+                "errors": errors,
+                "cross_version": data.get("numerics_version", 1) != NUMERICS_VERSION,
+            }
+        )
     return {
         "records": len(verdicts),
         "all_match": all(v["match"] for v in verdicts),
         "mismatches": [v for v in verdicts if not v["match"]],
     }
+
+
+def _read_record(line_no: int, line: str) -> tuple[dict, ExperimentConfig]:
+    """A record line and the run it names; a malformed line raises ``IntegrityError``."""
+    try:
+        data = json.loads(line)
+    except ValueError as exc:
+        raise IntegrityError(f"record line {line_no} is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise IntegrityError(f"record line {line_no} is not a JSON object")
+    if data.get("schema_version") != SCHEMA_VERSION:
+        raise SchemaVersionError(f"line {line_no}: schema {data.get('schema_version')} unsupported")
+    for key, kind in (("experiment", str), ("parameters", dict), ("seed", int), ("metrics", dict)):
+        if not isinstance(data.get(key), kind):
+            raise IntegrityError(f"record line {line_no} needs {key!r} as {kind.__name__}")
+    try:
+        config = ExperimentConfig(data["experiment"], data["parameters"], data["seed"])
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"record line {line_no}: {exc}") from exc
+    return data, config
 
 
 def _is_number(value) -> bool:
@@ -170,7 +180,7 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-# The flag behind each parameter key; keys absent here are set only through --config.
+# The flag behind each parameter key.
 _FLAGS = {
     "n": {"type": int, "help": "qubit / symbol-bit count"},
     "t": {"type": int, "help": "circuit length or chain steps"},
@@ -200,31 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
         # No prefix matching: a dropped flag such as ``signs --t`` must not become ``--trials``.
         p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
         for key in PARAMETERS[name]:
-            if key in _FLAGS:
-                choices = {"choices": MODES[name]} if key == "mode" else {}
-                flag = "--" + key.replace("_", "-")
-                p.add_argument(flag, dest=key, **_FLAGS[key], **choices)
+            choices = {"choices": MODES[name]} if key == "mode" else {}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key], **choices)
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", type=str, help="JSONL output path (append)")
         p.add_argument("--csv", type=str, help="also dump tabular metrics as CSV")
-        p.add_argument("--config", type=str, help="JSON file overriding flags")
     rp = sub.add_parser("replay", help="re-run a JSONL record file and compare")
     rp.add_argument("records", type=str, help="path to the JSONL file")
     return parser
-
-
-def _collect_params(args: argparse.Namespace) -> dict:
-    params = {key: value for key in _FLAGS if (value := getattr(args, key, None)) is not None}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        if not isinstance(overrides, dict):
-            raise InvalidConfigError("--config must hold one JSON object")
-        for key in overrides:
-            if key not in PARAMETERS[args.command]:
-                raise InvalidConfigError(f"{args.command} reads no parameter {key!r}")
-        params.update(overrides)
-    return params
 
 
 def main(argv=None) -> int:
@@ -234,9 +227,11 @@ def main(argv=None) -> int:
         print(json.dumps(verdict, indent=1))
         return 0 if verdict["all_match"] else 1
 
+    # A record lists only the flags that were set, so an experiment's defaults stay its own.
+    flags = {key: getattr(args, key) for key in PARAMETERS[args.command]}
     config = ExperimentConfig(
         experiment=args.command,
-        parameters=_collect_params(args),
+        parameters={key: value for key, value in flags.items() if value is not None},
         master_seed=args.seed,
         out_path=args.out,
     )
@@ -257,15 +252,15 @@ def main(argv=None) -> int:
 
 
 def entry(argv=None) -> int:
-    """The console script: :func:`main`, with the lab's own errors as one line and exit 2.
+    """The console script: :func:`main`, with refusals as one stderr line and exit 2.
 
     Exit 0 means every check passed, 1 that a run's checks failed (or a replay
-    did not match), and 2 that the command line or configuration was refused,
-    as argparse does for a bad flag.
+    did not match), and 2 that the command line, the configuration or an input
+    or output file was refused, as argparse does for a bad flag.
     """
     try:
         return main(argv)
-    except OracleLabError as exc:
+    except (OracleLabError, OSError) as exc:
         print(f"oraclelab: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from .rfs import (
     z_referee,
 )
 from .rfs.core import label_bits
-from .signs import BRUTE_FORCE_MAX_D, TWO_OVER_PI, best_phase_signs, brute_force_signs
+from .signs import TWO_OVER_PI, best_phase_signs, brute_force_signs
 from .simcore import builtin_group, child, group_fourier
 
 # Each experiment's modes; the first is its default.
@@ -37,6 +37,9 @@ MODES = {
 }
 # ``markov --mode stationary`` histograms the walkers over all 4^n strings: 8 MiB at n = 10.
 MAX_STATIONARY_N = 10
+# ``signs`` draws d in [1, SIGNS_MAX_D] and checks d <= SIGNS_BRUTE_MAX_D by brute force.
+SIGNS_MAX_D = 16
+SIGNS_BRUTE_MAX_D = 12
 
 
 def _mode(params: dict, experiment: str) -> str:
@@ -125,29 +128,19 @@ def run_dispersion(params: dict, seed: int):
 
 def run_signs(params: dict, seed: int):
     trials = _count(params, "trials", 10000)
-    d_min = int(params.get("d_min", 1))
-    d_max = int(params.get("d_max", 16))
-    brute_max = int(params.get("brute_max", 12))
-    if not 1 <= d_min <= d_max:
-        raise InvalidConfigError(f"need 1 <= d_min <= d_max, got d_min={d_min}, d_max={d_max}")
-    if max(d_min, BRUTE_FORCE_MAX_D + 1) <= min(d_max, brute_max):
-        raise InvalidConfigError(
-            f"brute_max {brute_max} sends d up to {min(d_max, brute_max)} to brute force, "
-            f"which is capped at d = {BRUTE_FORCE_MAX_D}"
-        )
     rng = child(seed, 0)
     min_ratio = 1.0
     violations = 0
     brute_gap_max = 0.0
     for _k in range(trials):
-        d = int(rng.integers(d_min, d_max + 1))
+        d = int(rng.integers(1, SIGNS_MAX_D + 1))
         scale = 10.0 ** rng.uniform(-6, 6)
         x = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         sol = best_phase_signs(x)
         min_ratio = min(min_ratio, sol.ratio)
         if sol.value < TWO_OVER_PI * sol.l1 - 1e-12 * sol.l1:
             violations += 1
-        if d <= brute_max:
+        if d <= SIGNS_BRUTE_MAX_D:
             _theta, best = brute_force_signs(x)
             if sol.value > best + 1e-12 * sol.l1:
                 violations += 1
@@ -343,9 +336,9 @@ def run_markov(params: dict, seed: int):
         tv = 0.5 * float(np.sum(np.abs(dist[1:] - 1.0 / nonzero))) + 0.5 * dist[0]
         # Twice the expected sampling TV of a flat law over K cells; at
         # n = 3 with 1e5 walkers this is the canonical 0.02 cap.
-        default_cap = float(np.sqrt(2 * nonzero / (np.pi * walkers)))
+        cap = float(np.sqrt(2 * nonzero / (np.pi * walkers)))
         metrics = {"n": n, "t": steps, "walkers": walkers, "tv_from_uniform": tv}
-        if tv > float(params.get("tv_cap", default_cap)):
+        if tv > cap:
             failures.append("walker ensemble far from the flat law")
         return metrics, failures
     if mode == "lumped-vs-full":
@@ -364,9 +357,9 @@ def run_markov(params: dict, seed: int):
         tv = 0.5 * float(np.sum(np.abs(emp - dist)))
         # Three standard errors per weight cell of the chain's law, halved as TV
         # halves; 0.0064 at n = 3, t = 20 with 1e5 walkers, the canonical size.
-        default_cap = 1.5 * float(np.sum(np.sqrt(dist * (1.0 - dist) / walkers)))
+        cap = 1.5 * float(np.sum(np.sqrt(dist * (1.0 - dist) / walkers)))
         metrics = {"n": n, "t": steps, "walkers": walkers, "tv_lumped_vs_full": tv}
-        if tv > float(params.get("tv_cap", default_cap)):
+        if tv > cap:
             failures.append("lumped and full chains disagree")
         return metrics, failures
     # mode == "moments"
@@ -382,7 +375,7 @@ def run_markov(params: dict, seed: int):
     for idx, t in enumerate(t_list):
         res = paulichain.moment_compare(n, int(t), circuits, child(seed, idx))
         tvs[f"tv_t{t}"] = res["tv_distance"]
-        if res["tv_distance"] > float(params.get("tv_cap", 0.03)):
+        if res["tv_distance"] > 0.03:
             failures.append(f"moment mismatch at t={t}")
     metrics = {"n": n, "circuits": circuits, **tvs}
     return metrics, failures
@@ -402,9 +395,8 @@ def run_ad2(params: dict, seed: int):
     if metrics["max_orthogonality_defect"] > 1e-10:
         failures.append("sampled transfer matrix not orthogonal")
     # Moment-row distance concentrates at sqrt(14/N); twice that is the
-    # default cap, which at 2e4 samples sits just above the 0.05 criterion.
-    default_cap = 2.0 * float(np.sqrt(14.0 / samples))
-    if metrics["frobenius_distance_moment_rows"] > float(params.get("cap", default_cap)):
+    # cap, which at 2e4 samples sits just above the 0.05 criterion.
+    if metrics["frobenius_distance_moment_rows"] > 2.0 * float(np.sqrt(14.0 / samples)):
         failures.append("two-copy average far from its projector")
     return metrics, failures
 
@@ -444,7 +436,7 @@ def run_qt(params: dict, seed: int):
         "bad_l1_fraction": bad_l1,
     }
     failures = []
-    if mean_q > float(params.get("mean_cap", 2.2 * 2.0**-n)):
+    if mean_q > 2.2 * 2.0**-n:
         failures.append("collision mean above its cap")
     if tail_fraction > markov_cap + 1e-12:
         failures.append("tail fraction violates the first-moment inequality")
@@ -463,13 +455,13 @@ EXPERIMENTS = {
     "qt": run_qt,
 }
 
-# The parameters each experiment reads; ``--config`` may set exactly these.
+# The parameters each experiment reads, each with its own flag; a run given another key is refused.
 PARAMETERS = {
     "dispersion": ("n", "t", "beta", "samples", "group", "unitary"),
-    "signs": ("trials", "d_min", "d_max", "brute_max"),
+    "signs": ("trials",),
     "oracle": ("n", "t", "unitary", "labels"),
     "rfs": ("n", "l", "delta", "trials", "mode", "alpha_n", "n_list", "log_file"),
-    "markov": ("n", "t", "trials", "mode", "n_list", "t_list", "tv_cap"),
-    "ad2": ("samples", "cap"),
-    "qt": ("n", "t", "beta", "trials", "mean_cap"),
+    "markov": ("n", "t", "trials", "mode", "n_list", "t_list"),
+    "ad2": ("samples",),
+    "qt": ("n", "t", "beta", "trials"),
 }

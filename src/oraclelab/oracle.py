@@ -105,6 +105,8 @@ def build_unitary(kind: str, n: int, t: int | None = None, seed: int | None = No
         raise SizeError(f"dense {kind} unitaries capped at n={MAX_DENSE_QUBITS}")
     if kind == "qft":
         return qft_cyclic(2**n)
+    if t is None or seed is None:
+        raise InvalidConfigError(f"a random unitary needs {'t' if t is None else 'seed'}")
     return densify(run_random_circuit(n, t, seed))
 
 

@@ -412,7 +412,7 @@ def _frobenius(diff: np.ndarray) -> float:
 
 
 def collision_statistics(n: int, steps: int, rngs, inputs) -> tuple[np.ndarray, np.ndarray]:
-    """Collision probability and L1 norm of random-circuit states, one circuit per stream.
+    """Collision probability and L1 norm of random circuit states, one circuit per stream.
 
     Circuit ``c`` starts from ``|inputs[c]>`` and draws its ``steps`` pairs
     and gates from ``rngs[c]`` in the block layout of ``run_pair_circuits``:

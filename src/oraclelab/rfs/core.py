@@ -20,16 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DepthError, IntegrityError, InvalidConfigError, ProtocolError
-from ..oracle import SingleLevelOracle, build_oracle, build_unitary
-from ..simcore import mix64
+from ..oracle import SingleLevelOracle, build_oracle
+from ..simcore import hadamard_all, mix64
 
 FAIL = "FAIL"
 
 _SECRET_TAG = 0x5EC4E7
 _ANSWER_TAG = 0xA05BEE
 _SYMBOL_TAG = 0x9E3779B97F4A7C15
-# The unitary kind of ``build_unitary`` that each instance kind names.
-_UNITARY_KINDS = {"hadamard": "hadamard", "random-circuit": "random"}
 
 
 @dataclass(frozen=True)
@@ -192,31 +190,29 @@ def make_rfs_spec(
     depth: int,
     n_symbol_bits: int,
     master_seed: int,
-    kind: str = "hadamard",
     alpha_n: int | None = None,
-    circuit_length: int | None = None,
-    circuit_seed: int | None = None,
+    unitary=None,
 ) -> RecursiveOracleSpec:
-    """Build a seeded instance whose single-level family comes from a unitary.
+    """Build a seeded instance whose single-level family is compiled from ``unitary``.
 
-    ``kind`` selects the compiled unitary: ``hadamard`` (labels are the first
-    ``2^alpha_n`` basis indices; every label's success is exactly 1) or
-    ``random-circuit`` (dense matrix of a seeded circuit).  ``alpha_n``
-    defaults to ``ceil(n/2)`` label bits.  The unitary is built once; the
-    compiled oracle carries it.
+    ``unitary`` is an action on ``n_symbol_bits`` qubits, such as one
+    ``oracle.build_unitary`` returns; by default H on every qubit, whose
+    labels all identify with success exactly 1.  The labels are the first
+    ``2^alpha_n`` basis indices, ``alpha_n`` defaulting to ``ceil(n/2)``.
+    The compiled oracle carries the unitary.
     """
     alpha_n = label_bits(n_symbol_bits, alpha_n)
+    if depth < 1:
+        raise InvalidConfigError(f"depth must be at least 1, got {depth}")
     if not 1 <= alpha_n <= n_symbol_bits:
         raise InvalidConfigError("alpha_n must lie in [1, n]")
-    if kind not in _UNITARY_KINDS:
-        raise InvalidConfigError(f"instance kind {kind!r} names no unitary")
-    if kind == "random-circuit" and (circuit_length is None or circuit_seed is None):
-        raise InvalidConfigError("random-circuit kind needs circuit_length and circuit_seed")
-    unitary = build_unitary(_UNITARY_KINDS[kind], n_symbol_bits, circuit_length, circuit_seed)
+    if unitary is None:
+        unitary = hadamard_all(n_symbol_bits)
+    elif getattr(unitary, "n_qubits", None) != n_symbol_bits:
+        raise InvalidConfigError(f"unitary must be an action on n = {n_symbol_bits} qubits")
     return RecursiveOracleSpec(
         depth=depth,
         n_symbol_bits=n_symbol_bits,
         oracle=build_oracle(unitary, range(2**alpha_n)),
         master_seed=master_seed,
     )
-

@@ -1,5 +1,6 @@
 import numpy as np
 
+from oraclelab.oracle import build_unitary
 from oraclelab.rfs import classical_solver, make_rfs_spec, z_referee
 
 
@@ -19,15 +20,8 @@ def test_depth_one_query_count_near_label_entropy_for_generic_bits():
     # repeat already-known parities.
     counts = []
     for seed in range(50):
-        spec = make_rfs_spec(
-            depth=1,
-            n_symbol_bits=4,
-            master_seed=seed,
-            kind="random-circuit",
-            alpha_n=4,
-            circuit_length=60,
-            circuit_seed=seed,
-        )
+        unitary = build_unitary("random", 4, 60, seed)
+        spec = make_rfs_spec(depth=1, n_symbol_bits=4, master_seed=seed, alpha_n=4, unitary=unitary)
         counts.append(classical_solver(spec).queries)
     mean = float(np.mean(counts))
     assert 3.0 <= mean <= 9.0  # log2(16) + 1 = 5 expected

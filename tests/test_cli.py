@@ -36,7 +36,7 @@ def test_replay_matches_and_detects_tampering(tmp_path):
     out = tmp_path / "records.jsonl"
     config = ExperimentConfig(
         experiment="signs",
-        parameters={"trials": 50, "d_max": 8},
+        parameters={"trials": 50},
         master_seed=11,
         out_path=str(out),
     )
@@ -57,7 +57,7 @@ def test_replay_names_differing_keys_and_flags_cross_version(tmp_path):
     run(
         ExperimentConfig(
             experiment="signs",
-            parameters={"trials": 30, "d_max": 6},
+            parameters={"trials": 30},
             master_seed=5,
             out_path=str(out),
         )
@@ -85,7 +85,7 @@ def test_replay_reports_the_error_of_each_differing_number(tmp_path):
     record = run(
         ExperimentConfig(
             experiment="signs",
-            parameters={"trials": 30, "d_max": 6},
+            parameters={"trials": 30},
             master_seed=5,
             out_path=str(out),
         )
@@ -226,11 +226,16 @@ def test_cli_main_dispersion_exit_zero(capsys):
     assert "all checks passed" in captured.out
 
 
-def test_entry_exit_codes_tell_failed_checks_from_refused_configurations(tmp_path, capsys):
-    assert entry(["qt", "--n", "3", "--t", "8", "--trials", "4"]) == 0
-    cfg = tmp_path / "cap.json"
-    cfg.write_text(json.dumps({"mean_cap": 0.0}))
-    assert entry(["qt", "--n", "3", "--t", "8", "--trials", "4", "--config", str(cfg)]) == 1
+def test_entry_exit_codes_tell_failed_checks_from_refused_configurations(monkeypatch, capsys):
+    argv = ["qt", "--n", "3", "--t", "8", "--trials", "4"]
+    assert entry(argv) == 0
+
+    def failing_qt(params, seed):
+        metrics, _failures = experiments.run_qt(params, seed)
+        return metrics, ["collision mean above its cap"]
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "qt", failing_qt)
+    assert entry(argv) == 1
     assert "FAILED: collision mean above its cap" in capsys.readouterr().out
     assert entry(["rfs", "--mode", "bound-table", "--n-list", "0"]) == 2
     err = capsys.readouterr().err
@@ -274,8 +279,6 @@ def test_lumped_vs_full_default_cap_scales_with_the_walker_count():
     metrics, failures = experiments.run_markov(params, 0)
     assert metrics["tv_lumped_vs_full"] > 0.02
     assert failures == []
-    _, failures = experiments.run_markov({**params, "tv_cap": 0.02}, 0)
-    assert failures == ["lumped and full chains disagree"]
 
 
 def test_lumped_vs_full_default_cap_at_the_canonical_size_is_inside_0_02(monkeypatch):
@@ -344,21 +347,13 @@ def test_rfs_replay_log_names_a_missing_file_key(missing):
         experiments.run_rfs({"mode": "replay-log"}, 0)
 
 
-def test_cli_config_file_overrides(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 4, "beta": 1.0, "unitary": "hadamard"}))
-    code = main(["dispersion", "--n", "9", "--config", str(cfg)])
-    assert code == 0
-    assert "achieving_count: 16" in capsys.readouterr().out
-
-
 def test_records_append_not_truncate(tmp_path):
     out = tmp_path / "records.jsonl"
     for seed in (1, 2):
         run(
             ExperimentConfig(
                 experiment="signs",
-                parameters={"trials": 10, "d_max": 6},
+                parameters={"trials": 10},
                 master_seed=seed,
                 out_path=str(out),
             )
@@ -423,16 +418,16 @@ def test_rfs_builds_one_unitary_per_size(monkeypatch, params, sizes):
     from oraclelab.rfs import core
 
     calls = []
-    original = core.build_unitary
+    original = core.hadamard_all
 
-    def counting(*args):
-        calls.append(args[:2])
-        return original(*args)
+    def counting(n):
+        calls.append(n)
+        return original(n)
 
-    monkeypatch.setattr(core, "build_unitary", counting)
+    monkeypatch.setattr(core, "hadamard_all", counting)
     _metrics, failures = experiments.run_rfs(params, 0)
     assert not failures
-    assert calls == [("hadamard", n) for n in sizes]
+    assert calls == sizes
 
 
 @pytest.mark.parametrize("mode", ["simulate", "separation"])
@@ -501,9 +496,9 @@ def test_too_few_samples_rejected_before_any_work(monkeypatch, experiment, param
         ("dispersion", {"unitary": "random", "n": 9, "beta": 0}),
         ("markov", {"mode": "gap", "n_list": []}),
         ("markov", {"mode": "moments", "t_list": []}),
-        ("signs", {"d_min": 0}),
-        ("signs", {"d_min": 9, "d_max": 8}),
-        ("signs", {"d_min": 18, "d_max": 24, "brute_max": 22}),
+        ("qt", {"n": 1}),
+        ("qt", {"t": -3}),
+        ("markov", {"mode": "moments", "t_list": [-2]}),
         ("rfs", {"mode": "bound-table", "n_list": [0]}),
         ("rfs", {"mode": "bound-table", "n_list": [-4]}),
     ],
@@ -517,12 +512,6 @@ def test_out_of_range_parameters_rejected_before_any_work(monkeypatch, experimen
     monkeypatch.setattr(paulichain, "gap_table", refuse)
     with pytest.raises(InvalidConfigError):
         experiments.EXPERIMENTS[experiment](params, 0)
-
-
-def test_brute_max_above_the_cap_runs_when_no_drawn_d_reaches_it():
-    for params in ({"d_max": 24, "brute_max": 20}, {"d_min": 22, "d_max": 24, "brute_max": 21}):
-        metrics, failures = experiments.run_signs({"trials": 20, **params}, 0)
-        assert metrics["trials"] == 20 and not failures
 
 
 @pytest.mark.parametrize("labels", [0, -1, 9, 20])
@@ -551,12 +540,83 @@ def test_dispersion_group_input_is_checked_before_certifying(monkeypatch, params
 @pytest.mark.parametrize(
     "experiment, parameters",
     [
-        ("rfs", {"unitary": "hadamard", "mode": "simulate", "l": 2, "n": 3, "trials": 2}),
+        ("rfs", {"mode": "simulate", "l": 2, "n": 3, "delta": 0.2, "trials": 2}),
         ("dispersion", {"unitary": "hadamard", "n": 5}),
     ],
 )
 def test_records_carrying_old_cli_defaults_still_replay(tmp_path, experiment, parameters):
-    # The CLI used to write these defaults into every record; rfs never read its unitary.
+    # The CLI used to write its defaults into every record.  Those the experiment
+    # reads replay; rfs' old ``unitary`` key is refused (see below).
     out = tmp_path / "old.jsonl"
     run(ExperimentConfig(experiment, parameters, master_seed=4, out_path=str(out)))
     assert replay(str(out))["all_match"]
+
+
+def _record_line(experiment, parameters):
+    return json.dumps(
+        {"schema_version": 1, "numerics_version": NUMERICS_VERSION, "experiment": experiment,
+         "parameters": parameters, "metrics": {}, "seed": 0, "duration_s": 0.0, "failures": []}
+    )
+
+
+@pytest.mark.parametrize(
+    "experiment, parameters, key",
+    [
+        ("signs", {"trials": 20, "d_max": 6}, "d_max"),
+        ("markov", {"mode": "stationary", "tv_cap": 0.5}, "tv_cap"),
+        ("ad2", {"samples": 100, "cap": 1.0}, "cap"),
+        ("qt", {"n": 3, "mean_cap": 1.0}, "mean_cap"),
+        ("rfs", {"unitary": "hadamard", "l": 2, "n": 3}, "unitary"),
+        ("rfs", {"mode": "replay-log", "spec_file": "spec.json", "log_file": "log.jsonl"},
+         "spec_file"),
+    ],
+)
+def test_replay_refuses_records_carrying_keys_no_experiment_reads(
+    tmp_path, monkeypatch, capsys, experiment, parameters, key
+):
+    def refuse(params, seed):
+        raise AssertionError("reran a record before checking every record's keys")
+
+    for name in experiments.EXPERIMENTS:
+        monkeypatch.setitem(experiments.EXPERIMENTS, name, refuse)
+    path = tmp_path / "old.jsonl"
+    # A good first line does not rerun: every line is checked first.
+    path.write_text(f'{_record_line("signs", {"trials": 5})}\n{_record_line(experiment, parameters)}\n')
+    assert entry(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"record line 2: {experiment} reads no parameter {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("not json", "IntegrityError: record line 1 is not JSON"),
+        ("[1, 2]", "IntegrityError: record line 1 is not a JSON object"),
+        (_record_line("signs", {}).replace('"seed": 0, ', ""),
+         "IntegrityError: record line 1 needs 'seed' as int"),
+        (_record_line("signs", {}).replace('"parameters": {}', '"parameters": [1]'),
+         "IntegrityError: record line 1 needs 'parameters' as dict"),
+    ],
+)
+def test_replay_of_a_malformed_record_line_exits_2_naming_the_line(tmp_path, capsys, line, error):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    assert entry(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and error in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["replay", "{missing}"],
+        ["rfs", "--mode", "replay-log", "--l", "2", "--n", "4", "--log-file", "{missing}"],
+        ["signs", "--trials", "2", "--out", "{missing}/records.jsonl"],
+    ],
+)
+def test_missing_input_and_output_files_exit_2_with_one_line(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing")
+    assert entry([arg.format(missing=missing) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("oraclelab: error: FileNotFoundError: ") and err.count("\n") == 1

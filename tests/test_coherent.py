@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oraclelab.errors import InvalidConfigError, SizeError
+from oraclelab.oracle import build_unitary
 from oraclelab.rfs import find_coherent_tiny, find_simulate, make_rfs_spec
 from oraclelab.simcore import stream
 
@@ -93,13 +94,7 @@ def test_depth_one_matches_exact_identification_for_generic_unitary():
     from oraclelab.rfs import secret_at
 
     spec = make_rfs_spec(
-        depth=1,
-        n_symbol_bits=2,
-        master_seed=9,
-        kind="random-circuit",
-        alpha_n=2,
-        circuit_length=6,
-        circuit_seed=4,
+        depth=1, n_symbol_bits=2, master_seed=9, alpha_n=2, unitary=build_unitary("random", 2, 6, 4)
     )
     p = identify(spec.oracle, secret_at(spec, ()))
     assert p < 1.0 - 1e-6  # a generic circuit does not identify exactly
@@ -137,8 +132,8 @@ def test_depth_one_matches_exact_identification_for_generic_unitary():
 def test_coherent_outputs_are_pinned_bitwise(
     depth, n, kind, seed, m, inject, success_hex, residuals_hex
 ):
-    circuit = {"circuit_length": 6, "circuit_seed": 4} if kind == "random-circuit" else {}
-    spec = make_rfs_spec(depth, n, seed, kind=kind, alpha_n=n, **circuit)
+    unitary = build_unitary("random", n, 6, 4) if kind == "random-circuit" else None
+    spec = make_rfs_spec(depth, n, seed, alpha_n=n, unitary=unitary)
     report = find_coherent_tiny(spec, m_override=m, inject=inject)
     assert report.success_prob.hex() == success_hex
     assert tuple(r.hex() for r in report.uncompute_residuals) == residuals_hex

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oraclelab.errors import CertificationError, InvalidConfigError
-from oraclelab.oracle import build_oracle, identify, prepare_phi
+from oraclelab.oracle import build_oracle, build_unitary, identify, prepare_phi
 from oraclelab.rfs import (
     LevelStats,
     RecursiveOracleSpec,
@@ -154,7 +154,7 @@ def test_random_circuit_report_is_pinned():
     # (0, 1); taken while identify measured one label per call, and retaken without the
     # report's junk_mode key, the only entry that changed.  Moving it must bump
     # cli.NUMERICS_VERSION.
-    spec = make_rfs_spec(2, 4, 7, kind="random-circuit", circuit_length=256, circuit_seed=0)
+    spec = make_rfs_spec(2, 4, 7, unitary=build_unitary("random", 4, 256, 0))
     report = find_simulate(spec, 0.2, m_override=2, junk_draws=3, rng=stream(5))
     assert 0 < report.sampled["success_min"] < report.sampled["success_max"] < 1
     digest = hashlib.sha256(json.dumps(dataclasses.asdict(report), sort_keys=True).encode())

@@ -127,6 +127,16 @@ def test_oracle_metrics_on_the_fused_path_are_pinned():
     assert _oracle_metrics_digest({"unitary": "random", "n": 8}) == digest
 
 
+@pytest.mark.parametrize("t, seed, missing", [(None, 3, "t"), (10, None, "seed"), (None, None, "t")])
+def test_random_unitary_needs_t_and_seed_before_any_draw(monkeypatch, t, seed, missing):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a circuit before checking its arguments")
+
+    monkeypatch.setattr(oracle_module, "run_random_circuit", refuse)
+    with pytest.raises(InvalidConfigError, match=f"needs {missing}"):
+        oracle_module.build_unitary("random", 3, t, seed)
+
+
 def test_identity_oracle_prediction():
     n = 4
     action = MatrixUnitary(np.eye(2**n, dtype=complex))

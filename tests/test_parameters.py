@@ -1,5 +1,6 @@
-"""``experiments.PARAMETERS`` names exactly the keys each experiment reads,
-and the CLI accepts exactly those: as flags, or through ``--config``."""
+"""``experiments.PARAMETERS`` names exactly the keys each experiment reads;
+the CLI offers a flag for each, and a run or a replayed record given any
+other key is refused before any work."""
 
 import json
 import shlex
@@ -8,12 +9,9 @@ from pathlib import Path
 import pytest
 
 from oraclelab import experiments, oracle
-from oraclelab.cli import build_parser, main
+from oraclelab.cli import ExperimentConfig, build_parser, main, replay, run
 from oraclelab.errors import InvalidConfigError
 from oraclelab.rfs import classical_solver, make_rfs_spec, save_query_log
-
-CONFIG_ONLY = {"d_min", "d_max", "brute_max", "tv_cap", "cap", "mean_cap"}
-
 
 class _Reads(dict):
     """A parameter mapping that notes every key an experiment looks up."""
@@ -94,22 +92,23 @@ def _subcommand_flags() -> dict:
 def test_each_subcommand_offers_a_flag_for_each_flagged_parameter():
     flags = _subcommand_flags()
     for name, keys in experiments.PARAMETERS.items():
-        expected = {"--" + key.replace("_", "-") for key in keys if key not in CONFIG_ONLY}
-        expected |= {"--seed", "--out", "--csv", "--config"}
+        expected = {"--" + key.replace("_", "-") for key in keys}
+        expected |= {"--seed", "--out", "--csv"}
         assert flags[name] == expected, name
-    assert sum(map(len, flags.values())) == 58
+    assert sum(map(len, flags.values())) == 51
 
 
 # Flags every subcommand used to accept although its experiment never read them,
-# and the removed second ways in: ``--C`` for ``t`` and ``--spec-file`` for an rfs instance.
+# and the removed second ways in: ``--C`` for ``t``, ``--spec-file`` for an rfs
+# instance and ``--config`` for every parameter.
 UNREAD_FLAGS = [
-    ("dispersion", ["--l", "--delta", "--trials", "--labels", "--C"]),
-    ("signs", ["--n", "--t", "--l", "--delta", "--beta", "--samples", "--group"]),
-    ("oracle", ["--l", "--delta", "--beta", "--samples", "--trials", "--group", "--C"]),
-    ("rfs", ["--t", "--beta", "--samples", "--group", "--unitary", "--spec-file"]),
-    ("markov", ["--l", "--delta", "--beta", "--samples", "--group"]),
-    ("ad2", ["--n", "--t", "--l", "--delta", "--beta", "--trials", "--group"]),
-    ("qt", ["--l", "--delta", "--samples", "--group", "--C"]),
+    ("dispersion", ["--l", "--delta", "--trials", "--labels", "--C", "--config"]),
+    ("signs", ["--n", "--t", "--l", "--delta", "--beta", "--samples", "--group", "--config"]),
+    ("oracle", ["--l", "--delta", "--beta", "--samples", "--trials", "--group", "--C", "--config"]),
+    ("rfs", ["--t", "--beta", "--samples", "--group", "--unitary", "--spec-file", "--config"]),
+    ("markov", ["--l", "--delta", "--beta", "--samples", "--group", "--config"]),
+    ("ad2", ["--n", "--t", "--l", "--delta", "--beta", "--trials", "--group", "--config"]),
+    ("qt", ["--l", "--delta", "--samples", "--group", "--C", "--config"]),
 ]
 
 
@@ -129,7 +128,7 @@ def test_flags_no_experiment_reads_are_refused(monkeypatch, command, flags):
         with pytest.raises(SystemExit) as exc:
             main([command, flag, values.get(flag, "1")])
         assert exc.value.code == 2, (command, flag)
-    assert sum(len(f) for _, f in UNREAD_FLAGS) == 42
+    assert sum(len(f) for _, f in UNREAD_FLAGS) == 49
 
 
 def _readme_cli_lines() -> list[str]:
@@ -153,22 +152,21 @@ def test_every_readme_cli_line_parses():
 )
 def test_config_key_no_experiment_reads_is_refused(tmp_path, monkeypatch, command, key):
     _refuse_every_run(monkeypatch)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 1}))
     with pytest.raises(InvalidConfigError, match=repr(key)):
-        main([command, "--config", str(cfg)])
-    cfg.write_text(json.dumps([key]))
-    with pytest.raises(InvalidConfigError):
-        main([command, "--config", str(cfg)])
+        run(ExperimentConfig(command, {key: 1}))
+    record = {"schema_version": 1, "experiment": command, "parameters": {key: 1}, "seed": 0,
+              "metrics": {}}
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(InvalidConfigError, match=repr(key)):
+        replay(str(path))
 
 
 @pytest.mark.parametrize(
     "command, key",
     [("rfs", "mode"), ("markov", "mode"), ("dispersion", "unitary"), ("oracle", "unitary")],
 )
-def test_unknown_mode_or_unitary_fails_as_flag_and_through_config(
-    tmp_path, monkeypatch, command, key
-):
+def test_unknown_mode_or_unitary_fails_as_flag_and_through_config(monkeypatch, command, key):
     from oraclelab.rfs import core
 
     def refuse(*args, **kwargs):
@@ -183,7 +181,5 @@ def test_unknown_mode_or_unitary_fails_as_flag_and_through_config(
     with pytest.raises(SystemExit) as exc:
         main([command, "--" + key, "separaton"])
     assert exc.value.code == 2
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: "separaton"}))
     with pytest.raises(InvalidConfigError, match="separaton"):
-        main([command, "--config", str(cfg)])
+        run(ExperimentConfig(command, {key: "separaton"}))

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from oraclelab.errors import DepthError, IntegrityError, InvalidConfigError, ProtocolError
+from oraclelab.oracle import build_unitary
 from oraclelab.rfs import (
     FAIL,
     derive_answer_bit,
@@ -14,7 +15,7 @@ from oraclelab.rfs import (
     save_query_log,
     secret_at,
 )
-from oraclelab.simcore import stream
+from oraclelab.simcore import hadamard_all, stream
 
 
 def test_secret_deterministic():
@@ -128,31 +129,47 @@ def test_malformed_query_log_line_is_an_integrity_error(tmp_path, bad_line):
 
 
 def test_bad_spec_kind():
-    # The experiments' unitary names "qft" and "random" are not instance kinds.
-    for kind in ("nope", "qft", "random"):
-        with pytest.raises(InvalidConfigError):
-            make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=0, kind=kind)
+    # A unitary's name is not an action: the spec takes what build_unitary returns.
+    for unitary in ("nope", "qft", "random"):
+        with pytest.raises(InvalidConfigError, match="n = 2"):
+            make_rfs_spec(depth=1, n_symbol_bits=2, master_seed=0, unitary=unitary)
+
+
+@pytest.mark.parametrize(
+    "depth, n, unitary",
+    [(0, 4, None), (-1, 4, None), (1, 4, hadamard_all(3)), (2, 3, hadamard_all(4))],
+)
+def test_make_rfs_spec_refuses_bad_arguments_before_compiling(monkeypatch, depth, n, unitary):
+    from oraclelab.rfs import core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled the oracle before checking the arguments")
+
+    monkeypatch.setattr(core, "build_oracle", refuse)
+    with pytest.raises(InvalidConfigError):
+        make_rfs_spec(depth, n, 0, unitary=unitary)
 
 
 @pytest.mark.parametrize(
     "kind, extra",
-    [("hadamard", {}), ("random-circuit", {"circuit_length": 30, "circuit_seed": 3})],
+    [("hadamard", {}), ("random-circuit", {"t": 30, "seed": 3})],
 )
 def test_spec_oracle_carries_the_unitary_it_compiled_from(monkeypatch, kind, extra):
     from oraclelab.rfs import core
 
     built = []
-    original = core.build_unitary
 
-    def recording(*args):
-        built.append(original(*args))
+    def recording(n):
+        built.append(hadamard_all(n))
         return built[-1]
 
-    monkeypatch.setattr(core, "build_unitary", recording)
-    spec = make_rfs_spec(depth=2, n_symbol_bits=3, master_seed=0, kind=kind, alpha_n=2, **extra)
-    assert len(built) == 1
-    assert spec.oracle.unitary is built[0]
-    assert replace(spec, master_seed=8).oracle.unitary is built[0]
+    monkeypatch.setattr(core, "hadamard_all", recording)
+    unitary = build_unitary("random", 3, **extra) if extra else None
+    spec = make_rfs_spec(depth=2, n_symbol_bits=3, master_seed=0, alpha_n=2, unitary=unitary)
+    # The default unitary is built once; a given one is used as it is.
+    (expected,) = built if unitary is None else [unitary, *built]
+    assert spec.oracle.unitary is expected
+    assert replace(spec, master_seed=8).oracle.unitary is expected
 
 
 def test_reseeded_spec_answer_bit_follows_the_seed():
