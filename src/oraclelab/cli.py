@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
 
 from .errors import IntegrityError, InvalidConfigError, OracleLabError, SchemaVersionError
-from .experiments import EXPERIMENTS, MODES, PARAMETERS
-from .oracle import UNITARIES
+from .experiments import EXPERIMENTS, KEYS, READS, checked
 
 SCHEMA_VERSION = 1
 # Bumped when a change moves metrics by rounding or by the random-draw layout;
@@ -42,11 +42,7 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise InvalidConfigError(f"unknown experiment {self.experiment!r}")
-        for key in self.parameters:
-            if key not in PARAMETERS[self.experiment]:
-                raise InvalidConfigError(f"{self.experiment} reads no parameter {key!r}")
+        checked(self.experiment, self.parameters, self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -176,30 +172,6 @@ def write_csv(rows: list[dict], path: str) -> None:
         writer.writerows(rows)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
-
-
-# The flag behind each parameter key.
-_FLAGS = {
-    "n": {"type": int, "help": "qubit / symbol-bit count"},
-    "t": {"type": int, "help": "circuit length or chain steps"},
-    "l": {"type": int, "help": "recursion depth"},
-    "delta": {"type": float, "help": "per-level success floor"},
-    "beta": {"type": float, "help": "dispersion threshold"},
-    "samples": {"type": int, "help": "sample count"},
-    "trials": {"type": int, "help": "trial / circuit / walker count"},
-    "group": {"type": str, "help": "builtin group name (s3, d4, q8)"},
-    "unitary": {"choices": UNITARIES, "help": "unitary to certify or compile"},
-    "labels": {"type": int, "help": "number of labels"},
-    "mode": {"help": "what the experiment runs"},
-    "alpha_n": {"type": int, "help": "label bits"},
-    "log_file": {"type": str, "help": "classical query log (JSONL)"},
-    "n_list": {"type": _int_list, "help": "comma list of n values"},
-    "t_list": {"type": _int_list, "help": "comma list of t values"},
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oraclelab",
@@ -209,9 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         # No prefix matching: a dropped flag such as ``signs --t`` must not become ``--trials``.
         p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
-        for key in PARAMETERS[name]:
-            choices = {"choices": MODES[name]} if key == "mode" else {}
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key], **choices)
+        modes = READS[name]
+        if None not in modes:
+            p.add_argument("--mode", choices=tuple(modes), help=KEYS["mode"][1])
+        for key in dict.fromkeys(key for reads in modes.values() for key in reads):
+            kind, text = KEYS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind.parse,
+                           choices=kind.choices, help=text)
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", type=str, help="JSONL output path (append)")
         p.add_argument("--csv", type=str, help="also dump tabular metrics as CSV")
@@ -228,13 +204,8 @@ def main(argv=None) -> int:
         return 0 if verdict["all_match"] else 1
 
     # A record lists only the flags that were set, so an experiment's defaults stay its own.
-    flags = {key: getattr(args, key) for key in PARAMETERS[args.command]}
-    config = ExperimentConfig(
-        experiment=args.command,
-        parameters={key: value for key, value in flags.items() if value is not None},
-        master_seed=args.seed,
-        out_path=args.out,
-    )
+    flags = {key: value for key, value in vars(args).items() if key in KEYS and value is not None}
+    config = ExperimentConfig(args.command, flags, args.seed, args.out)
     record = run(config)
     print(f"== {record.experiment}  seed={record.seed}  {record.duration_s:.2f}s")
     for key, value in record.metrics.items():
@@ -256,8 +227,10 @@ def entry(argv=None) -> int:
 
     Exit 0 means every check passed, 1 that a run's checks failed (or a replay
     did not match), and 2 that the command line, the configuration or an input
-    or output file was refused, as argparse does for a bad flag.
+    or output file was refused, as argparse does for a bad flag.  A reader that closes
+    stdout early ends the process as it ends ``cat``: by SIGPIPE, with no error line.
     """
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     try:
         return main(argv)
     except (OracleLabError, OSError) as exc:

@@ -10,14 +10,15 @@ dict plus a list of failed assertions (empty on pass).
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import paulichain
 from .dispersion import certify_dispersing, pseudo_search
 from .errors import InvalidConfigError, SizeError
-from .oracle import build_oracle, build_unitary, identify
+from .oracle import UNITARIES, build_oracle, build_unitary, identify
 from .rfs import (
     bound_trend_table,
     classical_solver,
@@ -30,11 +31,6 @@ from .rfs.core import label_bits
 from .signs import TWO_OVER_PI, best_phase_signs, brute_force_signs
 from .simcore import builtin_group, child, group_fourier
 
-# Each experiment's modes; the first is its default.
-MODES = {
-    "rfs": ("simulate", "separation", "replay-log", "bound-table"),
-    "markov": ("gap", "stationary", "lumped-vs-full", "moments"),
-}
 # ``markov --mode stationary`` histograms the walkers over all 4^n strings: 8 MiB at n = 10.
 MAX_STATIONARY_N = 10
 # ``signs`` draws d in [1, SIGNS_MAX_D] and checks d <= SIGNS_BRUTE_MAX_D by brute force.
@@ -42,40 +38,99 @@ SIGNS_MAX_D = 16
 SIGNS_BRUTE_MAX_D = 12
 
 
-def _mode(params: dict, experiment: str) -> str:
-    mode = params.get("mode", MODES[experiment][0])
-    if mode not in MODES[experiment]:
-        raise InvalidConfigError(f"unknown {experiment} mode {mode!r}")
-    return mode
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
-def _count(params: dict, key: str, default: int, least: int = 1) -> int:
-    """A trial or sample count, refused before any work when too small to estimate from."""
-    value = int(params.get(key, default))
-    if value < least:
-        raise InvalidConfigError(f"{key} must be at least {least}, got {value}")
-    return value
+@dataclass(frozen=True)
+class Kind:
+    """The values a key takes: those ``test`` passes (``what`` names them in a refusal), read
+    by the run as ``read`` returns them; ``parse`` and ``choices`` make the key's flag."""
+
+    what: str
+    test: Callable[[object], bool]
+    parse: Callable[[str], object] = int
+    read: Callable[[object], object] = lambda value: value
+    choices: tuple | None = None
 
 
-def _values(params: dict, key: str, default: list) -> list:
-    """The ``n_list`` or ``t_list`` of a table experiment, refused when empty."""
-    values = params.get(key, default)
-    if not values:
-        raise InvalidConfigError(f"{key} needs at least one value")
+INT = Kind("an int", lambda value: isinstance(value, int) and not isinstance(value, bool))
+COUNT = Kind("an int of at least 1", lambda value: INT.test(value) and value >= 1)
+REAL = Kind("a real number", lambda value: INT.test(value) or isinstance(value, float), float, float)
+BETA = Kind("a real number in (0, 1]", lambda value: REAL.test(value) and 0 < value <= 1, float, float)
+INTS = Kind("a nonempty list of ints",
+            lambda value: isinstance(value, list) and value != [] and all(map(INT.test, value)), _int_list)
+TEXT = Kind("a string", lambda value: isinstance(value, str), str)
+
+# What each parameter key holds and its flag's help; ``mode`` takes the modes in ``READS``.
+KEYS = {
+    "mode": (None, "what the experiment runs"),
+    "n": (INT, "qubit / symbol-bit count"),
+    "t": (INT, "circuit length or chain steps"),
+    "l": (INT, "recursion depth"),
+    "delta": (REAL, "per-level success floor"),
+    "beta": (BETA, "dispersion threshold"),
+    "samples": (COUNT, "sample count"),
+    "trials": (COUNT, "trial / circuit / walker count"),
+    "group": (TEXT, "builtin group name (s3, d4, q8)"),
+    "unitary": (Kind(f"one of {UNITARIES}", lambda value: value in UNITARIES, str, choices=UNITARIES),
+                "unitary to certify or compile"),
+    "labels": (COUNT, "number of labels"),
+    "alpha_n": (INT, "label bits"),
+    "log_file": (TEXT, "classical query log (JSONL)"),
+    "n_list": (INTS, "comma list of n values"),
+    "t_list": (INTS, "comma list of t values"),
+}
+
+# The keys each mode of each experiment reads, with their defaults (None: worked out by the
+# run, or none); the first mode is the default, and an experiment without modes has None.
+READS = {
+    "dispersion": {None: {"n": 8, "t": None, "beta": 1.0, "unitary": "hadamard", "group": None,
+                          "samples": 2000}},
+    "signs": {None: {"trials": 10000}},
+    "oracle": {None: {"n": 8, "t": None, "unitary": "hadamard", "labels": None}},
+    "rfs": {
+        "simulate": {"l": 2, "n": 4, "alpha_n": None, "delta": 0.2, "trials": 1},
+        "separation": {"l": 2, "n_list": [4, 6, 8], "alpha_n": None, "delta": 0.2, "trials": 1},
+        "replay-log": {"l": 2, "n": 4, "alpha_n": None, "log_file": None},
+        "bound-table": {"n_list": [16, 64, 256]},
+    },
+    "markov": {
+        "gap": {"n_list": [16]},
+        "stationary": {"n": 3, "t": 150, "trials": 100000},
+        "lumped-vs-full": {"n": 3, "t": 20, "trials": 100000},
+        "moments": {"n": 2, "t_list": [5], "trials": 2000},
+    },
+    "ad2": {None: {"samples": 20000}},
+    "qt": {None: {"n": 6, "t": None, "beta": 0.25, "trials": 200}},
+}
+
+
+def checked(experiment: str, params: dict, seed: int) -> dict:
+    """Every key the run's mode reads, as given or by default; a key the mode does not read,
+    or a value (the seed's too) that fails its key's test, is refused before any work."""
+    if experiment not in READS:
+        raise InvalidConfigError(f"unknown experiment {experiment!r}")
+    if not INT.test(seed):
+        raise InvalidConfigError(f"seed must be an int, got {seed!r}")
+    modes = READS[experiment]
+    mode = None if None in modes else params.get("mode", next(iter(modes)))
+    if mode not in tuple(modes):
+        raise InvalidConfigError(f"mode must be one of {tuple(modes)}, got {mode!r}")
+    values = {"mode": mode, **modes[mode]} if mode else dict(modes[mode])
+    for key, value in params.items():
+        if key not in values:
+            where = f" in mode {mode!r}" if mode else ""
+            raise InvalidConfigError(f"{experiment} reads no parameter {key!r}{where}")
+        kind = KEYS[key][0]
+        if kind and not kind.test(value):
+            raise InvalidConfigError(f"{key} must be {kind.what}, got {value!r}")
+        values[key] = kind.read(value) if kind else value
     return values
 
 
-def _beta(params: dict, default: float) -> float:
-    """The dispersion threshold, refused outside (0, 1]."""
-    beta = float(params.get("beta", default))
-    if not 0 < beta <= 1:
-        raise InvalidConfigError(f"beta must lie in (0, 1], got {beta}")
-    return beta
-
-
-def _build_unitary(params: dict, n: int, seed: int):
-    kind = params.get("unitary", "hadamard")
-    return build_unitary(kind, n, int(params.get("t", 4 * n**3)), seed)
+def _build_unitary(p: dict, seed: int):
+    return build_unitary(p["unitary"], p["n"], 4 * p["n"] ** 3 if p["t"] is None else p["t"], seed)
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +139,11 @@ def _build_unitary(params: dict, n: int, seed: int):
 
 
 def run_dispersion(params: dict, seed: int):
-    n = int(params.get("n", 8))
-    beta = _beta(params, 1.0)
-    group = params.get("group")
+    p = checked("dispersion", params, seed)
+    n, beta, group = p["n"], p["beta"], p["group"]
     if group:
         fourier = group_fourier(builtin_group(group))
-        samples = _count(params, "samples", 2000)
-    action = _build_unitary(params, n, seed)
+    action = _build_unitary(p, seed)
     report = certify_dispersing(action, beta)
     metrics = {
         "n": n,
@@ -104,13 +157,13 @@ def run_dispersion(params: dict, seed: int):
     upper = 2 ** (n / 2) + 1e-9
     if metrics["min_l1"] < 1.0 - 1e-9 or metrics["max_l1"] > upper:
         failures.append("L1 outside [1, 2^(n/2)]")
-    if params.get("unitary", "hadamard") in ("hadamard", "qft") and beta == 1.0:
+    if p["unitary"] in ("hadamard", "qft") and beta == 1.0:
         if len(report.achieving_set) != 2**n:
             failures.append("flat-spectrum unitary did not disperse every label")
     if group:
         rows = {}
         for idx, label in enumerate(fourier.block_labels()):
-            rep = pseudo_search(fourier, label, samples, child(seed, 1000 + idx))
+            rep = pseudo_search(fourier, label, p["samples"], child(seed, 1000 + idx))
             key = f"{label[0]}:{label[1]}"
             rows[key] = {
                 "mean": rep.mean_value,
@@ -127,7 +180,7 @@ def run_dispersion(params: dict, seed: int):
 
 
 def run_signs(params: dict, seed: int):
-    trials = _count(params, "trials", 10000)
+    trials = checked("signs", params, seed)["trials"]
     rng = child(seed, 0)
     min_ratio = 1.0
     violations = 0
@@ -156,11 +209,12 @@ def run_signs(params: dict, seed: int):
 
 
 def run_oracle(params: dict, seed: int):
-    n = int(params.get("n", 8))
-    labels = _count(params, "labels", 2**n)
+    p = checked("oracle", params, seed)
+    n = p["n"]
+    labels = 2**n if p["labels"] is None else p["labels"]
     if labels > 2**n:
         raise InvalidConfigError(f"labels must be at most 2^n = {2**n}, got {labels}")
-    action = _build_unitary(params, n, seed)
+    action = _build_unitary(p, seed)
     oracle = build_oracle(action, range(labels))
     successes = identify(oracle, np.arange(oracle.n_labels))
     margins = successes - oracle.predicted_success
@@ -174,15 +228,16 @@ def run_oracle(params: dict, seed: int):
     failures = []
     if metrics["min_margin"] < -1e-9:
         failures.append("measured success fell below the compiled guarantee")
-    if params.get("unitary", "hadamard") == "hadamard" and abs(metrics["min_success"] - 1.0) > 1e-9:
+    if p["unitary"] == "hadamard" and abs(metrics["min_success"] - 1.0) > 1e-9:
         failures.append("flat real rows should identify exactly")
     return metrics, failures
 
 
 def run_rfs(params: dict, seed: int):
-    mode = _mode(params, "rfs")
+    p = checked("rfs", params, seed)
+    mode = p["mode"]
     if mode == "bound-table":
-        rows = bound_trend_table(_values(params, "n_list", [16, 64, 256]))
+        rows = bound_trend_table(p["n_list"])
         metrics = {"table": rows}
         failures = []
         bounds = [r["bound"] for r in rows]
@@ -190,17 +245,14 @@ def run_rfs(params: dict, seed: int):
             failures.append("success cap not falling toward 1/2")
         return metrics, failures
 
-    depth = int(params.get("l", 2))
-    n = int(params.get("n", 4))
-    alpha_n = params.get("alpha_n")
-    alpha_n = int(alpha_n) if alpha_n is not None else None
+    depth, alpha_n = p["l"], p["alpha_n"]
 
     if mode == "replay-log":
         # The log is refereed on the instance these parameters name: trial 0 of simulate.
-        if "log_file" not in params:
+        if p["log_file"] is None:
             raise InvalidConfigError("rfs replay-log needs log_file")
-        log = load_query_log(params["log_file"])
-        trace = z_referee(make_rfs_spec(depth, n, seed, alpha_n=alpha_n), log)
+        log = load_query_log(p["log_file"])
+        trace = z_referee(make_rfs_spec(depth, p["n"], seed, alpha_n=alpha_n), log)
         metrics = {
             "queries": len(log),
             "final_z": trace.final_z,
@@ -209,11 +261,10 @@ def run_rfs(params: dict, seed: int):
             "p3": int(trace.p3_incremental_consistent),
             "p4": int(trace.p4_leaf_increment_ok),
         }
-        failed = [p for p in ("p1", "p2", "p3", "p4") if not metrics[p]]
-        return metrics, [f"{p} violated" for p in failed]
+        failed = [key for key in ("p1", "p2", "p3", "p4") if not metrics[key]]
+        return metrics, [f"{key} violated" for key in failed]
 
-    delta = float(params.get("delta", 0.2))
-    trials = _count(params, "trials", 1)
+    delta, trials = p["delta"], p["trials"]
 
     def trial_specs(n_k: int):
         """One compiled family per size; trial ``k`` reseeds it to ``seed + k``."""
@@ -221,7 +272,7 @@ def run_rfs(params: dict, seed: int):
         return [replace(base, master_seed=seed + trial) for trial in range(trials)]
 
     if mode == "separation":
-        n_list = [int(n_k) for n_k in _values(params, "n_list", [4, 6, 8])]
+        n_list = p["n_list"]
         # The classical cost must rise strictly along n_list, so the label count must too.
         bits = [label_bits(n_k, alpha_n) for n_k in n_list]
         for (n_a, a), (n_b, b) in itertools.pairwise(zip(n_list, bits)):
@@ -252,6 +303,7 @@ def run_rfs(params: dict, seed: int):
             failures.append("quantum query count varies with n")
         return metrics, failures
 
+    n = p["n"]
     specs = trial_specs(n)
 
     def one_trial(spec):
@@ -305,11 +357,11 @@ def run_rfs(params: dict, seed: int):
 
 
 def run_markov(params: dict, seed: int):
-    mode = _mode(params, "markov")
+    p = checked("markov", params, seed)
+    mode = p["mode"]
     failures: list[str] = []
     if mode == "gap":
-        ns = _values(params, "n_list", [int(params.get("n", 16))])
-        rows = paulichain.gap_table(ns)
+        rows = paulichain.gap_table(p["n_list"])
         metrics = {"table": rows}
         if any(r["gap"] <= 0 for r in rows):
             failures.append("nonpositive spectral gap")
@@ -324,9 +376,7 @@ def run_markov(params: dict, seed: int):
                 failures.append(f"detailed balance violated at n={r['n']}")
         return metrics, failures
     if mode == "stationary":
-        n = int(params.get("n", 3))
-        steps = int(params.get("t", 150))
-        walkers = _count(params, "trials", 100000)
+        n, steps, walkers = p["n"], p["t"], p["trials"]
         if n > MAX_STATIONARY_N:
             raise SizeError(f"stationary histogram capped at n={MAX_STATIONARY_N}")
         codes = paulichain.walk_ensemble(n, steps, walkers, child(seed, 0))
@@ -342,9 +392,7 @@ def run_markov(params: dict, seed: int):
             failures.append("walker ensemble far from the flat law")
         return metrics, failures
     if mode == "lumped-vs-full":
-        n = int(params.get("n", 3))
-        steps = int(params.get("t", 20))
-        walkers = _count(params, "trials", 100000)
+        n, steps, walkers = p["n"], p["t"], p["trials"]
         chain = paulichain.lumped_matrix(n)
         codes = paulichain.walk_ensemble(n, steps, walkers, child(seed, 0))
         weights = (codes != 0).sum(axis=1)
@@ -363,17 +411,15 @@ def run_markov(params: dict, seed: int):
             failures.append("lumped and full chains disagree")
         return metrics, failures
     # mode == "moments"
-    n = int(params.get("n", 2))
-    circuits = _count(params, "trials", 2000)
-    t_list = _values(params, "t_list", [int(params.get("t", 5))])
-    if not all(0 <= int(t) <= paulichain.MAX_MOMENT_STEPS for t in t_list):
+    n, circuits, t_list = p["n"], p["trials"], p["t_list"]
+    if not all(0 <= t <= paulichain.MAX_MOMENT_STEPS for t in t_list):
         raise InvalidConfigError(f"every t must lie in [0, {paulichain.MAX_MOMENT_STEPS}], got {t_list}")
     if n > paulichain.MAX_FULL_CHAIN_N:
         raise SizeError(f"moment comparison capped at n={paulichain.MAX_FULL_CHAIN_N}")
     paulichain.check_circuit_amplitudes(circuits, n)
     tvs = {}
     for idx, t in enumerate(t_list):
-        res = paulichain.moment_compare(n, int(t), circuits, child(seed, idx))
+        res = paulichain.moment_compare(n, t, circuits, child(seed, idx))
         tvs[f"tv_t{t}"] = res["tv_distance"]
         if res["tv_distance"] > 0.03:
             failures.append(f"moment mismatch at t={t}")
@@ -385,7 +431,7 @@ AD2_CHUNK = 1000
 
 
 def run_ad2(params: dict, seed: int):
-    samples = _count(params, "samples", 20000)
+    samples = checked("ad2", params, seed)["samples"]
     n_chunks = (samples + AD2_CHUNK - 1) // AD2_CHUNK
     sizes = [min(AD2_CHUNK, samples - k * AD2_CHUNK) for k in range(n_chunks)]
 
@@ -402,15 +448,14 @@ def run_ad2(params: dict, seed: int):
 
 
 def run_qt(params: dict, seed: int):
-    n = int(params.get("n", 6))
-    steps = int(params.get("t", 4 * n**3))
-    # The standard error of the collision mean needs two circuits.
-    circuits = _count(params, "trials", 200, least=2)
-    beta = _beta(params, 0.25)
+    p = checked("qt", params, seed)
+    n, circuits, beta = p["n"], p["trials"], p["beta"]
+    steps = 4 * n**3 if p["t"] is None else p["t"]
     if n > paulichain.MAX_COLLISION_N:
         raise SizeError(f"collision statistics capped at n={paulichain.MAX_COLLISION_N}")
-    if n < 2 or steps < 0:
-        raise InvalidConfigError(f"qt needs n >= 2 and t >= 0, got n = {n}, t = {steps}")
+    # The standard error of the collision mean needs two circuits.
+    if n < 2 or steps < 0 or circuits < 2:
+        raise InvalidConfigError(f"qt needs n >= 2, t >= 0 and trials >= 2, got {n}, {steps}, {circuits}")
     paulichain.check_circuit_amplitudes(circuits, n)
 
     # Each trial is an independent (circuit, input label) pair on its own stream.
@@ -445,23 +490,5 @@ def run_qt(params: dict, seed: int):
     return metrics, failures
 
 
-EXPERIMENTS = {
-    "dispersion": run_dispersion,
-    "signs": run_signs,
-    "oracle": run_oracle,
-    "rfs": run_rfs,
-    "markov": run_markov,
-    "ad2": run_ad2,
-    "qt": run_qt,
-}
-
-# The parameters each experiment reads, each with its own flag; a run given another key is refused.
-PARAMETERS = {
-    "dispersion": ("n", "t", "beta", "samples", "group", "unitary"),
-    "signs": ("trials",),
-    "oracle": ("n", "t", "unitary", "labels"),
-    "rfs": ("n", "l", "delta", "trials", "mode", "alpha_n", "n_list", "log_file"),
-    "markov": ("n", "t", "trials", "mode", "n_list", "t_list"),
-    "ad2": ("samples",),
-    "qt": ("n", "t", "beta", "trials"),
-}
+# Each experiment runs as ``run_<name>``, the name its callers look it up by.
+EXPERIMENTS = {name: globals()[f"run_{name}"] for name in READS}

@@ -37,6 +37,8 @@ from .core import FAIL, QueryRecord, RecursiveOracleSpec, oracle_query
 _EPS = float(np.finfo(float).eps)
 # ``c`` of the bound table's quasi-polynomial query budget ``n^(c log2 n)``.
 TREND_BUDGET_EXPONENT = 0.25
+# The largest n of the bound table: |A| = 2^(n/2) overflows a float from n = 2048.
+MAX_TREND_N = 2047
 
 
 @dataclass(frozen=True)
@@ -228,8 +230,8 @@ def bound_trend_table(ns) -> list[dict]:
     budget stays quasi-polynomial while both cap terms vanish, so the value
     column falls to 1/2.
     """
-    if any(n < 2 for n in ns):
-        raise InvalidConfigError(f"bound table needs every n >= 2, got {ns}")
+    if any(not 2 <= n <= MAX_TREND_N for n in ns):
+        raise InvalidConfigError(f"bound table needs every n >= 2 and <= {MAX_TREND_N}, got {ns}")
     rows = []
     for n in ns:
         card_a = 2.0 ** (n / 2)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -256,6 +257,23 @@ def test_module_run_exits_2_without_a_traceback():
     )
     assert done.returncode == 2
     assert "Traceback" not in done.stderr and "InvalidConfigError" in done.stderr
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_as_it_ends_cat():
+    # About 200 KB of table, more than a pipe holds, so the run is still writing.
+    ns = ",".join(str(n) for n in range(2, 2000))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oraclelab.cli", "rfs", "--mode", "bound-table", "--n-list", ns],
+        env={**os.environ, "PYTHONPATH": str(Path(experiments.__file__).resolve().parents[1])},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert err == b""
 
 
 @pytest.mark.parametrize(

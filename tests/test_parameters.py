@@ -1,6 +1,6 @@
-"""``experiments.PARAMETERS`` names exactly the keys each experiment reads;
-the CLI offers a flag for each, and a run or a replayed record given any
-other key is refused before any work."""
+"""``experiments.READS`` names exactly the keys each mode of each experiment
+reads; the CLI offers a flag for each, and a run or a replayed record given
+any other key, or a value of the wrong kind, is refused before any work."""
 
 import json
 import shlex
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from oraclelab import experiments, oracle
-from oraclelab.cli import ExperimentConfig, build_parser, main, replay, run
+from oraclelab.cli import ExperimentConfig, build_parser, entry, main, replay, run
 from oraclelab.errors import InvalidConfigError
 from oraclelab.rfs import classical_solver, make_rfs_spec, save_query_log
 
@@ -58,11 +58,9 @@ def _tiny_runs(tmp_path):
             },
         ],
         "markov": [
-            {"n": 4},
             {"n_list": [4, 6]},
             {"mode": "stationary", "n": 2, "t": 5, "trials": 100},
             {"mode": "lumped-vs-full", "n": 2, "t": 3, "trials": 100},
-            {"mode": "moments", "n": 2, "t": 1, "trials": 10},
             {"mode": "moments", "n": 2, "t_list": [1, 2], "trials": 10},
         ],
         "ad2": [{"samples": 50}],
@@ -70,14 +68,29 @@ def _tiny_runs(tmp_path):
     }
 
 
-def test_parameters_name_exactly_the_keys_each_experiment_reads(tmp_path):
+def test_parameters_name_exactly_the_keys_each_experiment_reads(tmp_path, monkeypatch):
+    # Each (experiment, mode) looks up exactly the keys READS gives it, and mode itself.
+    seen: dict = {}
+    original = experiments.checked
+
+    def noting(experiment, params, seed):
+        values = original(experiment, params, seed)
+        return _Reads(values, seen.setdefault((experiment, values.get("mode")), set()))
+
+    monkeypatch.setattr(experiments, "checked", noting)
     runs = _tiny_runs(tmp_path)
-    assert runs.keys() == experiments.EXPERIMENTS.keys() == experiments.PARAMETERS.keys()
+    assert runs.keys() == experiments.EXPERIMENTS.keys() == experiments.READS.keys()
     for name, param_sets in runs.items():
-        seen: set = set()
         for params in param_sets:
-            experiments.EXPERIMENTS[name](_Reads(params, seen), 0)
-        assert seen == set(experiments.PARAMETERS[name]), name
+            experiments.EXPERIMENTS[name](params, 0)
+    expected = {
+        (name, mode): set(reads) | ({"mode"} if mode else set())
+        for name, modes in experiments.READS.items()
+        for mode, reads in modes.items()
+    }
+    assert seen == expected
+    # rfs reads 15 (mode, key) pairs and markov 10, besides mode itself in each of their 8 modes.
+    assert sum(len(reads) for (_name, mode), reads in expected.items() if mode) == 15 + 10 + 8
 
 
 def _subcommand_flags() -> dict:
@@ -91,7 +104,8 @@ def _subcommand_flags() -> dict:
 
 def test_each_subcommand_offers_a_flag_for_each_flagged_parameter():
     flags = _subcommand_flags()
-    for name, keys in experiments.PARAMETERS.items():
+    for name, modes in experiments.READS.items():
+        keys = {key for reads in modes.values() for key in reads} | (set() if None in modes else {"mode"})
         expected = {"--" + key.replace("_", "-") for key in keys}
         expected |= {"--seed", "--out", "--csv"}
         assert flags[name] == expected, name
@@ -145,6 +159,14 @@ def test_every_readme_cli_line_parses():
         parser.parse_args(shlex.split(line)[1:])
 
 
+def _record_file(tmp_path, experiment, parameters, seed=0):
+    path = tmp_path / "records.jsonl"
+    record = {"schema_version": 1, "experiment": experiment, "parameters": parameters,
+              "seed": seed, "metrics": {}}
+    path.write_text(json.dumps(record) + "\n")
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "command, key",
     [(name, "betta") for name in experiments.EXPERIMENTS]
@@ -154,12 +176,8 @@ def test_config_key_no_experiment_reads_is_refused(tmp_path, monkeypatch, comman
     _refuse_every_run(monkeypatch)
     with pytest.raises(InvalidConfigError, match=repr(key)):
         run(ExperimentConfig(command, {key: 1}))
-    record = {"schema_version": 1, "experiment": command, "parameters": {key: 1}, "seed": 0,
-              "metrics": {}}
-    path = tmp_path / "records.jsonl"
-    path.write_text(json.dumps(record) + "\n")
     with pytest.raises(InvalidConfigError, match=repr(key)):
-        replay(str(path))
+        replay(_record_file(tmp_path, command, {key: 1}))
 
 
 @pytest.mark.parametrize(
@@ -183,3 +201,62 @@ def test_unknown_mode_or_unitary_fails_as_flag_and_through_config(monkeypatch, c
     assert exc.value.code == 2
     with pytest.raises(InvalidConfigError, match="separaton"):
         run(ExperimentConfig(command, {key: "separaton"}))
+
+
+# Keys their mode does not read; ``markov --mode gap --n`` and ``moments --t`` were
+# second ways to give ``n_list`` and ``t_list``.
+UNREAD_BY_MODE = [
+    ("rfs", "bound-table", "l", 7),
+    ("rfs", "separation", "n", 6),
+    ("markov", "stationary", "n_list", [4]),
+    ("markov", "gap", "n", 4),
+    ("markov", "moments", "t", 3),
+]
+
+
+@pytest.mark.parametrize("command, mode, key, value", UNREAD_BY_MODE,
+                         ids=[f"{mode}-{key}" for _, mode, key, _ in UNREAD_BY_MODE])
+def test_a_key_its_mode_does_not_read_is_refused_naming_key_and_mode(
+    tmp_path, monkeypatch, capsys, command, mode, key, value
+):
+    _refuse_every_run(monkeypatch)
+    message = f"{command} reads no parameter {key!r} in mode {mode!r}"
+    flag = "--" + key.replace("_", "-")
+    assert entry([command, "--mode", mode, flag, str(value).strip("[]")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    parameters = {"mode": mode, key: value}
+    with pytest.raises(InvalidConfigError, match=message):
+        run(ExperimentConfig(command, parameters))
+    assert entry(["replay", _record_file(tmp_path, command, parameters)]) == 2
+    assert message in capsys.readouterr().err
+
+
+WRONG_KINDS = [
+    ("signs", {"trials": "x"}, 0, "trials"),
+    ("qt", {"n": 3.7}, 0, "n"),
+    ("oracle", {"n": True}, 0, "n"),
+    ("dispersion", {"beta": "0.5"}, 0, "beta"),
+    ("rfs", {"mode": "bound-table", "n_list": "16"}, 0, "n_list"),
+    ("ad2", {}, 1.5, "seed"),
+]
+
+
+@pytest.mark.parametrize("experiment, parameters, seed, key", WRONG_KINDS,
+                         ids=["trials-str", "n-float", "n-bool", "beta-str", "n_list-str", "seed-float"])
+def test_a_value_of_the_wrong_kind_is_refused_naming_its_key_before_any_work(
+    tmp_path, monkeypatch, capsys, experiment, parameters, seed, key
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started work before checking the values")
+
+    for name in ("child", "_build_unitary", "bound_trend_table", "make_rfs_spec"):
+        monkeypatch.setattr(experiments, name, refuse)
+    with pytest.raises(InvalidConfigError, match=key):
+        experiments.EXPERIMENTS[experiment](parameters, seed)
+    with pytest.raises(InvalidConfigError, match=key):
+        run(ExperimentConfig(experiment, parameters, seed))
+    _refuse_every_run(monkeypatch)
+    assert entry(["replay", _record_file(tmp_path, experiment, parameters, seed)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and (f"{key} must be" in err or repr(key) in err)

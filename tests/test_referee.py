@@ -165,6 +165,20 @@ def test_bound_trend_table_refuses_n_below_two_before_any_row(monkeypatch, ns):
         referee.bound_trend_table(ns)
 
 
+def test_bound_trend_table_takes_n_up_to_where_card_a_stays_a_float(monkeypatch):
+    (row,) = referee.bound_trend_table([referee.MAX_TREND_N])
+    assert (row["n"], row["log2_card_a"], row["degenerate"]) == (2047, 1023.5, 0)
+
+    def refuse(*args):
+        raise AssertionError("built a row before checking n")
+
+    monkeypatch.setattr(referee, "lower_bound", refuse)
+    # At n = 2048, |A| = 2^1024 overflows a float.
+    for ns in ([2048], [16, 4096]):
+        with pytest.raises(InvalidConfigError, match="<= 2047"):
+            referee.bound_trend_table(ns)
+
+
 def test_referee_rejects_records_the_oracle_cannot_produce():
     spec = make_rfs_spec(depth=2, n_symbol_bits=4, master_seed=6, alpha_n=4)
     valid = []
