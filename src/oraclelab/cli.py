@@ -31,7 +31,10 @@ SCHEMA_VERSION = 1
 # n >= 7 move by ulps).
 # 10: batched random circuits draw their pairs and gates by blocks of 32 steps (qt,
 # markov moments and circuit_collision_sample move; no other experiment does).
-NUMERICS_VERSION = 10
+# 11: ad2 draws all its samples from one stream in one pass (its metrics move); the
+# weight chain is assembled exactly at every n (markov gap and lumped-vs-full at
+# n >= 9 move by ulps).
+NUMERICS_VERSION = 11
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ PAULI_1Q = np.array(
 )
 
 MAX_WEIGHT_CHAIN_N = 64
-RATIONAL_ASSEMBLY_MAX_N = 8
 MAX_FULL_CHAIN_N = 4
 MAX_MOMENT_STEPS = 50
 MAX_COLLISION_N = 12
@@ -111,20 +110,24 @@ class WeightChain:
     stationary: np.ndarray = field(repr=False)
 
 
-def _lumped_rows(n: int, num) -> list:
-    """Rows of the weight chain, with every entry computed in the number type ``num``."""
-    pairs = num(n * (n - 1)) / 2
+def lumped_matrix_rational(n: int) -> list[list[Fraction]]:
+    """Rows of the weight chain in exact rationals."""
+    if n < 2:
+        raise InvalidConfigError("need n >= 2")
+    if n > MAX_WEIGHT_CHAIN_N:
+        raise SizeError(f"weight chain capped at n={MAX_WEIGHT_CHAIN_N}")
+    pairs = Fraction(n * (n - 1), 2)
     rows = []
     for w in range(1, n + 1):
-        row = [num(0)] * n
-        both_zero = num((n - w) * (n - w - 1)) / 2 / pairs
-        one_nonzero = num(w * (n - w)) / pairs
-        both_nonzero = num(w * (w - 1)) / 2 / pairs
+        row = [Fraction(0)] * n
+        both_zero = Fraction((n - w) * (n - w - 1), 2) / pairs
+        one_nonzero = Fraction(w * (n - w)) / pairs
+        both_nonzero = Fraction(w * (w - 1), 2) / pairs
         row[w - 1] += both_zero
         # v nonzero sites among the pair are replaced by a new pair of
         # weight u: 6 of 15 outcomes have u = 1, 9 of 15 have u = 2.
         for v, pick in ((1, one_nonzero), (2, both_nonzero)):
-            for u, count in ((1, num(6) / 15), (2, num(9) / 15)):
+            for u, count in ((1, Fraction(6, 15)), (2, Fraction(9, 15))):
                 w_new = w - v + u
                 if 1 <= w_new <= n:
                     row[w_new - 1] += pick * count
@@ -132,28 +135,17 @@ def _lumped_rows(n: int, num) -> list:
     return rows
 
 
-def lumped_matrix_rational(n: int) -> list[list[Fraction]]:
-    """Exact rational assembly of the weight chain (small ``n`` only)."""
-    if n < 2:
-        raise InvalidConfigError("need n >= 2")
-    if n > RATIONAL_ASSEMBLY_MAX_N:
-        raise SizeError(f"rational assembly capped at n={RATIONAL_ASSEMBLY_MAX_N}")
-    return _lumped_rows(n, Fraction)
-
-
+@functools.cache
 def lumped_matrix(n: int) -> WeightChain:
-    """The weight chain; rational assembly below n=9, floating point above."""
-    if n < 2:
-        raise InvalidConfigError("need n >= 2")
-    if n > MAX_WEIGHT_CHAIN_N:
-        raise SizeError(f"weight chain capped at n={MAX_WEIGHT_CHAIN_N}")
-    num = Fraction if n <= RATIONAL_ASSEMBLY_MAX_N else float
-    trans = np.array([[float(q) for q in row] for row in _lumped_rows(n, num)])
+    """The weight chain, assembled exactly and rounded to floats once; cached, read-only."""
+    trans = np.array([[float(q) for q in row] for row in lumped_matrix_rational(n)])
     weights = np.arange(1, n + 1)
     log_binomial = [lgamma(n + 1) - lgamma(w + 1) - lgamma(n - w + 1) for w in range(1, n + 1)]
     log_pi = np.array(log_binomial) + weights * np.log(3.0)
     pi = np.exp(log_pi - log_pi.max())
     pi /= pi.sum()
+    trans.flags.writeable = False
+    pi.flags.writeable = False
     return WeightChain(n, trans, pi)
 
 
@@ -343,8 +335,7 @@ def verify_mean_ad2(samples: int, rng: np.random.Generator) -> dict:
     """
     if samples < 100:
         raise InvalidConfigError("need at least 100 samples")
-    chunk = two_copy_chunk(samples, rng)
-    return two_copy_finalize([chunk])
+    return two_copy_finalize(two_copy_chunk(samples, rng))
 
 
 # Haar draws per batched step of ``two_copy_chunk``; its transient arrays
@@ -353,7 +344,7 @@ TWO_COPY_BLOCK = 50
 
 
 def two_copy_chunk(samples: int, rng: np.random.Generator) -> dict:
-    """Partial sums for the two-copy average over ``samples`` Haar draws.
+    """Running sums for the two-copy average over ``samples`` Haar draws, in one pass.
 
     The draws are made in blocks of ``TWO_COPY_BLOCK``, in the order of one
     gate at a time.  Per block, ``sum kron(ad, ad)`` is one GEMM of the
@@ -388,21 +379,17 @@ def two_copy_chunk(samples: int, rng: np.random.Generator) -> dict:
     }
 
 
-def two_copy_finalize(chunks) -> dict:
-    """Combine chunk sums (in the given order) into the distance report."""
-    total = sum(c["samples"] for c in chunks)
-    acc = np.zeros((256, 256))
-    for c in chunks:
-        acc += c["acc"]
-    mean = acc / total
+def two_copy_finalize(sums: dict) -> dict:
+    """The distance report from the running sums of one ``two_copy_chunk`` pass."""
+    mean = sums["acc"] / sums["samples"]
     target = two_copy_target()
     return {
-        "samples": total,
+        "samples": sums["samples"],
         "frobenius_distance_full": _frobenius(mean - target),
         "frobenius_distance_moment_rows": _frobenius(mean[_DOUBLED] - target[_DOUBLED]),
-        "max_orthogonality_defect": max(c["max_orth"] for c in chunks),
-        "max_imag_part": max(c["max_imag"] for c in chunks),
-        "max_corner_defect": max(c["max_corner"] for c in chunks),
+        "max_orthogonality_defect": sums["max_orth"],
+        "max_imag_part": sums["max_imag"],
+        "max_corner_defect": sums["max_corner"],
     }
 
 

@@ -201,9 +201,11 @@ def make_rfs_spec(
     ``2^alpha_n`` basis indices, ``alpha_n`` defaulting to ``ceil(n/2)``.
     The compiled oracle carries the unitary.
     """
-    alpha_n = label_bits(n_symbol_bits, alpha_n)
     if depth < 1:
         raise InvalidConfigError(f"depth must be at least 1, got {depth}")
+    if n_symbol_bits < 1:
+        raise InvalidConfigError(f"n must be at least 1, got {n_symbol_bits}")
+    alpha_n = label_bits(n_symbol_bits, alpha_n)
     if not 1 <= alpha_n <= n_symbol_bits:
         raise InvalidConfigError("alpha_n must lie in [1, n]")
     if unitary is None:

@@ -263,4 +263,4 @@ def lower_bound(queries: int, card_a: float, depth: int) -> LowerBoundValue:
         return LowerBoundValue(1.0, True)
     term_guess = queries / (cube_root - queries)
     term_tree = queries * (np.log2(card_a) / 3.0) ** (-depth)
-    return LowerBoundValue(min(1.0, 0.5 + max(term_guess, term_tree)), False)
+    return LowerBoundValue(float(min(1.0, 0.5 + max(term_guess, term_tree))), False)

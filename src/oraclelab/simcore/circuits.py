@@ -284,7 +284,7 @@ def run_random_circuit(n_qubits: int, length: int, seed: int) -> RandomCircuit:
     if n_qubits < 2:
         raise InvalidConfigError("random circuits need at least 2 qubits")
     if n_qubits > MAX_QUBITS:
-        raise InvalidConfigError(f"n_qubits capped at {MAX_QUBITS}")
+        raise SizeError(f"n_qubits capped at {MAX_QUBITS}")
     if length < 0:
         raise InvalidConfigError("length must be nonnegative")
     rng = stream(seed)

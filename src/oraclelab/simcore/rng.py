@@ -5,9 +5,10 @@ Every stochastic operation in the package takes an explicit
 a counter-based bit generator whose output is a pure function of its 128-bit
 key, so results are bit-identical across platforms and runs.
 
-A master seed keys the root stream; independent child streams for parallel
-tasks are keyed by ``(master_seed, task_index)``.  Child streams never
-overlap and their outputs do not depend on scheduling order.
+A master seed keys the root stream; independent child streams are keyed by
+``(master_seed, task_index)``, so each independent draw of an experiment
+(a trial, a circuit, an entry of a list) takes its own stream and its result
+depends on nothing drawn for the others.  Child streams never overlap.
 """
 
 from __future__ import annotations

@@ -246,6 +246,19 @@ def test_entry_exit_codes_tell_failed_checks_from_refused_configurations(monkeyp
         main(["rfs", "--mode", "bound-table", "--n-list", "0"])
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_rfs_with_no_symbol_bits_is_refused_naming_n(capsys, n):
+    assert entry(["rfs", "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err == f"oraclelab: error: InvalidConfigError: n must be at least 1, got {n}\n"
+
+
+def test_bound_table_prints_plain_floats(capsys):
+    assert main(["rfs", "--mode", "bound-table", "--n-list", "2047"]) == 0
+    table_line = next(line for line in capsys.readouterr().out.splitlines() if "table:" in line)
+    assert "'bound': 0.5000000000000001," in table_line and "np." not in table_line
+
+
 def test_module_run_exits_2_without_a_traceback():
     src = str(Path(experiments.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -323,6 +336,21 @@ def test_cli_markov_gap_csv(tmp_path, capsys):
     assert code == 0
     header = csv_path.read_text().splitlines()[0]
     assert header == "n,gap,gap_n,gap_n2"
+
+
+def test_markov_gap_reads_gap_and_detailed_balance_from_one_chain_per_n(monkeypatch):
+    assembled = []
+    rational = paulichain.lumped_matrix_rational
+
+    def counted(n):
+        assembled.append(n)
+        return rational(n)
+
+    monkeypatch.setattr(paulichain, "lumped_matrix_rational", counted)
+    paulichain.lumped_matrix.cache_clear()
+    metrics, failures = experiments.run_markov({"mode": "gap", "n_list": [4, 9]}, 0)
+    assert not failures and sorted(metrics) == ["detailed_balance_4", "detailed_balance_9", "table"]
+    assert assembled == [4, 9]
 
 
 def test_cli_rfs_simulate(capsys):

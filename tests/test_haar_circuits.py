@@ -9,6 +9,7 @@ from oraclelab.errors import InvalidConfigError, InvalidPlacementError, LabelErr
 from oraclelab.simcore import circuits
 from oraclelab.simcore import (
     MAX_DENSE_QUBITS,
+    MAX_QUBITS,
     FourierMatrix,
     HadamardAll,
     MatrixUnitary,
@@ -90,6 +91,11 @@ def test_invalid_configs_raise():
         run_random_circuit(1, 5, seed=0)
     with pytest.raises(InvalidConfigError):
         run_random_circuit(3, -1, seed=0)
+
+
+def test_random_circuit_above_the_qubit_cap_is_a_size_error():
+    with pytest.raises(SizeError):
+        run_random_circuit(MAX_QUBITS + 1, 5, seed=0)
 
 
 def test_circuit_action_adjoint_pair():

@@ -20,6 +20,7 @@ from oraclelab.paulichain import (
     gamma_squared,
     gap_table,
     initial_gamma_squared,
+    MAX_WEIGHT_CHAIN_N,
     lumped_matrix,
     lumped_matrix_rational,
     moment_compare,
@@ -30,7 +31,7 @@ from oraclelab.paulichain import (
     verify_mean_ad2,
     walk_ensemble,
 )
-from oraclelab.experiments import run_qt
+from oraclelab.experiments import run_ad2, run_qt
 from oraclelab.simcore import (
     PureState,
     basis_vector,
@@ -80,7 +81,7 @@ def test_lumped_two_sites():
     np.testing.assert_allclose(chain.transition, [[0.4, 0.6], [0.4, 0.6]], atol=1e-15)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", [*range(2, 9), 9, 33, 64])
 def test_rational_rows_and_detailed_balance(n):
     rows = lumped_matrix_rational(n)
     assert all(sum(row) == 1 for row in rows)
@@ -88,6 +89,20 @@ def test_rational_rows_and_detailed_balance(n):
     for a in range(n):
         for b in range(n):
             assert pi[a] * rows[a][b] == pi[b] * rows[b][a]
+
+
+def test_float_chain_is_the_exact_chain_rounded_once_at_every_n():
+    for n in range(2, MAX_WEIGHT_CHAIN_N + 1):
+        rounded = [[float(q) for q in row] for row in lumped_matrix_rational(n)]
+        assert lumped_matrix(n).transition.tolist() == rounded
+
+
+def test_weight_chain_is_cached_read_only():
+    assert lumped_matrix(9) is lumped_matrix(9)
+    with pytest.raises(ValueError):
+        lumped_matrix(9).transition[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        lumped_matrix(9).stationary[0] = 0.0
 
 
 def test_float_detailed_balance_large_n():
@@ -213,6 +228,38 @@ def test_verify_mean_ad2_small_run():
     # Distances concentrate at sqrt(254/N) and sqrt(14/N).
     assert abs(res["frobenius_distance_full"] - np.sqrt(254 / 400)) <= 0.1
     assert res["frobenius_distance_moment_rows"] <= 2 * np.sqrt(14 / 400)
+
+
+@pytest.mark.parametrize("samples, seed", [(100, 0), (1234, 7)])
+def test_ad2_is_the_one_pass_of_verify_mean_ad2(samples, seed):
+    metrics, failures = run_ad2({"samples": samples}, seed)
+    assert not failures
+    assert metrics == verify_mean_ad2(samples, child(seed, 0))
+
+
+def test_ad2_memory_does_not_grow_with_the_sample_count():
+    run_ad2({"samples": 100}, 0)  # caches the Pauli stack before measuring
+    peaks = []
+    for samples in (1000, 10_000):
+        tracemalloc.start()
+        try:
+            run_ad2({"samples": samples}, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # One 256 x 256 running sum takes 512 KiB; a sum kept per 1000 draws would add 4.5 MiB.
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+
+
+def test_ad2_fails_haar_draws_without_the_phase_fix(monkeypatch):
+    def without_phase_fix(normals):
+        return np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])[0]
+
+    monkeypatch.setattr(circuits, "_haar_unitaries", without_phase_fix)
+    # The moment rows still pass such draws; the full-matrix distance, at about
+    # 2.3 sqrt(254 / N) against a cap of 1.5 sqrt(254 / N), does not.
+    _metrics, failures = run_ad2({"samples": 4000}, 0)
+    assert failures == ["full two-copy average far from its sampling floor"]
 
 
 def test_collision_of_trivial_circuit():
