@@ -9,6 +9,7 @@ import pytest
 
 from oraclelab.errors import InvalidConfigError, SizeError
 from oraclelab.paulichain import (
+    MAX_WEIGHT_CHAIN_N,
     NONZERO_PAIRS,
     TWO_COPY_BLOCK,
     _strings,
@@ -20,7 +21,6 @@ from oraclelab.paulichain import (
     gamma_squared,
     gap_table,
     initial_gamma_squared,
-    MAX_WEIGHT_CHAIN_N,
     lumped_matrix,
     lumped_matrix_rational,
     moment_compare,
