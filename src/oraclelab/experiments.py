@@ -5,6 +5,12 @@ randomness flows through child streams keyed by the seed and a task index,
 and aggregation folds results in task order, so metrics are bit-identical
 across runs for a given numpy/BLAS build.  Each experiment returns a metrics
 dict plus a list of failed assertions (empty on pass).
+
+Every experiment runs its BLAS and LAPACK calls on one thread: its Haar draws
+and small products gain nothing from more.  Only wide work, a fused gate run
+on or the unitarity check of at least ``simcore.circuits.WIDE_AMPLITUDES``
+amplitudes, takes the process's thread count back.  The metrics do not depend
+on the count.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .rfs import (
 )
 from .rfs.core import label_bits
 from .signs import TWO_OVER_PI, best_phase_signs, brute_force_signs
-from .simcore import builtin_group, child, group_fourier
+from .simcore import blas_threads, builtin_group, child, group_fourier
 
 # ``markov --mode stationary`` histograms the walkers over all 4^n strings: 8 MiB at n = 10.
 MAX_STATIONARY_N = 10
@@ -138,6 +144,7 @@ def _build_unitary(p: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 
+@blas_threads(1)
 def run_dispersion(params: dict, seed: int):
     p = checked("dispersion", params, seed)
     n, beta, group = p["n"], p["beta"], p["group"]
@@ -179,6 +186,7 @@ def run_dispersion(params: dict, seed: int):
     return metrics, failures
 
 
+@blas_threads(1)
 def run_signs(params: dict, seed: int):
     trials = checked("signs", params, seed)["trials"]
     rng = child(seed, 0)
@@ -208,6 +216,7 @@ def run_signs(params: dict, seed: int):
     return metrics, failures
 
 
+@blas_threads(1)
 def run_oracle(params: dict, seed: int):
     p = checked("oracle", params, seed)
     n = p["n"]
@@ -233,6 +242,7 @@ def run_oracle(params: dict, seed: int):
     return metrics, failures
 
 
+@blas_threads(1)
 def run_rfs(params: dict, seed: int):
     p = checked("rfs", params, seed)
     mode = p["mode"]
@@ -356,6 +366,7 @@ def run_rfs(params: dict, seed: int):
     return metrics, failures
 
 
+@blas_threads(1)
 def run_markov(params: dict, seed: int):
     p = checked("markov", params, seed)
     mode = p["mode"]
@@ -421,12 +432,13 @@ def run_markov(params: dict, seed: int):
     for idx, t in enumerate(t_list):
         res = paulichain.moment_compare(n, t, circuits, child(seed, idx))
         tvs[f"tv_t{t}"] = res["tv_distance"]
-        if res["tv_distance"] > 0.03:
+        if res["tv_distance"] > res["tv_cap"]:
             failures.append(f"moment mismatch at t={t}")
     metrics = {"n": n, "circuits": circuits, **tvs}
     return metrics, failures
 
 
+@blas_threads(1)
 def run_ad2(params: dict, seed: int):
     samples = checked("ad2", params, seed)["samples"]
     # One pass over one stream: the pass verify_mean_ad2 makes, without its floor of 100 samples.
@@ -445,6 +457,7 @@ def run_ad2(params: dict, seed: int):
     return metrics, failures
 
 
+@blas_threads(1)
 def run_qt(params: dict, seed: int):
     p = checked("qt", params, seed)
     n, circuits, beta = p["n"], p["trials"], p["beta"]

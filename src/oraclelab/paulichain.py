@@ -247,7 +247,9 @@ def moment_compare(
     length ``steps`` to ``|0>`` and averages the squared Pauli coefficients;
     the right side evolves the basis state's coefficient distribution with
     the exact chain matrix.  Matching expectations make the gap pure Monte
-    Carlo error.
+    Carlo error.  ``tv_cap`` bounds that error at three standard errors of
+    each averaged coefficient, summed over the ``4^n`` strings and halved as
+    TV halves (plus 1e-12 for rounding, which is all there is at t = 0).
     """
     if n > MAX_FULL_CHAIN_N:
         raise SizeError(f"moment comparison capped at n={MAX_FULL_CHAIN_N}")
@@ -257,10 +259,13 @@ def moment_compare(
     # Every circuit draws from the one stream: block by block, circuit by circuit.
     starts = np.tile(basis_vector(n, 0), (circuits, 1))
     states = run_pair_circuits(starts, n, steps, [rng] * circuits)
-    acc = np.zeros(4**n)
+    acc, acc_sq = np.zeros(4**n), np.zeros(4**n)
     for vec in states:
-        acc += gamma_squared(PureState(n, vec))
+        gamma = gamma_squared(PureState(n, vec))
+        acc += gamma
+        acc_sq += gamma * gamma
     lhs = acc / circuits
+    stderr = np.sqrt(np.maximum(acc_sq / circuits - lhs * lhs, 0.0) / circuits)
     chain = full_transition_matrix(n)
     rhs = initial_gamma_squared(n)
     for _ in range(steps):
@@ -271,6 +276,7 @@ def moment_compare(
         "t": steps,
         "circuits": circuits,
         "tv_distance": tv,
+        "tv_cap": 1.5 * float(np.sum(stderr)) + 1e-12,
         "lhs_mass": float(lhs.sum()),
         "rhs_mass": float(rhs.sum()),
     }

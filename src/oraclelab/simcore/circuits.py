@@ -19,12 +19,14 @@ rows, and :func:`densify` makes it a :class:`MatrixUnitary`.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import InvalidConfigError, InvalidPlacementError, LabelError, SizeError
+from .blas import PROCESS_THREADS, blas_threads
 from .rng import stream
 from .states import UNITARY_TOL, TwoQubitGate, _sylvester, unitarity_defect
 
@@ -37,6 +39,11 @@ MAX_DENSE_QUBITS = 12
 # values were measured on 2 vCPUs with OpenBLAS; CHANGES.md records the timings.
 FUSED_WIDTH = 5
 FUSE_MIN_AMPLITUDES = 2**14
+# A fused run on a state, and the unitarity check of a dense matrix, of at least
+# WIDE_AMPLITUDES amplitudes use the process's BLAS threads; below it one thread was as
+# fast (measured on 2 vCPUs with OpenBLAS; CHANGES.md records the sweeps).  Experiments
+# otherwise run on one thread.
+WIDE_AMPLITUDES = 2**15
 # Blocks are built on leading principal submatrices of this identity, which are
 # identities too, so that building one allocates no identity of its own.
 _EYE = np.eye(1 << FUSED_WIDTH)
@@ -49,6 +56,12 @@ ROW_BLOCK_AMPLITUDES = 2**14
 # block's draws hold at most PAIR_GATE_BUDGET gates; more circuits run in chunks.
 PAIR_STEPS = 32
 PAIR_GATE_BUDGET = 2**12
+
+
+def _wide_threads(amplitudes: int):
+    """The process's BLAS thread count for work on ``WIDE_AMPLITUDES`` amplitudes or more;
+    below that, the count is left as it is."""
+    return blas_threads(PROCESS_THREADS) if amplitudes >= WIDE_AMPLITUDES else contextlib.nullcontext()
 
 
 def rows_per_block(n_qubits: int) -> int:
@@ -248,7 +261,9 @@ def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates, adjoint
     ``FUSED_WIDTH`` qubits by :func:`_fusion_plan`.  Each block is built when
     the runner draws it, by running its gates on an identity, so memory does
     not grow with the circuit length.  Narrower states, and circuits on two
-    qubits, run gate by gate.
+    qubits, run gate by gate.  On a state of at least ``WIDE_AMPLITUDES``
+    amplitudes, the blocks are applied (and built) with the process's BLAS
+    thread count, set once around the whole run.
     """
     pairs, gates = np.asarray(pairs), np.asarray(gates)
     if adjoint:
@@ -270,7 +285,8 @@ def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates, adjoint
             yield run_gates(eye, width, local[pairs[group]], block_gates)
             start += count
 
-    return run_gates(vec, n_qubits, supports, blocks())
+    with _wide_threads(np.size(vec)):
+        return run_gates(vec, n_qubits, supports, blocks())
 
 
 def basis_vector(n_qubits: int, index: int) -> np.ndarray:
@@ -402,7 +418,8 @@ class HadamardAll:
 class MatrixUnitary:
     """Unitary action backed by an explicit dense matrix.
 
-    The one unitarity check of a dense matrix.  Any square, nonempty unitary
+    The one unitarity check of a dense matrix, on the process's BLAS threads
+    from ``WIDE_AMPLITUDES`` entries up.  Any square, nonempty unitary
     is accepted; only a power-of-two dimension fits a qubit register, so
     ``n_qubits`` refuses the others.
     """
@@ -414,7 +431,8 @@ class MatrixUnitary:
         if shape[0] > 2**MAX_DENSE_QUBITS:
             raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
         mat = np.asarray(matrix, dtype=complex)
-        defect = unitarity_defect(mat)
+        with _wide_threads(mat.size):
+            defect = unitarity_defect(mat)
         if not defect <= 1e-10:
             raise InvalidConfigError(f"matrix is not unitary: defect {defect:.3e}")
         self.matrix = mat

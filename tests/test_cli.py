@@ -14,7 +14,8 @@ from oraclelab import experiments, oracle, paulichain
 from oraclelab.cli import NUMERICS_VERSION, ExperimentConfig, entry, main, replay, run
 from oraclelab.errors import InvalidConfigError, SchemaVersionError, SizeError
 from oraclelab.rfs import classical_solver, make_rfs_spec, save_query_log
-from oraclelab.simcore import MAX_QUBITS, hadamard_all
+from oraclelab.simcore import MAX_QUBITS, child, hadamard_all
+from oraclelab.simcore.circuits import WIDE_AMPLITUDES
 
 
 def test_dispersion_run_and_record(tmp_path):
@@ -130,11 +131,15 @@ print(json.dumps([experiments.run_ad2({"samples": 1500}, 17)[0],
                   experiments.run_qt({"n": 4, "t": 64, "trials": 8}, 5)[0],
                   experiments.run_oracle({"unitary": "hadamard", "n": 9}, 0)[0],
                   experiments.run_rfs({"l": 2, "n": 5, "trials": 2}, 0)[0],
-                  experiments.run_oracle({"unitary": "random", "n": 7}, 3)[0]], sort_keys=True))
+                  experiments.run_oracle({"unitary": "random", "n": 7}, 3)[0],
+                  experiments.run_oracle({"unitary": "random", "n": 8}, 3)[0]], sort_keys=True))
 """
 
 
 def test_metrics_do_not_depend_on_the_blas_thread_count():
+    # Experiments run BLAS on one thread; the n = 8 oracle's densify is wide enough
+    # (WIDE_AMPLITUDES) to run on the process's count, so the 1- and 2-thread runs differ there.
+    assert 4**8 >= WIDE_AMPLITUDES
     src = str(Path(experiments.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -328,6 +333,27 @@ def test_lumped_vs_full_default_cap_at_the_canonical_size_is_inside_0_02(monkeyp
     metrics, failures = experiments.run_markov({"mode": "lumped-vs-full", "n": n}, 0)
     assert abs(metrics["tv_lumped_vs_full"] - 0.0199) < 1e-4
     assert failures == ["lumped and full chains disagree"]
+
+
+def test_moments_cap_passes_exact_code_at_200_circuits_on_every_seed():
+    # A fixed 0.03 cap failed about half of these seeds: 200 circuits at n = 3 read TV ~0.03.
+    params = {"mode": "moments", "n": 3, "t_list": [4], "trials": 200}
+    for seed in range(8):
+        assert experiments.run_markov(params, seed)[1] == [], seed
+
+
+def test_moments_cap_at_criterion_10_size_is_inside_0_03():
+    for idx, t in enumerate((1, 5, 10)):
+        res = paulichain.moment_compare(2, t, 2000, child(1010, idx))
+        assert res["tv_distance"] <= res["tv_cap"] <= 0.03
+
+
+def test_moments_cap_flags_circuits_one_step_short(monkeypatch):
+    run = paulichain.run_pair_circuits
+    monkeypatch.setattr(paulichain, "run_pair_circuits",
+                        lambda states, n, steps, rngs: run(states, n, steps - 1, rngs))
+    params = {"mode": "moments", "n": 3, "t_list": [1], "trials": 200}
+    assert experiments.run_markov(params, 0)[1] == ["moment mismatch at t=1"]
 
 
 def test_cli_markov_gap_csv(tmp_path, capsys):
