@@ -17,8 +17,6 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidConfigError, LabelError
 from .simcore import FourierMatrix, rows_per_block
 
-DEFAULT_PSI_SAMPLES = 2000
-
 
 @dataclass(frozen=True)
 class DispersionReport:
@@ -85,8 +83,8 @@ def certify_dispersing(action, beta: float) -> DispersionReport:
 def pseudo_search(
     fourier: FourierMatrix,
     label: tuple[str, int],
-    samples: int = DEFAULT_PSI_SAMPLES,
-    rng: np.random.Generator | None = None,
+    samples: int,
+    rng: np.random.Generator,
 ) -> PseudoDispersionReport:
     """Sample ancilla vectors inside one output block and record L1 norms.
 
@@ -97,14 +95,12 @@ def pseudo_search(
     unitary are orthonormal, so Gaussian coefficients over the block rows
     give exactly the uniform sphere measure on ``V``.
     """
-    if rng is None:
-        raise InvalidConfigError("pseudo_search requires an explicit rng stream")
     if samples < 1:
         raise InvalidConfigError("need at least one sample")
     rows = fourier.rows_for_block(*label)
     if not rows:
         raise LabelError(f"no block {label} in Fourier matrix")
-    order = fourier.group.order
+    order = len(fourier.matrix)
     # <g | U^dag |row> = conj(U[row, g]).
     block = fourier.rows(rows).conj()  # (d, |G|)
     d = len(rows)

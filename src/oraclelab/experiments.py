@@ -39,6 +39,8 @@ from .simcore import blas_threads, builtin_group, child, group_fourier
 
 # ``markov --mode stationary`` histograms the walkers over all 4^n strings: 8 MiB at n = 10.
 MAX_STATIONARY_N = 10
+# ``markov``'s walks hold a few arrays per walker: ten times the 1e5 walkers the criteria use.
+MAX_WALKERS = 10**6
 # ``signs`` draws d in [1, SIGNS_MAX_D] and checks d <= SIGNS_BRUTE_MAX_D by brute force.
 SIGNS_MAX_D = 16
 SIGNS_BRUTE_MAX_D = 12
@@ -150,6 +152,12 @@ def run_dispersion(params: dict, seed: int):
     n, beta, group = p["n"], p["beta"], p["group"]
     if group:
         fourier = group_fourier(builtin_group(group))
+        # pseudo_search holds samples x |G| amplitudes twice, under the circuit states' budget.
+        if p["samples"] * len(fourier.matrix) > paulichain.MAX_CIRCUIT_AMPLITUDES:
+            raise SizeError(
+                f"{p['samples']} samples of {len(fourier.matrix)} amplitudes exceed the cap of "
+                f"{paulichain.MAX_CIRCUIT_AMPLITUDES}"
+            )
     action = _build_unitary(p, seed)
     report = certify_dispersing(action, beta)
     metrics = {
@@ -182,7 +190,7 @@ def run_dispersion(params: dict, seed: int):
             if rep.best_value < rep.bound:
                 failures.append(f"pseudo-dispersion best short for {key}")
         metrics["pseudo_blocks"] = rows
-        metrics["pseudo_bound"] = float(np.sqrt(fourier.group.order / 2.0))
+        metrics["pseudo_bound"] = float(np.sqrt(len(fourier.matrix) / 2.0))
     return metrics, failures
 
 
@@ -386,6 +394,8 @@ def run_markov(params: dict, seed: int):
             if db > 1e-12:
                 failures.append(f"detailed balance violated at n={r['n']}")
         return metrics, failures
+    if mode in ("stationary", "lumped-vs-full") and p["trials"] > MAX_WALKERS:
+        raise SizeError(f"walks capped at {MAX_WALKERS} walkers, got {p['trials']}")
     if mode == "stationary":
         n, steps, walkers = p["n"], p["t"], p["trials"]
         if n > MAX_STATIONARY_N:

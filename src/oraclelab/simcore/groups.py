@@ -6,8 +6,9 @@ the ``|G| x |G|`` matrix whose row ``(rep, i, j)`` has entries
 ``sqrt(d_rep / |G|) * rep(g)[i, j]``; row orthonormality is Schur
 orthogonality of matrix coefficients.
 
-Cyclic groups and bit-string (XOR) groups are generated by formula.  The
-nonabelian examples of order <= 8 ship as irrep tables in
+The Fourier transform over the cyclic group Z_n, :func:`qft_cyclic`, is
+formed entry by entry from the formula, with no group table or irreps built.
+The nonabelian examples of order <= 8 ship as irrep tables in
 ``data/groups.json``; constructing irreps from scratch is out of scope, so
 the loader only validates what it reads.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..errors import InvalidConfigError, InvalidGroupDataError, SizeError
 from .circuits import MAX_DENSE_QUBITS, MatrixUnitary
-from .states import _sylvester, unitarity_defect
+from .states import unitarity_defect
 
 IRREP_UNITARY_TOL = 1e-12
 HOMOMORPHISM_TOL = 1e-10
@@ -76,12 +77,9 @@ class GroupSpec:
     irreps: tuple[Irrep, ...] = ()
 
     def __post_init__(self):
-        # A read-only int64 table is shared as it is; anything else is copied.
-        table = self.mult_table
-        if not isinstance(table, np.ndarray) or table.dtype != np.int64 or table.flags.writeable:
-            table = np.array(table, dtype=np.int64)
-            table.setflags(write=False)
-            object.__setattr__(self, "mult_table", table)
+        table = np.array(self.mult_table, dtype=np.int64)
+        table.setflags(write=False)
+        object.__setattr__(self, "mult_table", table)
         self._validate()
 
     def _validate(self) -> None:
@@ -151,7 +149,7 @@ class GroupSpec:
         return cls(
             name=data["name"],
             order=int(data["order"]),
-            mult_table=np.array(data["mult_table"], dtype=np.int64),
+            mult_table=data["mult_table"],
             irreps=irreps,
         )
 
@@ -164,9 +162,8 @@ class FourierMatrix(MatrixUnitary):
     elements.  Entries are ``sqrt(d / |G|) * rep(g)[i-1, j-1]``.
     """
 
-    def __init__(self, group: GroupSpec, matrix: np.ndarray, row_index: tuple[tuple, ...]):
+    def __init__(self, matrix: np.ndarray, row_index: tuple[tuple, ...]):
         super().__init__(matrix)
-        self.group = group
         self.row_index = row_index
         self._blocks = {}  # (label, i) -> rows, in row order
         for r, (lab, i, _j) in enumerate(row_index):
@@ -195,48 +192,25 @@ def group_fourier(group: GroupSpec) -> FourierMatrix:
         matrix[len(index) : len(index) + d * d] = rows
         index += [(rep.label, i + 1, j + 1) for i in range(d) for j in range(d)]
     try:
-        return FourierMatrix(group, matrix, tuple(index))
+        return FourierMatrix(matrix, tuple(index))
     except InvalidConfigError as err:
         raise InvalidGroupDataError(f"{group.name}: no unitary Fourier transform: {err}") from err
 
 
-def cyclic_group(n: int) -> GroupSpec:
-    """Z_n with its characters chi_j(g) = exp(2 pi i j g / n)."""
+def qft_cyclic(n: int) -> FourierMatrix:
+    """Fourier matrix over Z_n by formula: entry(j, g) = omega^(j g) / sqrt(n), with rows
+    ``("chi{j}", 1, 1)`` for the characters chi_j(g) = exp(2 pi i j g / n).  The order is
+    checked before anything is allocated; no group is built or validated."""
     if n < 2:
         raise InvalidConfigError("cyclic group needs order >= 2")
     if n > 2**MAX_DENSE_QUBITS:
         raise SizeError(f"cyclic groups capped at order 2^{MAX_DENSE_QUBITS}")
     idx = np.arange(n, dtype=np.int64)
-    table = (idx[:, None] + idx[None, :]) % n
-    table.setflags(write=False)
     omega = np.exp(2j * np.pi / n)
     # Exponents reduced mod n keep phases at machine accuracy; each power is made once.
     powers = omega**idx
-    irreps = tuple(
-        Irrep(f"chi{j}", 1, powers[(j * idx) % n].reshape(n, 1, 1)) for j in range(n)
-    )
-    return GroupSpec(f"Z{n}", n, table, irreps)
-
-
-def xor_group(n_bits: int) -> GroupSpec:
-    """The group of n-bit strings under XOR, with parity characters."""
-    if n_bits < 1:
-        raise InvalidConfigError("need at least one bit")
-    if n_bits > MAX_DENSE_QUBITS:
-        raise SizeError(f"XOR groups capped at {MAX_DENSE_QUBITS} bits")
-    n = 2**n_bits
-    idx = np.arange(n, dtype=np.int64)
-    table = idx[:, None] ^ idx[None, :]
-    table.setflags(write=False)
-    # chi_a(g) = (-1)^{popcount(a & g)}: row a of the Sylvester matrix, built from its two factors.
-    chars = np.kron(_sylvester(n_bits // 2), _sylvester(n_bits - n_bits // 2))
-    irreps = tuple(Irrep(f"chi{a}", 1, row.reshape(n, 1, 1)) for a, row in enumerate(chars))
-    return GroupSpec(f"XOR{n_bits}", n, table, irreps)
-
-
-def qft_cyclic(n: int) -> FourierMatrix:
-    """Fourier matrix over Z_n: entry(j, g) = omega^(j g) / sqrt(n)."""
-    return group_fourier(cyclic_group(n))
+    matrix = np.sqrt(1 / n) * powers[(idx[:, None] * idx) % n]
+    return FourierMatrix(matrix, tuple((f"chi{j}", 1, 1) for j in range(n)))
 
 
 def builtin_group(name: str) -> GroupSpec:

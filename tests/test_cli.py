@@ -208,12 +208,15 @@ def test_qt_refuses_its_sizes_before_building_streams(monkeypatch, params, error
         ({"mode": "moments", "t_list": [5, -1]}, InvalidConfigError),
         ({"mode": "moments", "n": paulichain.MAX_FULL_CHAIN_N + 1}, SizeError),
         ({"mode": "moments", "n": 4, "trials": paulichain.MAX_CIRCUIT_AMPLITUDES // 16 + 1}, SizeError),
+        ({"mode": "stationary", "trials": experiments.MAX_WALKERS + 1}, SizeError),
+        ({"mode": "lumped-vs-full", "trials": experiments.MAX_WALKERS + 1}, SizeError),
     ],
 )
 def test_markov_refuses_its_sizes_before_walking(monkeypatch, params, error):
     def refuse(*args):
         raise AssertionError("walked or ran circuits before checking the sizes")
 
+    monkeypatch.setattr(experiments, "child", refuse)
     monkeypatch.setattr(experiments.paulichain, "walk_ensemble", refuse)
     monkeypatch.setattr(experiments.paulichain, "moment_compare", refuse)
     with pytest.raises(error):
@@ -607,6 +610,18 @@ def test_dispersion_group_input_is_checked_before_certifying(monkeypatch, params
     monkeypatch.setattr(experiments, "certify_dispersing", refuse)
     with pytest.raises(InvalidConfigError):
         experiments.run_dispersion(params, 0)
+
+
+@pytest.mark.parametrize("group, order", [("s3", 6), ("q8", 8)])
+def test_dispersion_group_samples_over_the_cap_are_refused_before_any_draw(monkeypatch, capsys, group, order):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or built before checking the sample count")
+
+    for name in ("child", "_build_unitary", "certify_dispersing", "pseudo_search"):
+        monkeypatch.setattr(experiments, name, refuse)
+    samples = paulichain.MAX_CIRCUIT_AMPLITUDES // order + 1
+    assert entry(["dispersion", "--group", group, "--samples", str(samples)]) == 2
+    assert "SizeError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

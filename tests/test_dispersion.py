@@ -134,11 +134,6 @@ def test_pseudo_search_two_dim_blocks(name):
     assert np.all(report.l1_values <= np.sqrt(group.order) + 1e-9)
 
 
-def test_pseudo_search_requires_rng():
-    with pytest.raises(InvalidConfigError):
-        pseudo_search(qft_cyclic(4), ("chi1", 1), samples=10, rng=None)
-
-
 def test_fourth_moment_sign_variable():
     lhs, rhs, ok = fourth_moment_check([1.0, -1.0, 1.0, -1.0])
     assert ok and abs(lhs - 1.0) <= 1e-15 and abs(rhs - 1.0) <= 1e-15

@@ -11,16 +11,35 @@ from oraclelab.simcore import (
     FourierMatrix,
     GroupSpec,
     builtin_group,
-    cyclic_group,
     fwht_normalized,
     group_fourier,
     qft_cyclic,
     stream,
     unitarity_defect,
-    xor_group,
 )
 from oraclelab.simcore import circuits, groups
 from oraclelab.simcore.groups import HOMOMORPHISM_TOL, IRREP_UNITARY_TOL, Irrep, generating_set
+
+
+def cyclic_group(n: int) -> GroupSpec:
+    """Z_n with its characters chi_j(g) = exp(2 pi i j g / n): the reference for
+    ``qft_cyclic``, whose matrix is ``group_fourier`` of this group byte for byte."""
+    idx = np.arange(n, dtype=np.int64)
+    omega = np.exp(2j * np.pi / n)
+    powers = omega**idx
+    irreps = tuple(
+        Irrep(f"chi{j}", 1, powers[(j * idx) % n].reshape(n, 1, 1)) for j in range(n)
+    )
+    return GroupSpec(f"Z{n}", n, (idx[:, None] + idx) % n, irreps)
+
+
+def xor_group(n_bits: int) -> GroupSpec:
+    """The group of n-bit strings under XOR, with parity characters chi_a(g) = (-1)^|a & g|."""
+    idx = np.arange(2**n_bits, dtype=np.int64)
+    table = idx[:, None] ^ idx
+    chars = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx) & 1)
+    irreps = tuple(Irrep(f"chi{a}", 1, row.reshape(-1, 1, 1)) for a, row in enumerate(chars))
+    return GroupSpec(f"XOR{n_bits}", 2**n_bits, table, irreps)
 
 
 @pytest.mark.parametrize("name", ["s3", "d4", "q8"])
@@ -64,12 +83,11 @@ def test_xor_group_fourier_matches_hadamard_transform():
 
 @pytest.mark.parametrize("name", ["s3", "d4", "q8"])
 def test_plancherel_on_random_vectors(name):
-    fourier = group_fourier(builtin_group(name))
+    group = builtin_group(name)
+    fourier = group_fourier(group)
     rng = stream(13)
     for _ in range(100):
-        vec = rng.standard_normal(fourier.group.order) + 1j * rng.standard_normal(
-            fourier.group.order
-        )
+        vec = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
         assert abs(
             np.linalg.norm(fourier.matrix @ vec) - np.linalg.norm(vec)
         ) <= 1e-10 * np.linalg.norm(vec)
@@ -136,11 +154,9 @@ def test_fourier_build_does_one_unitarity_product(monkeypatch):
         shapes.clear()
         group_fourier(group)
         assert shapes == [(group.order, group.order)], group.name
-
-
-def test_cyclic_group_requires_order_two():
-    with pytest.raises(InvalidConfigError):
-        cyclic_group(1)
+    shapes.clear()
+    qft_cyclic(16)
+    assert shapes == [(16, 16)]
 
 
 def reference_verdict(order, table, irreps) -> bool:
@@ -270,26 +286,32 @@ def test_qft_entries_are_pinned(order, digest):
     assert hashlib.sha256(qft_cyclic(order).matrix.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("order", [*range(2, 65), *(2**k for k in range(7, 12)), 1000, 3000])
+def test_qft_cyclic_is_the_fourier_matrix_of_the_cyclic_group_byte_for_byte(order):
+    fourier = qft_cyclic(order)
+    # One matrix at a time: at order 3000 each takes 144 MiB.
+    digest, row_index = hashlib.sha256(fourier.matrix.tobytes()).digest(), fourier.row_index
+    del fourier
+    reference = group_fourier(cyclic_group(order))
+    assert hashlib.sha256(reference.matrix.tobytes()).digest() == digest
+    assert row_index == reference.row_index
+
+
 def test_group_order_cap_checked_before_any_allocation(monkeypatch):
     class NoNumpy:
         def __getattr__(self, name):
-            raise AssertionError(f"np.{name} used before the size check")
+            raise AssertionError(f"np.{name} used before the order check")
 
     monkeypatch.setattr(groups, "np", NoNumpy())
+    with pytest.raises(InvalidConfigError):
+        qft_cyclic(1)
     with pytest.raises(SizeError):
-        cyclic_group(2**MAX_DENSE_QUBITS + 1)
-    with pytest.raises(SizeError):
-        xor_group(MAX_DENSE_QUBITS + 1)
+        qft_cyclic(2**MAX_DENSE_QUBITS + 1)
 
 
-def test_a_read_only_int64_table_is_shared_and_a_writable_one_copied():
+def test_a_mult_table_is_copied_read_only_as_int64():
     z8 = cyclic_group(8)
-    assert not z8.mult_table.flags.writeable
-    shared = GroupSpec("Z8-again", 8, z8.mult_table, z8.irreps)
-    assert np.shares_memory(shared.mult_table, z8.mult_table)
-    xor3 = xor_group(3).mult_table
-    assert xor3.dtype == np.int64 and not xor3.flags.writeable
-
+    assert z8.mult_table.dtype == np.int64 and not z8.mult_table.flags.writeable
     writable = np.array(z8.mult_table)
     copied = GroupSpec("Z8-copy", 8, writable, z8.irreps)
     assert not np.shares_memory(copied.mult_table, writable)

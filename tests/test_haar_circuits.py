@@ -156,11 +156,11 @@ def _assert_rows_equal(action, labels, slow):
 
 
 # What an action holds besides n_qubits and rows: a dense action its matrix, and a
-# group transform also its group, its row index and its measurement blocks.
+# group transform also its row index and its measurement blocks.
 _HELD = {
     HadamardAll: set(),
     MatrixUnitary: {"matrix"},
-    FourierMatrix: {"matrix", "group", "row_index", "rows_for_block", "block_labels"},
+    FourierMatrix: {"matrix", "row_index", "rows_for_block", "block_labels"},
 }
 
 
