@@ -297,6 +297,12 @@ def test_qft_cyclic_is_the_fourier_matrix_of_the_cyclic_group_byte_for_byte(orde
     assert row_index == reference.row_index
 
 
+def test_cyclic_group_requires_order_two():
+    for n in (-1, 0, 1):
+        with pytest.raises(InvalidConfigError):
+            qft_cyclic(n)
+
+
 def test_group_order_cap_checked_before_any_allocation(monkeypatch):
     class NoNumpy:
         def __getattr__(self, name):
