@@ -137,8 +137,13 @@ def checked(experiment: str, params: dict, seed: int) -> dict:
     return values
 
 
+def _length(p: dict) -> int:
+    """The circuit length ``t`` a run reads, by default ``4 n^3``."""
+    return 4 * p["n"] ** 3 if p["t"] is None else p["t"]
+
+
 def _build_unitary(p: dict, seed: int):
-    return build_unitary(p["unitary"], p["n"], 4 * p["n"] ** 3 if p["t"] is None else p["t"], seed)
+    return build_unitary(p["unitary"], p["n"], _length(p), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +158,7 @@ def run_dispersion(params: dict, seed: int):
     if group:
         fourier = group_fourier(builtin_group(group))
         # pseudo_search holds samples x |G| amplitudes twice, under the circuit states' budget.
-        if p["samples"] * len(fourier.matrix) > paulichain.MAX_CIRCUIT_AMPLITUDES:
-            raise SizeError(
-                f"{p['samples']} samples of {len(fourier.matrix)} amplitudes exceed the cap of "
-                f"{paulichain.MAX_CIRCUIT_AMPLITUDES}"
-            )
+        paulichain.check_amplitudes(p["samples"], len(fourier.matrix))
     action = _build_unitary(p, seed)
     report = certify_dispersing(action, beta)
     metrics = {
@@ -437,7 +438,7 @@ def run_markov(params: dict, seed: int):
         raise InvalidConfigError(f"every t must lie in [0, {paulichain.MAX_MOMENT_STEPS}], got {t_list}")
     if n > paulichain.MAX_FULL_CHAIN_N:
         raise SizeError(f"moment comparison capped at n={paulichain.MAX_FULL_CHAIN_N}")
-    paulichain.check_circuit_amplitudes(circuits, n)
+    paulichain.check_amplitudes(circuits, 2**n)
     tvs = {}
     for idx, t in enumerate(t_list):
         res = paulichain.moment_compare(n, t, circuits, child(seed, idx))
@@ -451,7 +452,7 @@ def run_markov(params: dict, seed: int):
 @blas_threads(1)
 def run_ad2(params: dict, seed: int):
     samples = checked("ad2", params, seed)["samples"]
-    # One pass over one stream: the pass verify_mean_ad2 makes, without its floor of 100 samples.
+    # One pass over one stream.
     metrics = paulichain.two_copy_finalize(paulichain.two_copy_chunk(samples, child(seed, 0)))
     failures = []
     if metrics["max_orthogonality_defect"] > 1e-10:
@@ -471,13 +472,13 @@ def run_ad2(params: dict, seed: int):
 def run_qt(params: dict, seed: int):
     p = checked("qt", params, seed)
     n, circuits, beta = p["n"], p["trials"], p["beta"]
-    steps = 4 * n**3 if p["t"] is None else p["t"]
+    steps = _length(p)
     if n > paulichain.MAX_COLLISION_N:
         raise SizeError(f"collision statistics capped at n={paulichain.MAX_COLLISION_N}")
     # The standard error of the collision mean needs two circuits.
     if n < 2 or steps < 0 or circuits < 2:
         raise InvalidConfigError(f"qt needs n >= 2, t >= 0 and trials >= 2, got {n}, {steps}, {circuits}")
-    paulichain.check_circuit_amplitudes(circuits, n)
+    paulichain.check_amplitudes(circuits, 2**n)
 
     # Each trial is an independent (circuit, input label) pair on its own stream.
     rngs = [child(seed, k) for k in range(circuits)]

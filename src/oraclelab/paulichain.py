@@ -49,12 +49,10 @@ MAX_COLLISION_N = 12
 MAX_CIRCUIT_AMPLITUDES = 2**22
 
 
-def check_circuit_amplitudes(circuits: int, n: int) -> None:
-    """Refuse ``circuits`` states of ``2^n`` amplitudes above ``MAX_CIRCUIT_AMPLITUDES`` in all."""
-    if circuits * 2**n > MAX_CIRCUIT_AMPLITUDES:
-        raise SizeError(
-            f"{circuits} circuits of 2^{n} amplitudes exceed the cap of {MAX_CIRCUIT_AMPLITUDES}"
-        )
+def check_amplitudes(states: int, amplitudes: int) -> None:
+    """Refuse ``states`` states of ``amplitudes`` each above ``MAX_CIRCUIT_AMPLITUDES`` in all."""
+    if states * amplitudes > MAX_CIRCUIT_AMPLITUDES:
+        raise SizeError(f"{states} states of {amplitudes} amplitudes exceed the cap of {MAX_CIRCUIT_AMPLITUDES}")
 
 
 def string_index(codes) -> np.ndarray:
@@ -255,7 +253,7 @@ def moment_compare(
         raise SizeError(f"moment comparison capped at n={MAX_FULL_CHAIN_N}")
     if steps > MAX_MOMENT_STEPS:
         raise InvalidConfigError(f"step count capped at {MAX_MOMENT_STEPS}")
-    check_circuit_amplitudes(circuits, n)
+    check_amplitudes(circuits, 2**n)
     # Every circuit draws from the one stream: block by block, circuit by circuit.
     starts = np.tile(basis_vector(n, 0), (circuits, 1))
     states = run_pair_circuits(starts, n, steps, [rng] * circuits)
@@ -324,26 +322,6 @@ def two_copy_target() -> np.ndarray:
     return np.outer(corner, corner) + np.outer(xi, xi)
 
 
-def verify_mean_ad2(samples: int, rng: np.random.Generator) -> dict:
-    """Monte Carlo check of the two-copy gate average against its projector.
-
-    Draws ``samples`` Haar gates, averages ``kron(ad_W, ad_W)`` and returns
-    Frobenius distances to the rank-two target, plus worst-case
-    orthogonality and reality defects of the sampled transfer matrices.
-
-    Two distances are reported.  ``frobenius_distance_full`` covers the
-    whole 256x256 mean; a single sample has Frobenius norm exactly 16, so
-    this distance concentrates at ``sqrt(254 / samples)`` no matter how the
-    gates are drawn.  ``frobenius_distance_moment_rows`` restricts to the 16
-    doubled-bra rows ``<pp|``, which are the only rows the squared Pauli
-    coefficient evolution reads; there a sample row block has norm 1 and
-    the distance concentrates at ``sqrt(14 / samples)``.
-    """
-    if samples < 100:
-        raise InvalidConfigError("need at least 100 samples")
-    return two_copy_finalize(two_copy_chunk(samples, rng))
-
-
 # Haar draws per batched step of ``two_copy_chunk``; its transient arrays
 # then take about 1 MiB.
 TWO_COPY_BLOCK = 50
@@ -356,8 +334,10 @@ def two_copy_chunk(samples: int, rng: np.random.Generator) -> dict:
     gate at a time.  Per block, ``sum kron(ad, ad)`` is one GEMM of the
     flattened transfer matrices: entry ``[(p, q), (r, s)]`` of
     ``flat.T @ flat`` is ``sum ad[p, q] ad[r, s]``, which is kron entry
-    ``[(p, r), (q, s)]``.
+    ``[(p, r), (q, s)]``.  At least one draw is needed.
     """
+    if samples < 1:
+        raise InvalidConfigError(f"need at least one sample, got {samples}")
     acc = np.zeros((256, 256))
     # A view of acc with axes (p, q, r, s), the layout of flat.T @ flat.
     acc_pqrs = acc.reshape(16, 16, 16, 16).transpose(0, 2, 1, 3)
@@ -386,7 +366,19 @@ def two_copy_chunk(samples: int, rng: np.random.Generator) -> dict:
 
 
 def two_copy_finalize(sums: dict) -> dict:
-    """The distance report from the running sums of one ``two_copy_chunk`` pass."""
+    """The distance report from the running sums of one ``two_copy_chunk`` pass.
+
+    Frobenius distances of the mean ``kron(ad_W, ad_W)`` to the rank-two
+    target, plus worst-case orthogonality, reality and corner defects of the
+    sampled transfer matrices.  Two distances are reported.
+    ``frobenius_distance_full`` covers the whole 256x256 mean; a single sample
+    has Frobenius norm exactly 16, so this distance concentrates at
+    ``sqrt(254 / samples)`` no matter how the gates are drawn.
+    ``frobenius_distance_moment_rows`` restricts to the 16 doubled-bra rows
+    ``<pp|``, which are the only rows the squared Pauli coefficient evolution
+    reads; there a sample row block has norm 1 and the distance concentrates
+    at ``sqrt(14 / samples)``.
+    """
     mean = sums["acc"] / sums["samples"]
     target = two_copy_target()
     return {
@@ -416,7 +408,7 @@ def collision_statistics(n: int, steps: int, rngs, inputs) -> tuple[np.ndarray, 
     """
     if n > MAX_COLLISION_N:
         raise SizeError(f"collision statistics capped at n={MAX_COLLISION_N}")
-    check_circuit_amplitudes(len(inputs), n)
+    check_amplitudes(len(inputs), 2**n)
     states = np.zeros((len(inputs), 2**n), dtype=complex)
     states[np.arange(len(inputs)), inputs] = 1.0
     probs = np.abs(run_pair_circuits(states, n, steps, rngs)) ** 2

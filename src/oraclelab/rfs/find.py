@@ -77,7 +77,6 @@ class FindReport:
     success_prob: float
     queries_total: int
     queries_closed_form: int
-    queries_order_estimate: float
     sampled: dict | None = None
 
 
@@ -266,7 +265,6 @@ def find_simulate(
         success_prob=1.0 - root_eps,
         queries_total=query_count(m, depth),
         queries_closed_form=query_count_closed_form(m, depth),
-        queries_order_estimate=float(2 * m) ** (2 * depth),
         sampled=sampled_stats,
     )
 

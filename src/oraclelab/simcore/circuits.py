@@ -251,14 +251,12 @@ def _fusion_plan(pairs: np.ndarray, n_qubits: int, width: int) -> tuple[np.ndarr
     return np.array(supports, dtype=np.intp).reshape(-1, width), np.array(order, dtype=np.intp), counts
 
 
-def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates, adjoint: bool = False) -> np.ndarray:
+def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates) -> np.ndarray:
     """Apply two-qubit gates as :func:`run_gates` does, fused into blocks on wide states.
 
-    ``gates`` is a stack of ``len(pairs)`` matrices; with ``adjoint`` set, the
-    run is that of the gates' adjoints in reverse order, each gate
-    conjugate-transposed only when its block is built.  On a state of at least
-    ``FUSE_MIN_AMPLITUDES`` amplitudes, gates fuse into blocks of at most
-    ``FUSED_WIDTH`` qubits by :func:`_fusion_plan`.  Each block is built when
+    ``gates`` is a stack of ``len(pairs)`` matrices, possibly a view.  On a state
+    of at least ``FUSE_MIN_AMPLITUDES`` amplitudes, gates fuse into blocks of at
+    most ``FUSED_WIDTH`` qubits by :func:`_fusion_plan`.  Each block is built when
     the runner draws it, by running its gates on an identity, so memory does
     not grow with the circuit length.  Narrower states, and circuits on two
     qubits, run gate by gate.  On a state of at least ``WIDE_AMPLITUDES``
@@ -266,11 +264,9 @@ def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates, adjoint
     thread count, set once around the whole run.
     """
     pairs, gates = np.asarray(pairs), np.asarray(gates)
-    if adjoint:
-        pairs, gates = pairs[::-1], gates[::-1].transpose(0, 2, 1)
     width = min(FUSED_WIDTH, n_qubits)
     if np.size(vec) < FUSE_MIN_AMPLITUDES or width <= 2:
-        return run_gates(vec, n_qubits, pairs, (g.conj() if adjoint else g for g in gates))
+        return run_gates(vec, n_qubits, pairs, gates)
     supports, order, counts = _fusion_plan(pairs, n_qubits, width)
 
     def blocks():
@@ -281,8 +277,7 @@ def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates, adjoint
         for support, count in zip(supports, counts):
             group = order[start : start + count]
             local[support] = ranks
-            block_gates = (gates[k].conj() if adjoint else gates[k] for k in group)
-            yield run_gates(eye, width, local[pairs[group]], block_gates)
+            yield run_gates(eye, width, local[pairs[group]], (gates[k] for k in group))
             start += count
 
     with _wide_threads(np.size(vec)):
@@ -468,12 +463,15 @@ def hadamard_all(n_qubits: int) -> HadamardAll:
 
 
 def action_matrix(circuit: RandomCircuit) -> np.ndarray:
-    """A circuit's matrix ``U`` (columns ``U|x>``): the adjoint gates run in reverse order on
-    the identity.  Refused above ``MAX_DENSE_QUBITS`` qubits before anything is allocated."""
+    """A circuit's matrix ``U`` (columns ``U|x>``), the conjugate of its gates' transposes
+    run in reverse order on the identity: conjugation commutes with every product, so
+    that is the adjoint gates' run, bit for bit, conjugated once instead of per gate.
+    Refused above ``MAX_DENSE_QUBITS`` qubits before anything is allocated."""
     if circuit.n_qubits > MAX_DENSE_QUBITS:
         raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
-    eye = np.eye(2**circuit.n_qubits, dtype=complex)
-    return _run_fused(eye, circuit.n_qubits, circuit.pairs, circuit.gates, adjoint=True)
+    eye = np.eye(2**circuit.n_qubits)
+    out = _run_fused(eye, circuit.n_qubits, circuit.pairs[::-1], circuit.gates[::-1].transpose(0, 2, 1))
+    return np.conjugate(out, out=out)
 
 
 def densify(circuit: RandomCircuit) -> MatrixUnitary:

@@ -18,14 +18,6 @@ import numpy as np
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-12
 
-SQRT2 = float(np.sqrt(2.0))
-
-HADAMARD_1Q = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / SQRT2
-IDENTITY_2Q = np.eye(4, dtype=complex)
-SWAP_2Q = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
 
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Max-entry deviation of ``M^dag M`` from the identity, over a stack of matrices too."""

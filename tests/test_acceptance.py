@@ -18,7 +18,8 @@ from oraclelab.paulichain import (
     gap_table,
     lumped_matrix,
     moment_compare,
-    verify_mean_ad2,
+    two_copy_chunk,
+    two_copy_finalize,
     walk_ensemble,
 )
 from oraclelab.rfs import (
@@ -186,7 +187,7 @@ def test_criterion_08_weight_chain_spectra():
 
 
 def test_criterion_09_two_copy_average():
-    result = verify_mean_ad2(20_000, stream(909))
+    result = two_copy_finalize(two_copy_chunk(20_000, stream(909)))
     ok_orth = result["max_orthogonality_defect"] <= 1e-10
     ok_rows = result["frobenius_distance_moment_rows"] <= 0.05
     # The full-matrix distance concentrates at sqrt(254/N) by construction;

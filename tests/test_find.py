@@ -146,18 +146,20 @@ def test_hadamard_specs_are_error_free(depth):
         assert level.eps_uncompute_max == 0.0
         assert level.eps_out_max <= report.epsilon
     assert report.queries_total == report.queries_closed_form
-    assert report.queries_order_estimate == float(2 * report.m) ** (2 * depth)
 
 
 def test_random_circuit_report_is_pinned():
     # Bounds and sampled junk, with two copies so that the sampled successes lie inside
     # (0, 1); taken while identify measured one label per call, and retaken without the
     # report's junk_mode key, the only entry that changed.  Moving it must bump
-    # cli.NUMERICS_VERSION.
+    # cli.NUMERICS_VERSION.  The report has since dropped its queries_order_estimate
+    # field, (2m)^(2l); it is put back as it was computed, so that the digest still
+    # pins every other field.
     spec = make_rfs_spec(2, 4, 7, unitary=build_unitary("random", 4, 256, 0))
     report = find_simulate(spec, 0.2, m_override=2, junk_draws=3, rng=stream(5))
     assert 0 < report.sampled["success_min"] < report.sampled["success_max"] < 1
-    digest = hashlib.sha256(json.dumps(dataclasses.asdict(report), sort_keys=True).encode())
+    fields = {**dataclasses.asdict(report), "queries_order_estimate": float(2 * report.m) ** (2 * report.depth)}
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
     assert digest.hexdigest() == "299d640f80c3d22f4c3b99d4d90111d6ae8d17612d4498e3c507d2f105907af0"
 
 

@@ -27,8 +27,8 @@ from oraclelab.paulichain import (
     sigma_stack,
     string_index,
     two_copy_chunk,
+    two_copy_finalize,
     two_copy_target,
-    verify_mean_ad2,
     walk_ensemble,
 )
 from oraclelab.experiments import run_ad2, run_qt
@@ -220,8 +220,8 @@ def test_two_copy_target_is_projector():
     assert abs(np.trace(target) - 2.0) <= 1e-12
 
 
-def test_verify_mean_ad2_small_run():
-    res = verify_mean_ad2(400, stream(11))
+def test_two_copy_pass_small_run():
+    res = two_copy_finalize(two_copy_chunk(400, stream(11)))
     assert res["max_orthogonality_defect"] <= 1e-10
     assert res["max_imag_part"] <= 1e-12
     assert res["max_corner_defect"] <= 1e-12
@@ -231,10 +231,10 @@ def test_verify_mean_ad2_small_run():
 
 
 @pytest.mark.parametrize("samples, seed", [(100, 0), (1234, 7)])
-def test_ad2_is_the_one_pass_of_verify_mean_ad2(samples, seed):
+def test_ad2_is_one_two_copy_pass(samples, seed):
     metrics, failures = run_ad2({"samples": samples}, seed)
     assert not failures
-    assert metrics == verify_mean_ad2(samples, child(seed, 0))
+    assert metrics == two_copy_finalize(two_copy_chunk(samples, child(seed, 0)))
 
 
 def test_ad2_memory_does_not_grow_with_the_sample_count():

@@ -5,10 +5,7 @@ import pytest
 
 from oraclelab.errors import InvalidPlacementError
 from oraclelab.simcore import (
-    HADAMARD_1Q,
     HadamardAll,
-    IDENTITY_2Q,
-    SWAP_2Q,
     PureState,
     apply_matrix_to_qubits,
     basis_vector,
@@ -17,6 +14,10 @@ from oraclelab.simcore import (
     sample_haar_two_qubit,
     stream,
 )
+
+HADAMARD_1Q = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+IDENTITY_2Q = np.eye(4, dtype=complex)
+SWAP_2Q = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 def dense_two_qubit_matrix(gate: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
