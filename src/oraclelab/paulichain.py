@@ -83,6 +83,8 @@ def walk_ensemble(
         raise InvalidConfigError("steps must be nonnegative")
     if start is None:
         start = (1,) + (0,) * (n_sites - 1)
+    if len(start) != n_sites or not all(code in (0, 1, 2, 3) for code in start):
+        raise InvalidConfigError(f"start must hold {n_sites} site codes in 0..3, got {start}")
     codes = np.tile(np.array(start, dtype=np.uint8), (walkers, 1))
     pair_list = np.array(list(itertools.combinations(range(n_sites), 2)))
     for _ in range(steps):
@@ -253,6 +255,8 @@ def moment_compare(
         raise SizeError(f"moment comparison capped at n={MAX_FULL_CHAIN_N}")
     if steps > MAX_MOMENT_STEPS:
         raise InvalidConfigError(f"step count capped at {MAX_MOMENT_STEPS}")
+    if circuits < 1:
+        raise InvalidConfigError(f"need at least one circuit, got {circuits}")
     check_amplitudes(circuits, 2**n)
     # Every circuit draws from the one stream: block by block, circuit by circuit.
     starts = np.tile(basis_vector(n, 0), (circuits, 1))

@@ -49,12 +49,21 @@ class QueryRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QueryRecord":
-        return cls(
-            path=tuple(int(x) for x in data["path"]),
-            guess=None if data["guess"] is None else int(data["guess"]),
-            result=data["result"] if data["result"] == FAIL else int(data["result"]),
-            index=int(data["index"]),
-        )
+        """The record a log line holds; a symbol, guess or index that is not an int (a float
+        or a bool is refused, not truncated), or a result other than FAIL, 0 or 1, raises
+        ``ValueError``."""
+        path, guess, result, index = list(data["path"]), data["guess"], data["result"], data["index"]
+        fields = {"symbol": path, "guess": [] if guess is None else [guess], "index": [index]}
+        for name, values in fields.items():
+            if not all(map(_integer, values)):
+                raise ValueError(f"{name} must be an int, got {values}")
+        if result != FAIL and not (_integer(result) and result in (0, 1)):
+            raise ValueError(f"result must be {FAIL!r}, 0 or 1, got {result!r}")
+        return cls(tuple(path), guess, result, index)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def save_query_log(records, path) -> None:
@@ -107,16 +116,23 @@ def derive_answer_bit(master_seed: int) -> int:
 
 def secret_at(spec: RecursiveOracleSpec, path) -> int:
     """Label index of the node at ``path`` (leaves carry no label)."""
-    path = tuple(int(x) for x in path)
+    path = _checked_path(spec, path)
     if len(path) >= spec.depth:
         raise DepthError(f"path of length {len(path)} has no secret at depth {spec.depth}")
-    for sym in path:
-        if not 0 <= sym < 2**spec.n_symbol_bits:
-            raise ProtocolError(f"symbol {sym} out of range")
     h = mix64(spec.master_seed ^ _SECRET_TAG)
     for sym in path:
         h = mix64(h ^ mix64(sym + _SYMBOL_TAG))
     return int(h % spec.n_labels)
+
+
+def _checked_path(spec: RecursiveOracleSpec, path) -> tuple[int, ...]:
+    """``path`` as a tuple of ints, refused with ``ProtocolError`` unless every symbol is an
+    integer in ``[0, 2^n)``: a float or a bool is refused, not truncated."""
+    path = tuple(path)
+    for sym in path:
+        if not (_integer(sym) and 0 <= sym < 2**spec.n_symbol_bits):
+            raise ProtocolError(f"symbol {sym!r} is not an integer in [0, {2**spec.n_symbol_bits})")
+    return tuple(map(int, path))
 
 
 def level_secrets(spec: RecursiveOracleSpec) -> list[np.ndarray]:
@@ -154,13 +170,10 @@ def oracle_query(
     Malformed arity raises :class:`ProtocolError`, which is distinct from
     the in-band FAIL answer.  Every call is appended to ``log`` when given.
     """
-    path = tuple(int(x) for x in path)
+    path = _checked_path(spec, path)
     k = len(path)
     if k > spec.depth:
         raise ProtocolError(f"path of length {k} exceeds depth {spec.depth}")
-    for sym in path:
-        if not 0 <= sym < 2**spec.n_symbol_bits:
-            raise ProtocolError(f"symbol {sym} out of range")
     if k == spec.depth:
         if guess is not None:
             raise ProtocolError("leaf queries take no guess")
@@ -168,8 +181,8 @@ def oracle_query(
     else:
         if guess is None:
             raise ProtocolError("non-leaf queries require a guess")
-        if not 0 <= guess < spec.n_labels:
-            raise ProtocolError(f"guess {guess} out of range")
+        if not (_integer(guess) and 0 <= guess < spec.n_labels):
+            raise ProtocolError(f"guess {guess!r} is not an integer in [0, {spec.n_labels})")
         if guess != secret_at(spec, path):
             result = FAIL
         elif k == 0:

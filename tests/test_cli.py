@@ -416,6 +416,15 @@ def test_cli_rfs_replay_log_on_another_seed_is_an_integrity_error(tmp_path, caps
     assert "IntegrityError" in capsys.readouterr().err
 
 
+def test_cli_rfs_replay_log_with_a_float_symbol_exits_2(tmp_path, capsys):
+    # The first query, the root's guess 0, with a float symbol that used to load as 0.
+    log_path = tmp_path / "log.jsonl"
+    log_path.write_text('{"index": 0, "path": [0.4], "guess": 0, "result": "FAIL"}\n')
+    assert entry(_replay_log_args(log_path, 21)) == 2
+    err = capsys.readouterr().err
+    assert "IntegrityError" in err and "line 1" in err and "symbol" in err
+
+
 @pytest.mark.parametrize("missing", ["log_file"])
 def test_rfs_replay_log_names_a_missing_file_key(missing):
     with pytest.raises(InvalidConfigError, match=missing):

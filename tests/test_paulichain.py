@@ -402,6 +402,27 @@ def test_bad_site_and_step_counts_are_refused_before_any_draw(call):
     assert rng.random() == stream(16).random()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: moment_compare(2, 3, 0, rng),
+        lambda rng: walk_ensemble(2, 3, 10, rng, start=(1,)),
+        lambda rng: walk_ensemble(2, 3, 10, rng, start=(1, 0, 2)),
+        lambda rng: walk_ensemble(2, 3, 10, rng, start=(1, 4)),
+        lambda rng: walk_ensemble(2, 3, 10, rng, start=(-1, 0)),
+        lambda rng: two_copy_chunk(0, rng),
+    ],
+    ids=["no-circuits", "short-start", "long-start", "code-4", "code-minus-1", "no-samples"],
+)
+def test_nonsense_counts_and_starts_are_refused_before_any_draw(call):
+    # These returned NaN distances, raised a bare IndexError or walked a string
+    # of another length.
+    rng = stream(17)
+    with pytest.raises(InvalidConfigError):
+        call(rng)
+    assert rng.random() == stream(17).random()
+
+
 def test_two_copy_gemm_matches_kron_sum():
     samples = TWO_COPY_BLOCK + 30  # one full block and one partial block
     chunk = two_copy_chunk(samples, stream(15))

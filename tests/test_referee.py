@@ -131,6 +131,12 @@ def test_lower_bound_values():
     assert degenerate.degenerate and degenerate.value == 1.0
 
 
+def test_lower_bound_refuses_a_negative_query_count():
+    # It used to return a success cap of 0.3, below 1/2.
+    with pytest.raises(InvalidConfigError, match="queries"):
+        lower_bound(-1, 64.0, 2)
+
+
 def test_lower_bound_tree_term_dominates_at_shallow_depth():
     value = lower_bound(5, 2**30, 2).value
     expected = 0.5 + max(5 / (2**10 - 5), 5 * (30 / 3) ** -2)

@@ -96,6 +96,25 @@ def test_protocol_errors_are_not_fail():
         oracle_query(spec, (9,), guess=0)  # symbol out of range
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: oracle_query(spec, (1.7,), guess=0),  # a float symbol
+        lambda spec: oracle_query(spec, (True, 1)),  # a bool symbol
+        lambda spec: oracle_query(spec, (), guess=True),  # a bool guess
+        lambda spec: oracle_query(spec, (), guess=1.0),  # a float guess
+        lambda spec: secret_at(spec, (2.9,)),
+        lambda spec: secret_at(spec, (False,)),
+    ],
+    ids=["float-symbol", "bool-symbol", "bool-guess", "float-guess", "secret-float", "secret-bool"],
+)
+def test_symbols_and_guesses_that_are_not_ints_are_refused_not_truncated(call):
+    # As labels are: oracle_query(spec, (1.7,), 0) used to answer for symbol 1.
+    spec = make_rfs_spec(depth=2, n_symbol_bits=2, master_seed=4)
+    with pytest.raises(ProtocolError, match="not an integer"):
+        call(spec)
+
+
 def test_query_log_round_trip(tmp_path):
     spec = make_rfs_spec(depth=2, n_symbol_bits=2, master_seed=4)
     log = []
@@ -114,6 +133,18 @@ def test_query_log_round_trip(tmp_path):
         '{"index": 1, "path": [1, 2], "guess": null, "result": 0',  # not JSON
         '{"index": 1, "path": [1, 2], "guess": null}',  # no result
         '{"index": 1, "path": ["x", 2], "guess": null, "result": 0}',  # path not integer
+        # A float or a bool is refused, not truncated: these loaded as path (0, 0) or (1, 2).
+        '{"index": 1, "path": [0.4, 0.4], "guess": null, "result": 0}',
+        '{"index": 1, "path": [true, 2], "guess": null, "result": 0}',
+        '{"index": 1, "path": [], "guess": 0.0, "result": "FAIL"}',
+        '{"index": 1, "path": [], "guess": false, "result": "FAIL"}',
+        '{"index": 0.9, "path": [1, 2], "guess": null, "result": 0}',
+        '{"index": true, "path": [1, 2], "guess": null, "result": 0}',
+        # A result is FAIL, 0 or 1.
+        '{"index": 1, "path": [1, 2], "guess": null, "result": 1.0}',
+        '{"index": 1, "path": [1, 2], "guess": null, "result": true}',
+        '{"index": 1, "path": [1, 2], "guess": null, "result": 2}',
+        '{"index": 1, "path": [], "guess": 0, "result": "fail"}',
     ],
 )
 def test_malformed_query_log_line_is_an_integrity_error(tmp_path, bad_line):
