@@ -452,7 +452,6 @@ def run_markov(params: dict, seed: int):
 @blas_threads(1)
 def run_ad2(params: dict, seed: int):
     samples = checked("ad2", params, seed)["samples"]
-    # One pass over one stream.
     metrics = paulichain.two_copy_finalize(paulichain.two_copy_chunk(samples, child(seed, 0)))
     failures = []
     if metrics["max_orthogonality_defect"] > 1e-10:

@@ -417,7 +417,7 @@ def test_cli_rfs_replay_log_on_another_seed_is_an_integrity_error(tmp_path, caps
 
 
 def test_cli_rfs_replay_log_with_a_float_symbol_exits_2(tmp_path, capsys):
-    # The first query, the root's guess 0, with a float symbol that used to load as 0.
+    # A query whose float symbol would load as 0 if it were truncated.
     log_path = tmp_path / "log.jsonl"
     log_path.write_text('{"index": 0, "path": [0.4], "guess": 0, "result": "FAIL"}\n')
     assert entry(_replay_log_args(log_path, 21)) == 2

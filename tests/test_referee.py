@@ -132,7 +132,7 @@ def test_lower_bound_values():
 
 
 def test_lower_bound_refuses_a_negative_query_count():
-    # It used to return a success cap of 0.3, below 1/2.
+    # Its cap would fall below 1/2.
     with pytest.raises(InvalidConfigError, match="queries"):
         lower_bound(-1, 64.0, 2)
 

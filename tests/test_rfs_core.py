@@ -94,25 +94,13 @@ def test_protocol_errors_are_not_fail():
         oracle_query(spec, (0, 1, 1))  # deeper than the tree
     with pytest.raises(ProtocolError):
         oracle_query(spec, (9,), guess=0)  # symbol out of range
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda spec: oracle_query(spec, (1.7,), guess=0),  # a float symbol
-        lambda spec: oracle_query(spec, (True, 1)),  # a bool symbol
-        lambda spec: oracle_query(spec, (), guess=True),  # a bool guess
-        lambda spec: oracle_query(spec, (), guess=1.0),  # a float guess
-        lambda spec: secret_at(spec, (2.9,)),
-        lambda spec: secret_at(spec, (False,)),
-    ],
-    ids=["float-symbol", "bool-symbol", "bool-guess", "float-guess", "secret-float", "secret-bool"],
-)
-def test_symbols_and_guesses_that_are_not_ints_are_refused_not_truncated(call):
-    # As labels are: oracle_query(spec, (1.7,), 0) used to answer for symbol 1.
-    spec = make_rfs_spec(depth=2, n_symbol_bits=2, master_seed=4)
-    with pytest.raises(ProtocolError, match="not an integer"):
-        call(spec)
+    # A float or a bool symbol or guess is refused, not truncated, as labels are.
+    for path, guess in (((1.7,), 0), ((True, 1), None), ((), True), ((), 1.0)):
+        with pytest.raises(ProtocolError, match="not an integer"):
+            oracle_query(spec, path, guess)
+    for path in ((2.9,), (False,)):
+        with pytest.raises(ProtocolError, match="not an integer"):
+            secret_at(spec, path)
 
 
 def test_query_log_round_trip(tmp_path):
@@ -133,7 +121,7 @@ def test_query_log_round_trip(tmp_path):
         '{"index": 1, "path": [1, 2], "guess": null, "result": 0',  # not JSON
         '{"index": 1, "path": [1, 2], "guess": null}',  # no result
         '{"index": 1, "path": ["x", 2], "guess": null, "result": 0}',  # path not integer
-        # A float or a bool is refused, not truncated: these loaded as path (0, 0) or (1, 2).
+        # A float or a bool is refused, not truncated.
         '{"index": 1, "path": [0.4, 0.4], "guess": null, "result": 0}',
         '{"index": 1, "path": [true, 2], "guess": null, "result": 0}',
         '{"index": 1, "path": [], "guess": 0.0, "result": "FAIL"}',
