@@ -463,10 +463,10 @@ def hadamard_all(n_qubits: int) -> HadamardAll:
 
 
 def action_matrix(circuit: RandomCircuit) -> np.ndarray:
-    """A circuit's matrix ``U`` (columns ``U|x>``), the conjugate of its gates' transposes
-    run in reverse order on the identity: conjugation commutes with every product, so
-    that is the adjoint gates' run, bit for bit, conjugated once instead of per gate.
-    Refused above ``MAX_DENSE_QUBITS`` qubits before anything is allocated."""
+    """A circuit's matrix ``U`` (columns ``U|x>``): its gates' transposes, a view, run in
+    reverse order on the identity and conjugated once.  Conjugation commutes with every
+    product, so that is the run of the adjoint gates, bit for bit.  Refused above
+    ``MAX_DENSE_QUBITS`` qubits before anything is allocated."""
     if circuit.n_qubits > MAX_DENSE_QUBITS:
         raise SizeError(f"dense matrices capped at {MAX_DENSE_QUBITS} qubits")
     eye = np.eye(2**circuit.n_qubits)
