@@ -35,6 +35,7 @@ from .simcore import (
     sample_haar_stack,
     unitarity_defect,
 )
+from .simcore.circuits import _checked_labels
 
 # Codes 0..3: identity, sigma_z, sigma_x, sigma_y.
 PAULI_1Q = np.array(
@@ -408,11 +409,13 @@ def collision_statistics(n: int, steps: int, rngs, inputs) -> tuple[np.ndarray, 
     per block of ``PAIR_STEPS`` steps, all its pair indices, then all its
     gates.  So a circuit's result depends only on its own stream, not on the
     other circuits or on how many there are.  All circuits step together.
-    Returns the arrays ``sum_x |amp(x)|^4`` and ``sum_x |amp(x)|``.
+    Returns the arrays ``sum_x |amp(x)|^4`` and ``sum_x |amp(x)|``.  An input
+    that is not an integer in ``[0, 2^n)`` is a ``LabelError``, before any draw.
     """
     if n > MAX_COLLISION_N:
         raise SizeError(f"collision statistics capped at n={MAX_COLLISION_N}")
     check_amplitudes(len(inputs), 2**n)
+    inputs = _checked_labels(inputs, 2**n)
     states = np.zeros((len(inputs), 2**n), dtype=complex)
     states[np.arange(len(inputs)), inputs] = 1.0
     probs = np.abs(run_pair_circuits(states, n, steps, rngs)) ** 2

@@ -256,10 +256,13 @@ def lower_bound(queries: int, card_a: float, depth: int) -> LowerBoundValue:
 
     ``1/2 + max(Q / (|A|^(1/3) - Q), Q * (log2|A|/3)^(-l))`` with logs base
     2.  When ``Q >= |A|^(1/3)`` the cap degenerates; the value 1 is returned
-    with a flag.  A negative ``queries`` is refused.
+    with a flag.  A negative ``queries`` is refused, and so is ``|A| < 2``, whose
+    ``log2|A|`` of at most 0 leaves the tree term undefined.
     """
     if queries < 0:
         raise InvalidConfigError(f"queries must be nonnegative, got {queries}")
+    if not card_a >= 2:
+        raise InvalidConfigError(f"|A| must be at least 2, got {card_a}")
     cube_root = card_a ** (1.0 / 3.0)
     if queries >= cube_root:
         return LowerBoundValue(1.0, True)

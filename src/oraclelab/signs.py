@@ -16,7 +16,7 @@ transforms) skip the sweep: all their breakpoints sit at ``pi/2``, so
 ``g(phi) = |cos phi| sum|x_k|`` peaks at ``phi = 0`` and ``theta = sign(x)``,
 with zeros mapped to +1.  That is the sweep's own answer, field for field,
 in O(d).  :func:`compile_rows` applies that rule to a whole stack of real
-rows at once and sweeps its complex rows one by one.
+rows at once and sweeps its complex rows one by one, keeping only their signs.
 
 Every entry must be finite: a NaN or an infinity has no sign to keep.
 """
@@ -100,12 +100,19 @@ def compile_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     theta = _real_signs(rows)
     if np.iscomplexobj(rows):
         for k in np.flatnonzero(np.any(rows.imag, axis=1)):
-            theta[k] = best_phase_signs(rows[k]).theta
+            row = rows[k].astype(complex, copy=False)
+            theta[k] = _signs_at(row, _phase(row))
     return theta, _l1(rows)
 
 
 def _sweep(xv: np.ndarray) -> SignSolution:
     """The sorted sweep over the breakpoints of a nonzero complex vector."""
+    phi_star = _phase(xv)
+    return _solution(xv, phi_star, _signs_at(xv, phi_star))
+
+
+def _phase(xv: np.ndarray) -> float:
+    """The sweep's maximizing phase ``phi_star`` in ``[0, pi)`` of a nonzero complex vector."""
     nonzero = xv[xv != 0]
     breaks = np.mod(np.pi / 2 - np.angle(nonzero), np.pi)
     order = np.argsort(breaks, kind="stable")
@@ -120,7 +127,7 @@ def _sweep(xv: np.ndarray) -> SignSolution:
     phi_star = float(np.mod(-np.angle(best), np.pi))
     if phi_star >= np.pi:  # a critical phase just below 0 rounds up to pi
         phi_star = 0.0
-    return _solution(xv, phi_star, _signs_at(xv, phi_star))
+    return phi_star
 
 
 def _solution(xv: np.ndarray, phi_star: float, theta: np.ndarray) -> SignSolution:

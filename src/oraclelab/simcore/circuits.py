@@ -20,6 +20,7 @@ rows, and :func:`densify` makes it a :class:`MatrixUnitary`.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -40,14 +41,12 @@ MAX_DENSE_QUBITS = 12
 FUSED_WIDTH = 5
 FUSE_MIN_AMPLITUDES = 2**14
 # A fused run on a state, and the unitarity check of a dense matrix, of at least
-# WIDE_AMPLITUDES amplitudes use the process's BLAS threads; below it one thread was as
-# fast (measured on 2 vCPUs with OpenBLAS; CHANGES.md records the sweeps).  Experiments
-# otherwise run on one thread.
-WIDE_AMPLITUDES = 2**15
-# Blocks are built on leading principal submatrices of this identity, which are
-# identities too, so that building one allocates no identity of its own.
-_EYE = np.eye(1 << FUSED_WIDTH)
-_EYE.setflags(write=False)
+# WIDE_AMPLITUDES amplitudes use the process's BLAS threads; experiments otherwise run
+# on one thread.  Measured on 2 vCPUs with OpenBLAS, one t = 4n^3 densify: at n = 8
+# (2^16 amplitudes) a second thread cut 0.18 s to 0.15 s, but its idle worker then
+# spun through the single-threaded work that followed; at n = 9 it cut 1.17 s to
+# 0.82 s.  CHANGES.md records the sweeps.
+WIDE_AMPLITUDES = 2**17
 # A block of rows read through ``rows`` holds at most this many amplitudes
 # (256 KiB complex), so that reading rows by blocks adds no more than that to memory.
 ROW_BLOCK_AMPLITUDES = 2**14
@@ -251,17 +250,38 @@ def _fusion_plan(pairs: np.ndarray, n_qubits: int, width: int) -> tuple[np.ndarr
     return np.array(supports, dtype=np.intp).reshape(-1, width), np.array(order, dtype=np.intp), counts
 
 
+@functools.cache
+def _word_index(width: int) -> np.ndarray:
+    """Flat indices into a ``2^width`` square block, grouped by ordered qubit pair and local word.
+
+    Entry ``[i, j, w, m]`` (``i != j``) is the ``m``-th smallest flat index of
+    the C-ordered block whose row bits ``i`` and ``j`` form the local word
+    ``w = 2*b_i + b_j``, so ``gate @ flat[index[i, j]]`` applies ``gate`` to
+    qubits ``(i, j)`` of every column.  Entries with ``i == j`` are unused.
+    Read-only; shape ``(width, width, 4, 4^(width-1))``.
+    """
+    row = np.arange(4**width) >> width
+    index = np.zeros((width, width, 4, 4 ** (width - 1)), dtype=np.intp)
+    for i, j in itertools.permutations(range(width), 2):
+        word = 2 * (row >> i & 1) + (row >> j & 1)
+        index[i, j] = np.argsort(word, kind="stable").reshape(4, -1)
+    index.setflags(write=False)
+    return index
+
+
 def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates) -> np.ndarray:
     """Apply two-qubit gates as :func:`run_gates` does, fused into blocks on wide states.
 
     ``gates`` is a stack of ``len(pairs)`` matrices, possibly a view.  On a state
     of at least ``FUSE_MIN_AMPLITUDES`` amplitudes, gates fuse into blocks of at
     most ``FUSED_WIDTH`` qubits by :func:`_fusion_plan`.  Each block is built when
-    the runner draws it, by running its gates on an identity, so memory does
-    not grow with the circuit length.  Narrower states, and circuits on two
-    qubits, run gate by gate.  On a state of at least ``WIDE_AMPLITUDES``
-    amplitudes, the blocks are applied (and built) with the process's BLAS
-    thread count, set once around the whole run.
+    the runner draws it, by running its gates on an identity in one reused
+    buffer, so memory does not grow with the circuit length.  A gate is one
+    gather, one ``(4, 4^(width-1))`` product and one scatter through
+    :func:`_word_index`: the product :func:`run_gates` would make, bit for bit.
+    Narrower states, and circuits on two qubits, run gate by gate.  On a state
+    of at least ``WIDE_AMPLITUDES`` amplitudes, the blocks are applied (and
+    built) with the process's BLAS thread count, set once around the whole run.
     """
     pairs, gates = np.asarray(pairs), np.asarray(gates)
     width = min(FUSED_WIDTH, n_qubits)
@@ -270,14 +290,26 @@ def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates) -> np.n
     supports, order, counts = _fusion_plan(pairs, n_qubits, width)
 
     def blocks():
+        index = _word_index(width)
         local = np.empty(n_qubits, dtype=np.intp)
         ranks = np.arange(width - 1, -1, -1)
-        eye = _EYE[: 1 << width, : 1 << width]
+        eye = np.eye(1 << width, dtype=complex)
+        block = np.empty_like(eye)
+        flat = block.reshape(-1)
+        gathered = np.empty(index.shape[2:], dtype=complex)
+        product = np.empty_like(gathered)
         start = 0
         for support, count in zip(supports, counts):
             group = order[start : start + count]
             local[support] = ranks
-            yield run_gates(eye, width, local[pairs[group]], (gates[k] for k in group))
+            np.copyto(block, eye)
+            for k, (i, j) in zip(group.tolist(), local[pairs[group]].tolist()):
+                flat.take(index[i, j], out=gathered)
+                np.matmul(gates[k], gathered, out=product)
+                flat[index[i, j]] = product
+            # The runner applies the block before drawing the next one, so the
+            # buffer is free to be rebuilt when the generator resumes.
+            yield block
             start += count
 
     with _wide_threads(np.size(vec)):

@@ -17,15 +17,30 @@ import numpy as np
 
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-12
+# The Gram matrix of one 2-D matrix is formed at most this many entries (16 MiB) at a
+# time, so that checking a large matrix holds no full conjugate copy or Gram matrix.
+GRAM_BLOCK_ENTRIES = 2**20
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-entry deviation of ``M^dag M`` from the identity, over a stack of matrices too."""
+    """Max-entry deviation of ``M^dag M`` from the identity, over a stack of matrices too.
+
+    A 2-D matrix is checked in blocks of ``GRAM_BLOCK_ENTRIES`` Gram entries:
+    block ``[lo, hi)`` is the rows ``lo..hi`` of the Gram matrix, the product of
+    the conjugate transpose of columns ``lo..hi`` with ``M``.  A matrix of at
+    most that many entries, and every stack, is one block.
+    """
     m = np.asarray(matrix)
-    gram = np.swapaxes(m.conj(), -1, -2) @ m
-    diag = np.arange(m.shape[-1])
-    gram[..., diag, diag] -= 1  # in place: no identity-sized temporaries beside the product
-    return float(np.max(np.abs(gram), initial=0.0))
+    cols = m.shape[-1]
+    step = max(1, GRAM_BLOCK_ENTRIES // max(cols, 1) if m.ndim == 2 else cols)
+    defects = []
+    for lo in range(0, cols, step):
+        gram = np.swapaxes(m[..., lo : lo + step].conj(), -1, -2) @ m
+        diag = np.arange(gram.shape[-2])
+        gram[..., diag, lo + diag] -= 1  # in place: no identity-sized temporaries beside the product
+        defects.append(np.max(np.abs(gram), initial=0.0))
+        del gram  # freed before the next block's product
+    return float(np.max(defects, initial=0.0))  # a NaN anywhere stays NaN
 
 
 @dataclass(frozen=True)

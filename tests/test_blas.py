@@ -61,12 +61,12 @@ def test_haar_draws_in_qt_run_on_one_thread(monkeypatch):
 
 
 @needs_openblas
-@pytest.mark.parametrize("n, switches", [(7, 2), (8, 6)])
+@pytest.mark.parametrize("n, switches", [(7, 2), (8, 2), (9, 6)])
 def test_only_wide_work_takes_the_process_count_and_once_per_run(monkeypatch, n, switches):
-    """The experiment sets one thread on entry.  At n = 8 (2^16 amplitudes) the densify sets
+    """The experiment sets one thread on entry.  At n = 9 (2^18 amplitudes) the densify sets
     the process's count around its whole run, never per block, and so does the unitarity
-    check of its matrix; at n = 7 (2^14) both keep one thread."""
-    assert 4**7 < circuits.WIDE_AMPLITUDES <= 4**8
+    check of its matrix; at n = 7 and 8 (2^14 and 2^16) both keep one thread."""
+    assert 4**8 < circuits.WIDE_AMPLITUDES <= 4**9
     get, put = blas._CALLS
     puts, seen = [], []
 
@@ -86,6 +86,22 @@ def test_only_wide_work_takes_the_process_count_and_once_per_run(monkeypatch, n,
     assert len(puts) == switches
     apply = PROCESS_THREADS if 4**n >= circuits.WIDE_AMPLITUDES else 1
     assert [count for qubits, count in seen if qubits == n] == [apply]
+
+
+@needs_openblas
+@pytest.mark.parametrize("run", [experiments.run_dispersion, experiments.run_oracle])
+def test_the_n_8_random_circuit_runs_on_one_thread_throughout(monkeypatch, run):
+    get, put = blas._CALLS
+    puts = []
+
+    def counted_put(count):
+        puts.append(count)
+        put(count)
+
+    monkeypatch.setattr(blas, "_CALLS", (get, counted_put))
+    run({"unitary": "random", "n": 8}, 3)
+    # One thread on entry, the process's count restored on exit, and nothing between.
+    assert puts == [1, PROCESS_THREADS]
 
 
 def test_action_matrix_is_bitwise_equal_under_the_policy_and_the_process_count(monkeypatch):

@@ -132,14 +132,14 @@ print(json.dumps([experiments.run_ad2({"samples": 1500}, 17)[0],
                   experiments.run_oracle({"unitary": "hadamard", "n": 9}, 0)[0],
                   experiments.run_rfs({"l": 2, "n": 5, "trials": 2}, 0)[0],
                   experiments.run_oracle({"unitary": "random", "n": 7}, 3)[0],
-                  experiments.run_oracle({"unitary": "random", "n": 8}, 3)[0]], sort_keys=True))
+                  experiments.run_oracle({"unitary": "random", "n": 9}, 3)[0]], sort_keys=True))
 """
 
 
 def test_metrics_do_not_depend_on_the_blas_thread_count():
-    # Experiments run BLAS on one thread; the n = 8 oracle's densify is wide enough
+    # Experiments run BLAS on one thread; the n = 9 oracle's densify is wide enough
     # (WIDE_AMPLITUDES) to run on the process's count, so the 1- and 2-thread runs differ there.
-    assert 4**8 >= WIDE_AMPLITUDES
+    assert 4**9 >= WIDE_AMPLITUDES
     src = str(Path(experiments.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oraclelab.errors import InvalidConfigError, SizeError
+from oraclelab.errors import InvalidConfigError, LabelError, SizeError
 from oraclelab.paulichain import (
     MAX_WEIGHT_CHAIN_N,
     NONZERO_PAIRS,
@@ -265,6 +265,15 @@ def test_ad2_fails_haar_draws_without_the_phase_fix(monkeypatch):
 def test_collision_of_trivial_circuit():
     q, l1 = circuit_collision_sample(3, 0, stream(12))
     assert q == 1.0 and l1 == 1.0
+
+
+def test_collision_start_outside_the_register_is_refused_before_any_draw():
+    # -1 used to wrap to 7, and 8 raised a bare IndexError.
+    for a in (-1, 8, 2.0, True):
+        rng = stream(1)
+        with pytest.raises(LabelError):
+            circuit_collision_sample(3, 5, rng, a=a)
+        assert rng.random() == stream(1).random(), a
 
 
 def test_empirical_markov_tail_bound():

@@ -137,6 +137,15 @@ def test_lower_bound_refuses_a_negative_query_count():
         lower_bound(-1, 64.0, 2)
 
 
+@pytest.mark.filterwarnings("error")
+def test_lower_bound_refuses_fewer_than_two_labels():
+    # log2|A| <= 0 made the tree term 0 * inf = nan behind a RuntimeWarning.
+    for card_a in (1.0, 0.0, 1.5, float("nan")):
+        with pytest.raises(InvalidConfigError, match=r"\|A\|"):
+            lower_bound(0, card_a, 2)
+    assert lower_bound(0, 2.0, 2).value == 0.5
+
+
 def test_lower_bound_tree_term_dominates_at_shallow_depth():
     value = lower_bound(5, 2**30, 2).value
     expected = 0.5 + max(5 / (2**10 - 5), 5 * (30 / 3) ** -2)

@@ -56,7 +56,7 @@ def test_non_finite_entries_are_refused_before_any_sweep(monkeypatch, x):
     def refuse(xv):
         raise AssertionError("swept a row with a non-finite entry")
 
-    monkeypatch.setattr(signs, "_sweep", refuse)
+    monkeypatch.setattr(signs, "_phase", refuse)
     with pytest.raises(DegenerateInputError, match="finite"):
         best_phase_signs(x)
     with pytest.raises(DegenerateInputError, match="finite"):

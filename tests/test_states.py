@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oraclelab.simcore import (
     run_gates,
     sample_haar_two_qubit,
     stream,
+    unitarity_defect,
 )
 
 HADAMARD_1Q = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -185,3 +187,21 @@ def test_pure_state_validation():
         PureState(2, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         PureState(1, np.array([1.0, 1.0]))
+
+
+def test_unitarity_defect_of_a_large_matrix_holds_no_full_gram_matrix():
+    # 2048 x 2048 is four times GRAM_BLOCK_ENTRIES: a full conjugate copy and a full
+    # Gram matrix took 128 MiB beside the 64 MiB matrix; two 16 MiB blocks remain.
+    # The one defect, in the last column, is found at its own entry of the last block.
+    dim = 2048
+    perm = np.zeros((dim, dim), dtype=complex)
+    perm[stream(3).permutation(dim), np.arange(dim)] = 1.0
+    perm[:, -1] *= 1.001
+    tracemalloc.start()
+    try:
+        defect = unitarity_defect(perm)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(defect - (1.001**2 - 1)) < 1e-12
+    assert peak < 48 * 2**20
