@@ -20,7 +20,6 @@ rows, and :func:`densify` makes it a :class:`MatrixUnitary`.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -250,25 +249,6 @@ def _fusion_plan(pairs: np.ndarray, n_qubits: int, width: int) -> tuple[np.ndarr
     return np.array(supports, dtype=np.intp).reshape(-1, width), np.array(order, dtype=np.intp), counts
 
 
-@functools.cache
-def _word_index(width: int) -> np.ndarray:
-    """Flat indices into a ``2^width`` square block, grouped by ordered qubit pair and local word.
-
-    Entry ``[i, j, w, m]`` (``i != j``) is the ``m``-th smallest flat index of
-    the C-ordered block whose row bits ``i`` and ``j`` form the local word
-    ``w = 2*b_i + b_j``, so ``gate @ flat[index[i, j]]`` applies ``gate`` to
-    qubits ``(i, j)`` of every column.  Entries with ``i == j`` are unused.
-    Read-only; shape ``(width, width, 4, 4^(width-1))``.
-    """
-    row = np.arange(4**width) >> width
-    index = np.zeros((width, width, 4, 4 ** (width - 1)), dtype=np.intp)
-    for i, j in itertools.permutations(range(width), 2):
-        word = 2 * (row >> i & 1) + (row >> j & 1)
-        index[i, j] = np.argsort(word, kind="stable").reshape(4, -1)
-    index.setflags(write=False)
-    return index
-
-
 def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates) -> np.ndarray:
     """Apply two-qubit gates as :func:`run_gates` does, fused into blocks on wide states.
 
@@ -277,11 +257,12 @@ def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates) -> np.n
     most ``FUSED_WIDTH`` qubits by :func:`_fusion_plan`.  Each block is built when
     the runner draws it, by running its gates on an identity in one reused
     buffer, so memory does not grow with the circuit length.  A gate is one
-    gather, one ``(4, 4^(width-1))`` product and one scatter through
-    :func:`_word_index`: the product :func:`run_gates` would make, bit for bit.
-    Narrower states, and circuits on two qubits, run gate by gate.  On a state
-    of at least ``WIDE_AMPLITUDES`` amplitudes, the blocks are applied (and
-    built) with the process's BLAS thread count, set once around the whole run.
+    strided copy of the block into a ``(4, 4^(width-1))`` array, the gate's
+    qubits leading, one product and one copy back: the product
+    :func:`run_gates` would make, bit for bit.  Narrower states, and circuits
+    on two qubits, run gate by gate.  On a state of at least
+    ``WIDE_AMPLITUDES`` amplitudes, the blocks are applied (and built) with the
+    process's BLAS thread count, set once around the whole run.
     """
     pairs, gates = np.asarray(pairs), np.asarray(gates)
     width = min(FUSED_WIDTH, n_qubits)
@@ -290,23 +271,30 @@ def _run_fused(vec: np.ndarray, n_qubits: int, pairs: np.ndarray, gates) -> np.n
     supports, order, counts = _fusion_plan(pairs, n_qubits, width)
 
     def blocks():
-        index = _word_index(width)
         local = np.empty(n_qubits, dtype=np.intp)
         ranks = np.arange(width - 1, -1, -1)
         eye = np.eye(1 << width, dtype=complex)
         block = np.empty_like(eye)
-        flat = block.reshape(-1)
-        gathered = np.empty(index.shape[2:], dtype=complex)
+        # Axis a < width of ``bits`` is row bit width - 1 - a; the last axis is the columns.
+        bits = block.reshape((2,) * width + (1 << width,))
+        # For each ordered pair (i, j) of local qubits, the block with row bits i and j
+        # leading (the local word 2*b_i + b_j), then the other row bits, then the columns.
+        words = {}
+        for i, j in itertools.permutations(range(width), 2):
+            lead = [width - 1 - i, width - 1 - j]
+            words[i, j] = bits.transpose(lead + [a for a in range(width + 1) if a not in lead])
+        gathered = np.empty(words[1, 0].shape, dtype=complex)
         product = np.empty_like(gathered)
+        rows = (4, gathered.size // 4)
         start = 0
         for support, count in zip(supports, counts):
             group = order[start : start + count]
             local[support] = ranks
             np.copyto(block, eye)
             for k, (i, j) in zip(group.tolist(), local[pairs[group]].tolist()):
-                flat.take(index[i, j], out=gathered)
-                np.matmul(gates[k], gathered, out=product)
-                flat[index[i, j]] = product
+                np.copyto(gathered, words[i, j])
+                np.dot(gates[k], gathered.reshape(rows), out=product.reshape(rows))
+                np.copyto(words[i, j], product)
             # The runner applies the block before drawing the next one, so the
             # buffer is free to be rebuilt when the generator resumes.
             yield block
