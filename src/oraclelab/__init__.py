@@ -4,7 +4,7 @@ Subpackages and modules:
 
 * ``simcore``    -- dense state-vector simulation, Haar-random circuits, and
   Fourier matrices over finite groups.
-* ``dispersion`` -- L1 dispersion certification and fourth-moment machinery.
+* ``dispersion`` -- L1 dispersion certification and Fourier-block search.
 * ``signs``      -- compilation of complex rows into +-1 sign vectors.
 * ``oracle``     -- the single-level oracle identification game.
 * ``rfs``        -- recursive oracle identification: query/error accounting,

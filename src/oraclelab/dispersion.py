@@ -1,4 +1,4 @@
-"""L1 dispersion of circuit columns and the fourth-moment machinery.
+"""L1 dispersion of circuit columns.
 
 A unitary ``U`` on n qubits disperses a basis label ``a`` when the L1 norm
 of row ``a`` of ``U`` is large; the certificate enumerates every label and
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidConfigError, LabelError
+from .errors import InvalidConfigError, LabelError
 from .simcore import FourierMatrix, rows_per_block
 
 
@@ -116,21 +116,3 @@ def pseudo_search(
         best_psi=coeff[best].copy(),
         bound=float(np.sqrt(order / 2.0)),
     )
-
-
-def fourth_moment_check(values) -> tuple[float, float, bool]:
-    """Check ``E|Y| >= (E Y^2)^(3/2) / (E Y^4)^(1/2)`` on an empirical sample.
-
-    Returns ``(lhs, rhs, passed)``.  The inequality holds for every true
-    distribution, so the empirical version may only fail by rounding; the
-    pass flag allows 1e-12.
-    """
-    y = np.asarray(values, dtype=float).ravel()
-    if y.size == 0 or not np.any(y != 0):
-        raise DegenerateInputError("fourth-moment check needs a nonzero sample")
-    lhs = float(np.mean(np.abs(y)))
-    m2 = float(np.mean(y**2))
-    m4 = float(np.mean(y**4))
-    rhs = m2**1.5 / np.sqrt(m4)
-    return lhs, rhs, lhs >= rhs - 1e-12
-

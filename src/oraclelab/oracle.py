@@ -216,25 +216,3 @@ def identify(oracle: SingleLevelOracle, label_indices) -> np.ndarray:
         per_row = np.abs(np.einsum("ij,ij->i", rows, theta)) ** 2 / 2**oracle.n_qubits
         success[start:stop] = np.add.reduceat(per_row, np.cumsum([0, *counts[:-1]]))
     return np.minimum(success, 1.0).reshape(index.shape)
-
-
-def classical_guess_bound(q: int, alpha_n: float) -> float:
-    """Upper bound ``2^(q - alpha_n)`` on classical success after ``q`` bits."""
-    if q < 0:
-        raise InvalidConfigError("q must be nonnegative")
-    return float(2.0 ** (q - alpha_n))
-
-
-def simulate_bisection_strategy(
-    alpha_n: int, q: int, trials: int, rng: np.random.Generator
-) -> float:
-    """Empirical win rate of the best bit-per-query classical strategy.
-
-    The hidden label is uniform over ``2^alpha_n`` candidates; each query
-    answers one bit that halves the candidate set, and the final guess is
-    uniform over what remains.  Returns the fraction of wins over ``trials``.
-    """
-    n_labels = 2**alpha_n
-    remaining = max(1, n_labels >> min(q, alpha_n))
-    wins = rng.random(trials) < (1.0 / remaining)
-    return float(np.mean(wins))

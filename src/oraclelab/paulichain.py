@@ -88,11 +88,11 @@ def walk_ensemble(
         raise InvalidConfigError(f"start must hold {n_sites} site codes in 0..3, got {start}")
     codes = np.tile(np.array(start, dtype=np.uint8), (walkers, 1))
     pair_list = np.array(list(itertools.combinations(range(n_sites), 2)))
+    rows = np.arange(walkers)
     for _ in range(steps):
         pick = rng.integers(len(pair_list), size=walkers)
         i = pair_list[pick, 0]
         j = pair_list[pick, 1]
-        rows = np.arange(walkers)
         vi = codes[rows, i]
         vj = codes[rows, j]
         active = (vi != 0) | (vj != 0)

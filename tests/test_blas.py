@@ -105,10 +105,20 @@ def test_the_n_8_random_circuit_runs_on_one_thread_throughout(monkeypatch, run):
 
 
 def test_action_matrix_is_bitwise_equal_under_the_policy_and_the_process_count(monkeypatch):
-    circuit = run_random_circuit(8, 2048, 3)
+    """n = 9 is the first size whose densify is wide, so it reads the patched count."""
+    assert 4**9 >= circuits.WIDE_AMPLITUDES
+    circuit = run_random_circuit(9, 300, 3)
     expected = action_matrix(circuit).tobytes()
+    wrapped, set_counts = circuits.blas_threads, []
+
+    def recorded(count):
+        set_counts.append(count)
+        return wrapped(count)
+
+    monkeypatch.setattr(circuits, "blas_threads", recorded)
     # Under the experiments' one thread, with the wide apply on 1 and on 2 threads.
     for count in (1, 2):
         monkeypatch.setattr(circuits, "PROCESS_THREADS", count)
         with blas_threads(1):
             assert action_matrix(circuit).tobytes() == expected
+    assert set_counts == [1, 2]

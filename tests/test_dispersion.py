@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oraclelab.dispersion import certify_dispersing, fourth_moment_check, pseudo_search
-from oraclelab.errors import DegenerateInputError, InvalidConfigError
+from oraclelab.dispersion import certify_dispersing, pseudo_search
+from oraclelab.errors import InvalidConfigError
 from oraclelab.paulichain import collision_statistics
 from oraclelab.simcore import (
     MatrixUnitary,
@@ -132,36 +132,6 @@ def test_pseudo_search_two_dim_blocks(name):
     assert report.best_value >= bound
     # Unit vectors cannot beat the Cauchy-Schwarz cap.
     assert np.all(report.l1_values <= np.sqrt(group.order) + 1e-9)
-
-
-def test_fourth_moment_sign_variable():
-    lhs, rhs, ok = fourth_moment_check([1.0, -1.0, 1.0, -1.0])
-    assert ok and abs(lhs - 1.0) <= 1e-15 and abs(rhs - 1.0) <= 1e-15
-
-
-def test_fourth_moment_hadamard_row_equality():
-    n = 5
-    col = np.zeros(2**n, dtype=complex)
-    col[7] = 1.0
-    row = np.abs(fwht_normalized(col))
-    lhs, rhs, ok = fourth_moment_check(row)
-    assert ok
-    assert abs(lhs - 2 ** (-n / 2)) <= 1e-12
-    assert abs(rhs - 2 ** (-n / 2)) <= 1e-12
-
-
-def test_fourth_moment_gaussian():
-    rng = stream(14)
-    y = rng.standard_normal(10_000)
-    lhs, rhs, ok = fourth_moment_check(y)
-    assert ok
-    assert abs(lhs - np.sqrt(2 / np.pi)) <= 0.03
-    assert abs(rhs - 1 / np.sqrt(3)) <= 0.03
-
-
-def test_fourth_moment_rejects_zero():
-    with pytest.raises(DegenerateInputError):
-        fourth_moment_check(np.zeros(5))
 
 
 def test_collision_extremes():

@@ -13,10 +13,8 @@ from oraclelab.oracle import (
     LabelSpec,
     SingleLevelOracle,
     build_oracle,
-    classical_guess_bound,
     identify,
     prepare_phi,
-    simulate_bisection_strategy,
 )
 from oraclelab.signs import best_phase_signs
 from oraclelab.simcore import (
@@ -443,23 +441,3 @@ def test_basis_labels_outside_the_register_are_refused_before_compiling(monkeypa
     monkeypatch.setattr(oracle_module, "compile_rows", refuse)
     with pytest.raises(LabelError, match="outside"):
         build_oracle(hadamard_all(3), labels)
-
-
-def test_classical_guess_bound_values():
-    assert classical_guess_bound(0, 10) == 2.0**-10
-    assert classical_guess_bound(10, 10) == 1.0
-    assert classical_guess_bound(5, 10) == 2.0**-5
-
-
-def test_uniform_guessing_rate():
-    rate = simulate_bisection_strategy(10, 0, trials=100_000, rng=stream(61))
-    assert abs(rate - 1 / 1024) <= 4 * np.sqrt((1 / 1024) / 100_000) + 1e-4
-
-
-def test_bisection_strategy_tracks_bound():
-    trials = 100_000
-    rate = simulate_bisection_strategy(10, 5, trials=trials, rng=stream(62))
-    bound = classical_guess_bound(5, 10)
-    sigma = np.sqrt(bound * (1 - bound) / trials)
-    assert rate <= bound + 3 * sigma
-    assert rate >= bound - 3 * sigma  # halving is exactly tight here
